@@ -40,17 +40,12 @@ from .nash import (
     verify_equilibrium,
 )
 from .simulate import (
-    STAY,
-    SWITCH,
     FictitiousPlayPolicy,
     FixedPolicy,
-    HistorySnapshot,
     NashPolicy,
-    NetworkState,
     PolicySpec,
     SimulationResult,
     SimulationSummary,
-    SlotRecord,
     choose_actions,
     classify_state,
     place_primaries,
@@ -88,17 +83,12 @@ __all__ = [
     "pure_equilibria",
     "strategy_utilities",
     "verify_equilibrium",
-    "STAY",
-    "SWITCH",
     "FictitiousPlayPolicy",
     "FixedPolicy",
-    "HistorySnapshot",
     "NashPolicy",
-    "NetworkState",
     "PolicySpec",
     "SimulationResult",
     "SimulationSummary",
-    "SlotRecord",
     "choose_actions",
     "classify_state",
     "place_primaries",

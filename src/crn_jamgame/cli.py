@@ -19,6 +19,10 @@ from .games import Category, NetworkConfig, build_game
 from .learning import run_fp
 from .nash import mixed_equilibrium
 from .simulate import (
+    CATEGORIES,
+    A,
+    B,
+    C,
     FictitiousPlayPolicy,
     FixedPolicy,
     NashPolicy,
@@ -252,10 +256,6 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             handle.write(",".join(_fmt(cell) for cell in row) + "\n")
 
 
-def _freq(count: int, total: int) -> float:
-    return count / total if total > 0 else float("nan")
-
-
 def cmd_nash(cfg: RunConfig) -> int:
     """Solve both category games and report (p, q) plus pure equilibria."""
     rows = []
@@ -335,29 +335,26 @@ def cmd_simulate(cfg: RunConfig) -> int:
     """Full network run; per-slot trace CSV plus a printed summary."""
     policies = PolicySpec(secondary=cfg.policy_secondary, malicious=cfg.policy_malicious)
     result = run_simulation(cfg.network, policies, cfg.slots, cfg.seed)
-
-    def rows():
-        for record in result.records:
-            before = record.state_before
-            hist = record.histories_after
-            ha, hb = hist.category_a, hist.category_b
-            yield [
-                record.slot_index,
-                record.category.value,
-                before.secondary_band,
-                before.malicious_band,
-                int(before.secondary_band in before.primary_bands),
-                record.secondary_action,
-                record.malicious_action,
-                record.jam_occurred,
-                record.secondary_payoff,
-                record.malicious_payoff,
-                _freq(ha.h_s1, ha.total_secondary),
-                _freq(ha.h_m1, ha.total_malicious),
-                _freq(hb.h_s1, hb.total_secondary),
-                _freq(hb.h_m1, hb.total_malicious),
-            ]
-
+    labels = [category.value for category in CATEGORIES]
+    moves = ("stay", "switch")
+    p_a, q_a = result.frequencies(A)
+    p_b, q_b = result.frequencies(B)
+    columns = [
+        range(len(result)),
+        [labels[code] for code in result.category.tolist()],
+        result.secondary_band.tolist(),
+        result.malicious_band.tolist(),
+        (result.category == C).tolist(),
+        [moves[flag] for flag in result.secondary_switch.tolist()],
+        [moves[flag] for flag in result.malicious_switch.tolist()],
+        result.jam.tolist(),
+        result.secondary_payoff.tolist(),
+        result.malicious_payoff.tolist(),
+        p_a.tolist(),
+        q_a.tolist(),
+        p_b.tolist(),
+        q_b.tolist(),
+    ]
     _write_csv(
         cfg.out,
         [
@@ -376,7 +373,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "pstar_B",
             "qstar_B",
         ],
-        rows(),
+        zip(*columns),
     )
     s = result.summary
     print(f"slots: {s.slots}")
@@ -390,8 +387,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     print(f"jams: {s.jam_count}")
     print(
         "history totals: "
-        f"malicious={s.final_histories.malicious_total} "
-        f"secondary={s.final_histories.secondary_total}"
+        f"malicious={s.malicious_observations} "
+        f"secondary={s.secondary_observations}"
     )
     print(
         f"final frequencies: A p*={_fmt(s.p_star_a)} q*={_fmt(s.q_star_a)}; "
@@ -399,6 +396,23 @@ def cmd_simulate(cfg: RunConfig) -> int:
     )
     print(f"trace -> {cfg.out}")
     return 0
+
+
+def _check_grid(network: NetworkConfig, sweeps) -> None:
+    """Raise ConfigError unless every cell of the sweep grid is a valid config.
+
+    NetworkConfig checks each float field on its own and ``n_primary``
+    against ``n_bands``, so one config per swept float value and one per
+    swept (n_bands, n_primary) pair cover the grid without building it.
+    """
+    ints = {name: values for name, values in sweeps if name in _NETWORK_INT_FIELDS}
+    changes = [{name: value} for name, values in sweeps if name not in ints for value in values]
+    changes += [dict(zip(ints, combo)) for combo in itertools.product(*ints.values())]
+    for change in changes:
+        try:
+            replace(network, **change)
+        except ValueError as exc:
+            raise ConfigError(f"sweep: {exc}") from None
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -411,13 +425,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
     header = list(names) + ["p_A", "q_A", "degenerate_A", "p_B", "q_B", "degenerate_B"]
     if with_fp:
         header += ["fp_err_p_A", "fp_err_q_A", "fp_err_p_B", "fp_err_q_B"]
+    _check_grid(cfg.network, cfg.sweeps)
 
     def rows():
         for index, combo in enumerate(itertools.product(*value_lists)):
-            try:
-                network = replace(cfg.network, **dict(zip(names, combo)))
-            except ValueError as exc:
-                raise ConfigError(f"sweep: {exc}") from None
+            network = replace(cfg.network, **dict(zip(names, combo)))
             row = list(combo)
             fp_errors = []
             for category in (Category.A, Category.B):

@@ -1,11 +1,13 @@
 """Discrete-time band-hopping simulation of the jammer-vs-secondary network.
 
-Slot loop: classify the current state into category A (players share a
-band and the jam revealed both positions), B (jammer elsewhere but has
-sensed the secondary's band) or C (a licensed user silences the
-secondary), draw both players' actions from their policies, settle
-movement and payoffs against freshly placed licensed users, then update
-the per-category observation histories.
+Slot loop: the current state's category is A (players share a band and
+the jam revealed both positions), B (jammer elsewhere but has sensed the
+secondary's band) or C (a licensed user silences the secondary); draw
+both players' moves from their policies, settle movement and payoffs
+against freshly placed licensed users, classify the new state (the next
+slot's category), then update the per-category observation histories.
+The loop runs on plain ints and fills one row of the preallocated
+columns of :class:`SimulationResult` per slot.
 
 Settlement realizes each slot from actual band positions, never from the
 analytic payoff tables; the tables are reproduced as Monte Carlo averages
@@ -17,7 +19,7 @@ Observability is asymmetric: after an A or B slot whose successor is again
 A or B, the jammer always learns the secondary's move (it senses every
 band), while the secondary learns the jammer's move only if it stayed put
 (its only sensor is whether it got jammed). Nothing is learned into or
-out of category C. Observed actions are stored in the bucket of the
+out of category C. Observed moves are counted in the bucket of the
 category they were chosen in.
 
 Randomness per run, in draw order: initial secondary band, initial jammer
@@ -31,17 +33,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .games import BimatrixGame, Category, NetworkConfig, build_game
 from .learning import HistoryCounters, best_response, fp_expected_utilities
 from .nash import EquilibriumReport, mixed_equilibrium
 
 __all__ = [
-    "STAY",
-    "SWITCH",
-    "NetworkState",
-    "SlotRecord",
-    "HistorySnapshot",
+    "A",
+    "B",
+    "C",
+    "CATEGORIES",
     "FixedPolicy",
     "NashPolicy",
     "FictitiousPlayPolicy",
@@ -54,88 +58,12 @@ __all__ = [
     "settle_slot",
     "update_histories",
     "run_simulation",
-    "secondary_strategy_index",
-    "malicious_strategy_index",
-    "secondary_action_label",
-    "malicious_action_label",
 ]
 
-STAY = "stay"
-SWITCH = "switch"
-
-# Strategy-index layout of the canonical per-category games. The secondary's
-# rows are (switch, stay) in both games; the jammer's columns are
-# (switch, stay) in category A but (stay, switch) in category B.
-_SECONDARY_ACTIONS = {Category.A: (SWITCH, STAY), Category.B: (SWITCH, STAY)}
-_MALICIOUS_ACTIONS = {Category.A: (SWITCH, STAY), Category.B: (STAY, SWITCH)}
-
-
-def secondary_action_label(category: Category, strategy: int) -> str:
-    """Physical action meant by the secondary's strategy index in a category."""
-    return _SECONDARY_ACTIONS[category][strategy - 1]
-
-
-def malicious_action_label(category: Category, strategy: int) -> str:
-    """Physical action meant by the jammer's strategy index in a category."""
-    return _MALICIOUS_ACTIONS[category][strategy - 1]
-
-
-def secondary_strategy_index(category: Category, action: str) -> int:
-    """Inverse of :func:`secondary_action_label`."""
-    return _SECONDARY_ACTIONS[category].index(action) + 1
-
-
-def malicious_strategy_index(category: Category, action: str) -> int:
-    """Inverse of :func:`malicious_action_label`."""
-    return _MALICIOUS_ACTIONS[category].index(action) + 1
-
-
-@dataclass(frozen=True, slots=True)
-class NetworkState:
-    """Joint band occupancy at the start of a slot."""
-
-    secondary_band: int
-    malicious_band: int
-    primary_bands: frozenset[int]
-    malicious_knows_secondary_band: bool
-    slot_index: int
-
-
-@dataclass(frozen=True, slots=True)
-class HistorySnapshot:
-    """Both categories' observation counters at one point in time."""
-
-    category_a: HistoryCounters
-    category_b: HistoryCounters
-
-    @property
-    def malicious_total(self) -> int:
-        """Actions of the secondary recorded by the jammer, both categories."""
-        return self.category_a.total_secondary + self.category_b.total_secondary
-
-    @property
-    def secondary_total(self) -> int:
-        """Actions of the jammer recorded by the secondary, both categories."""
-        return self.category_a.total_malicious + self.category_b.total_malicious
-
-    def get(self, category: Category) -> HistoryCounters:
-        return self.category_a if category is Category.A else self.category_b
-
-
-@dataclass(frozen=True, slots=True)
-class SlotRecord:
-    """One simulated slot: what was seen, chosen, and realized."""
-
-    slot_index: int
-    category: Category
-    secondary_action: str
-    malicious_action: str
-    secondary_payoff: float
-    malicious_payoff: float
-    jam_occurred: bool
-    histories_after: HistorySnapshot
-    state_before: NetworkState
-    state_after: NetworkState
+#: Category codes of the slot loop and of ``SimulationResult.category``;
+#: each indexes its :class:`Category` in ``CATEGORIES``.
+A, B, C = range(3)
+CATEGORIES = (Category.A, Category.B, Category.C)
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,7 +104,7 @@ class PolicySpec:
     malicious: Policy
 
 
-def place_primaries(config: NetworkConfig, rng: random.Random) -> frozenset[int]:
+def place_primaries(config: NetworkConfig, rng: random.Random) -> list[int]:
     """Uniformly place the licensed users on distinct bands.
 
     Sampling without replacement makes each band's marginal occupancy
@@ -184,11 +112,11 @@ def place_primaries(config: NetworkConfig, rng: random.Random) -> frozenset[int]
     """
     if config.n_primary > config.n_bands:
         raise ValueError("cannot place more licensed users than bands")
-    return frozenset(rng.sample(range(config.n_bands), config.n_primary))
+    return rng.sample(range(config.n_bands), config.n_primary)
 
 
-def classify_state(state: NetworkState) -> Category:
-    """Information regime implied by the current occupancy.
+def classify_state(secondary_band: int, malicious_band: int, primaries: list[int]) -> int:
+    """Category code of an occupancy.
 
     A licensed user on the secondary's band silences it, leaving the
     jammer nothing to sense: category C. Otherwise the secondary
@@ -196,18 +124,31 @@ def classify_state(state: NetworkState) -> Category:
     (category A); in any other case the jammer senses the secondary's
     band while staying invisible itself (category B).
     """
-    if state.secondary_band in state.primary_bands:
-        return Category.C
-    if state.malicious_band == state.secondary_band:
-        return Category.A
-    return Category.B
+    if secondary_band in primaries:
+        return C
+    if malicious_band == secondary_band:
+        return A
+    return B
+
+
+def _strategy_counts(game: BimatrixGame, counts: list[int]) -> HistoryCounters:
+    """One category's per-move observation counts in its game's strategy order."""
+    s_switch, s_stay, m_switch, m_stay = counts
+    secondary = {"switch": s_switch, "stay": s_stay}
+    malicious = {"switch": m_switch, "stay": m_stay}
+    return HistoryCounters(
+        h_s1=secondary[game.row_labels[0]],
+        h_s2=secondary[game.row_labels[1]],
+        h_m1=malicious[game.col_labels[0]],
+        h_m2=malicious[game.col_labels[1]],
+    )
 
 
 def _draw_strategy(
     policy: Policy,
     is_secondary: bool,
     game: BimatrixGame,
-    counters: HistoryCounters,
+    counts: list[int],
     equilibrium: EquilibriumReport,
     rng: random.Random,
 ) -> int:
@@ -225,37 +166,40 @@ def _draw_strategy(
             row, col = equilibrium.pure[0]
             return row if is_secondary else col
         return 1 if rng.random() < 0.5 else 2
-    expected = fp_expected_utilities(game, counters)
+    expected = fp_expected_utilities(game, _strategy_counts(game, counts))
     pair = expected.secondary_pair() if is_secondary else expected.malicious_pair()
     return best_response(pair, rng)
 
 
 def choose_actions(
-    category: Category,
+    category: int,
     policies: PolicySpec,
-    games: dict[Category, BimatrixGame],
-    histories: dict[Category, HistoryCounters],
+    games: tuple[BimatrixGame, BimatrixGame],
+    histories: tuple[list[int], list[int]],
     rng: random.Random,
-    equilibria: dict[Category, EquilibriumReport] | None = None,
-) -> tuple[str, str]:
-    """Both players' physical actions for the slot.
+    equilibria: tuple[EquilibriumReport, EquilibriumReport] | None = None,
+) -> tuple[bool, bool]:
+    """Both players' switch flags for the slot.
 
-    Category C forces (stay, stay) with no policy or randomness involved.
-    In A and B the secondary's draw precedes the jammer's.
+    ``games``, ``histories`` and ``equilibria`` are indexed by category
+    code (A, B). Category C forces (stay, stay) with no policy or
+    randomness involved. In A and B the secondary's draw precedes the
+    jammer's, and each drawn strategy index becomes a move through the
+    game's labels.
     """
-    if category is Category.C:
-        return (STAY, STAY)
+    if category == C:
+        return (False, False)
     game = games[category]
-    counters = histories[category]
+    counts = histories[category]
     if equilibria is not None:
         equilibrium = equilibria[category]
     else:
         equilibrium = mixed_equilibrium(game)
-    strat_s = _draw_strategy(policies.secondary, True, game, counters, equilibrium, rng)
-    strat_m = _draw_strategy(policies.malicious, False, game, counters, equilibrium, rng)
+    strat_s = _draw_strategy(policies.secondary, True, game, counts, equilibrium, rng)
+    strat_m = _draw_strategy(policies.malicious, False, game, counts, equilibrium, rng)
     return (
-        secondary_action_label(category, strat_s),
-        malicious_action_label(category, strat_m),
+        game.row_labels[strat_s - 1] == "switch",
+        game.col_labels[strat_m - 1] == "switch",
     )
 
 
@@ -266,16 +210,20 @@ def _other_band(current: int, n_bands: int, rng: random.Random) -> int:
 
 
 def settle_slot(
-    state: NetworkState,
-    actions: tuple[str, str],
+    category: int,
+    secondary_band: int,
+    malicious_band: int,
+    actions: tuple[bool, bool],
     config: NetworkConfig,
     rng: random.Random,
-) -> tuple[tuple[float, float], NetworkState]:
-    """Resolve movement, fresh licensed users, and realized payoffs.
+) -> tuple[int, int, list[int], bool, float, float]:
+    """Resolve movement, fresh licensed users, jam and realized payoffs.
 
-    Draw order: licensed users first, then the secondary's target band
-    (if it switches), then the jammer's (category A only; in category B a
-    switching jammer goes straight to the secondary's prior band).
+    Returns ``(secondary_band, malicious_band, primaries, jam, payoff_s,
+    payoff_m)`` after the slot. Draw order: licensed users first, then the
+    secondary's target band (if it switches), then the jammer's (category
+    A only; in category B a switching jammer goes straight to the
+    secondary's prior band). In category C nobody moves.
 
     Payoffs come from the post-move occupancy: the secondary earns its
     gain when transmitting unjammed, loses the jam loss when co-located
@@ -284,50 +232,43 @@ def settle_slot(
     costs mirror the analytic tables: normal in category A, and in
     category B the secondary's cost applies only when the jammer stays.
     """
-    category = classify_state(state)
-    action_s, action_m = actions
+    switch_s, switch_m = actions
     primaries = place_primaries(config, rng)
-    sec_band = state.secondary_band
-    mal_band = state.malicious_band
-    if category is not Category.C:
-        if action_s == SWITCH:
-            sec_band = _other_band(state.secondary_band, config.n_bands, rng)
-        if action_m == SWITCH:
-            if category is Category.A:
-                mal_band = _other_band(state.malicious_band, config.n_bands, rng)
+    sec_band = secondary_band
+    mal_band = malicious_band
+    if category != C:
+        if switch_s:
+            sec_band = _other_band(secondary_band, config.n_bands, rng)
+        if switch_m:
+            if category == A:
+                mal_band = _other_band(malicious_band, config.n_bands, rng)
             else:
-                mal_band = state.secondary_band
+                mal_band = secondary_band
     silenced = sec_band in primaries
     jam = (not silenced) and mal_band == sec_band
     payoff_s = 0.0 if silenced else (-config.loss_secondary if jam else config.gain_secondary)
     payoff_m = config.gain_malicious if jam else 0.0
-    if category is Category.A:
-        if action_s == SWITCH:
+    if category != C:
+        if switch_s and (category == A or not switch_m):
             payoff_s -= config.cost_secondary_switch
-        if action_m == SWITCH:
+        if switch_m:
             payoff_m -= config.cost_malicious_switch
-    elif category is Category.B:
-        if action_s == SWITCH and action_m == STAY:
-            payoff_s -= config.cost_secondary_switch
-        if action_m == SWITCH:
-            payoff_m -= config.cost_malicious_switch
-    next_state = NetworkState(
-        secondary_band=sec_band,
-        malicious_band=mal_band,
-        primary_bands=primaries,
-        malicious_knows_secondary_band=not silenced,
-        slot_index=state.slot_index + 1,
-    )
-    return (payoff_s, payoff_m), next_state
+    return sec_band, mal_band, primaries, jam, payoff_s, payoff_m
 
 
 def update_histories(
-    prev_category: Category,
-    actions: tuple[str, str],
-    next_category: Category,
-    histories: dict[Category, HistoryCounters],
-) -> dict[Category, HistoryCounters]:
-    """Apply the slot's observations; returns a new mapping.
+    prev_category: int,
+    actions: tuple[bool, bool],
+    next_category: int,
+    histories: tuple[list[int], list[int]],
+) -> tuple[bool, bool]:
+    """Count the slot's observations in place.
+
+    ``histories`` holds one list per category code (A, B): how often the
+    jammer saw the secondary switch and stay, then how often the
+    secondary saw the jammer switch and stay. Returns whether the jammer
+    recorded the secondary's move and whether the secondary recorded the
+    jammer's.
 
     Observations require an A/B slot whose successor is again A or B: a
     category-C endpoint on either side means the secondary was silent, so
@@ -341,20 +282,26 @@ def update_histories(
     unjammed is uninformative, so nothing is recorded then. Counts land in
     the bucket of the category the actions were chosen in.
     """
-    if prev_category is Category.C or next_category is Category.C:
-        return dict(histories)
-    action_s, action_m = actions
-    counters = histories[prev_category]
-    counters = counters.with_secondary(secondary_strategy_index(prev_category, action_s))
-    if action_s == STAY or next_category is Category.A:
-        counters = counters.with_malicious(malicious_strategy_index(prev_category, action_m))
-    updated = dict(histories)
-    updated[prev_category] = counters
-    return updated
+    if prev_category == C or next_category == C:
+        return (False, False)
+    switch_s, switch_m = actions
+    counts = histories[prev_category]
+    counts[0 if switch_s else 1] += 1
+    if switch_s and next_category != A:
+        return (True, False)
+    counts[2 if switch_m else 3] += 1
+    return (True, True)
 
 
-def _frequency(count_first: int, total: int) -> float:
-    return count_first / total if total > 0 else float("nan")
+def _running_frequency(hits: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """Share of hits among the observations so far; nan before the first."""
+    with np.errstate(invalid="ignore"):
+        return np.cumsum(hits) / np.cumsum(seen)
+
+
+def _total(payoffs: np.ndarray) -> float:
+    """Left-to-right sum from 0.0, the same float a running total gives."""
+    return 0.0 + float(np.cumsum(payoffs)[-1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -366,7 +313,8 @@ class SimulationSummary:
     cumulative_malicious_payoff: float
     category_counts: dict[Category, int]
     jam_count: int
-    final_histories: HistorySnapshot
+    malicious_observations: int
+    secondary_observations: int
     p_star_a: float
     q_star_a: float
     p_star_b: float
@@ -376,12 +324,76 @@ class SimulationSummary:
         return self.category_counts[category] / self.slots if self.slots else float("nan")
 
 
-@dataclass(slots=True)
+@dataclass(eq=False)
 class SimulationResult:
-    """Per-slot records plus the run summary."""
+    """Column-oriented record of a run: row ``t`` is slot ``t``.
 
-    records: list[SlotRecord]
-    summary: SimulationSummary
+    ``category`` holds category codes. ``secondary_band``,
+    ``malicious_band`` and ``primary_bands`` (one row of ``n_primary``
+    licensed-user bands per slot) are the pre-action state; the switch
+    flags are the players' moves; ``jam`` and the payoffs are the settled
+    outcome. ``seen_by_malicious`` marks the slots whose secondary move
+    the jammer recorded, ``seen_by_secondary`` those whose jammer move the
+    secondary recorded. Observation totals, running frequencies and the
+    summary are derived on demand.
+    """
+
+    games: tuple[BimatrixGame, BimatrixGame]
+    category: np.ndarray
+    secondary_band: np.ndarray
+    malicious_band: np.ndarray
+    primary_bands: np.ndarray
+    secondary_switch: np.ndarray
+    malicious_switch: np.ndarray
+    jam: np.ndarray
+    secondary_payoff: np.ndarray
+    malicious_payoff: np.ndarray
+    seen_by_malicious: np.ndarray
+    seen_by_secondary: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.category.shape[0])
+
+    def observation_totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Moves recorded so far, both categories: (by the jammer, by the secondary)."""
+        return np.cumsum(self.seen_by_malicious), np.cumsum(self.seen_by_secondary)
+
+    def frequencies(self, category: int) -> tuple[np.ndarray, np.ndarray]:
+        """Running (p*, q*) of category code A or B after each slot.
+
+        p* is the secondary's strategy-1 share among its moves the jammer
+        recorded in that category, q* the jammer's among its moves the
+        secondary recorded; nan until the first such record.
+        """
+        game = self.games[category]
+        here = self.category == category
+        seen_s = self.seen_by_malicious & here
+        seen_m = self.seen_by_secondary & here
+        first_s = self.secondary_switch == (game.row_labels[0] == "switch")
+        first_m = self.malicious_switch == (game.col_labels[0] == "switch")
+        return (
+            _running_frequency(seen_s & first_s, seen_s),
+            _running_frequency(seen_m & first_m, seen_m),
+        )
+
+    @cached_property
+    def summary(self) -> SimulationSummary:
+        p_a, q_a = self.frequencies(A)
+        p_b, q_b = self.frequencies(B)
+        dwell = np.bincount(self.category, minlength=len(CATEGORIES))
+        return SimulationSummary(
+            slots=len(self),
+            cumulative_secondary_payoff=_total(self.secondary_payoff),
+            cumulative_malicious_payoff=_total(self.malicious_payoff),
+            category_counts={cat: int(n) for cat, n in zip(CATEGORIES, dwell)},
+            jam_count=int(np.count_nonzero(self.jam)),
+            malicious_observations=int(np.count_nonzero(self.seen_by_malicious)),
+            secondary_observations=int(np.count_nonzero(self.seen_by_secondary)),
+            p_star_a=float(p_a[-1]),
+            q_star_a=float(q_a[-1]),
+            p_star_b=float(p_b[-1]),
+            q_star_b=float(q_b[-1]),
+        )
 
 
 def run_simulation(
@@ -392,74 +404,50 @@ def run_simulation(
 ) -> SimulationResult:
     """Run the slot loop from a uniformly random initial state.
 
-    Per slot: classify, choose actions, settle, update histories, record.
-    Deterministic in (config, policies, slots, seed).
+    Per slot: record the state, choose actions, settle, classify the new
+    state, update histories. Deterministic in (config, policies, slots,
+    seed).
     """
     if slots < 1:
         raise ValueError(f"slots must be >= 1 (got {slots!r})")
     rng = random.Random(seed)
-    games = {cat: build_game(config, cat) for cat in (Category.A, Category.B)}
-    equilibria = {cat: mixed_equilibrium(games[cat]) for cat in games}
-    sec_band = rng.randrange(config.n_bands)
-    mal_band = rng.randrange(config.n_bands)
+    games = (build_game(config, Category.A), build_game(config, Category.B))
+    equilibria = (mixed_equilibrium(games[A]), mixed_equilibrium(games[B]))
+    band = np.min_scalar_type(config.n_bands - 1)
+    category = np.empty(slots, np.int8)
+    secondary_band = np.empty(slots, band)
+    malicious_band = np.empty(slots, band)
+    primary_bands = np.empty((slots, config.n_primary), band)
+    secondary_switch = np.empty(slots, bool)
+    malicious_switch = np.empty(slots, bool)
+    jam = np.empty(slots, bool)
+    secondary_payoff = np.empty(slots)
+    malicious_payoff = np.empty(slots)
+    seen_by_malicious = np.empty(slots, bool)
+    seen_by_secondary = np.empty(slots, bool)
+
+    sec = rng.randrange(config.n_bands)
+    mal = rng.randrange(config.n_bands)
     primaries = place_primaries(config, rng)
-    state = NetworkState(
-        secondary_band=sec_band,
-        malicious_band=mal_band,
-        primary_bands=primaries,
-        malicious_knows_secondary_band=sec_band not in primaries,
-        slot_index=0,
+    cat = classify_state(sec, mal, primaries)
+    histories = ([0, 0, 0, 0], [0, 0, 0, 0])
+    for t in range(slots):
+        category[t] = cat
+        secondary_band[t] = sec
+        malicious_band[t] = mal
+        primary_bands[t] = primaries
+        actions = choose_actions(cat, policies, games, histories, rng, equilibria)
+        secondary_switch[t], malicious_switch[t] = actions
+        sec, mal, primaries, jam[t], secondary_payoff[t], malicious_payoff[t] = settle_slot(
+            cat, sec, mal, actions, config, rng
+        )
+        next_cat = classify_state(sec, mal, primaries)
+        seen_by_malicious[t], seen_by_secondary[t] = update_histories(
+            cat, actions, next_cat, histories
+        )
+        cat = next_cat
+    return SimulationResult(
+        games, category, secondary_band, malicious_band, primary_bands,
+        secondary_switch, malicious_switch, jam, secondary_payoff, malicious_payoff,
+        seen_by_malicious, seen_by_secondary,
     )
-    histories = {Category.A: HistoryCounters(), Category.B: HistoryCounters()}
-    records: list[SlotRecord] = []
-    total_s = 0.0
-    total_m = 0.0
-    jam_count = 0
-    category_counts = {Category.A: 0, Category.B: 0, Category.C: 0}
-    for _ in range(slots):
-        category = classify_state(state)
-        category_counts[category] += 1
-        actions = choose_actions(category, policies, games, histories, rng, equilibria)
-        (payoff_s, payoff_m), next_state = settle_slot(state, actions, config, rng)
-        next_category = classify_state(next_state)
-        histories = update_histories(category, actions, next_category, histories)
-        jam = (
-            next_state.secondary_band == next_state.malicious_band
-            and next_state.secondary_band not in next_state.primary_bands
-        )
-        snapshot = HistorySnapshot(
-            category_a=histories[Category.A], category_b=histories[Category.B]
-        )
-        records.append(
-            SlotRecord(
-                slot_index=state.slot_index,
-                category=category,
-                secondary_action=actions[0],
-                malicious_action=actions[1],
-                secondary_payoff=payoff_s,
-                malicious_payoff=payoff_m,
-                jam_occurred=jam,
-                histories_after=snapshot,
-                state_before=state,
-                state_after=next_state,
-            )
-        )
-        total_s += payoff_s
-        total_m += payoff_m
-        jam_count += jam
-        state = next_state
-    hist_a = histories[Category.A]
-    hist_b = histories[Category.B]
-    summary = SimulationSummary(
-        slots=slots,
-        cumulative_secondary_payoff=total_s,
-        cumulative_malicious_payoff=total_m,
-        category_counts=category_counts,
-        jam_count=jam_count,
-        final_histories=HistorySnapshot(category_a=hist_a, category_b=hist_b),
-        p_star_a=_frequency(hist_a.h_s1, hist_a.total_secondary),
-        q_star_a=_frequency(hist_a.h_m1, hist_a.total_malicious),
-        p_star_b=_frequency(hist_b.h_s1, hist_b.total_secondary),
-        q_star_b=_frequency(hist_b.h_m1, hist_b.total_malicious),
-    )
-    return SimulationResult(records=records, summary=summary)

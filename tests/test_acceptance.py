@@ -10,12 +10,13 @@ import math
 import random
 import time
 
+import numpy as np
+
 from crn_jamgame import (
     Category,
     FictitiousPlayPolicy,
     FixedPolicy,
     NetworkConfig,
-    NetworkState,
     PolicySpec,
     build_game,
     derived_probabilities,
@@ -28,6 +29,7 @@ from crn_jamgame import (
 )
 from crn_jamgame.cli import main
 from crn_jamgame.games import BimatrixGame
+from crn_jamgame.simulate import CATEGORIES, C
 from oracles import grid_accepts_near, grid_equilibria
 
 REF = NetworkConfig()
@@ -194,20 +196,18 @@ def test_criterion_5_settlement_reproduces_the_tables():
     start = time.perf_counter()
     rng = random.Random(5005)
     slots = 200_000
-    pre_states = {
-        Category.A: NetworkState(3, 3, frozenset({0, 1, 2, 4, 5}), True, 0),
-        Category.B: NetworkState(3, 7, frozenset({0, 1, 2, 4, 5}), True, 0),
-    }
+    pre_bands = {Category.A: (3, 3), Category.B: (3, 7)}
     all_ok = True
     worst_sigma = 0.0
-    for category, pre_state in pre_states.items():
+    for category, (sec_band, mal_band) in pre_bands.items():
+        code = CATEGORIES.index(category)
         game = build_game(REF, category)
         for row in (1, 2):
             for col in (1, 2):
-                actions = (game.row_labels[row - 1], game.col_labels[col - 1])
+                actions = (game.row_labels[row - 1] == "switch", game.col_labels[col - 1] == "switch")
                 total_s = total_m = sq_s = sq_m = 0.0
                 for _ in range(slots):
-                    (payoff_s, payoff_m), _ = settle_slot(pre_state, actions, REF, rng)
+                    *_, payoff_s, payoff_m = settle_slot(code, sec_band, mal_band, actions, REF, rng)
                     total_s += payoff_s
                     total_m += payoff_m
                     sq_s += payoff_s * payoff_s
@@ -238,12 +238,9 @@ def test_criterion_6_primary_occupancy_marginal():
     start = time.perf_counter()
     policies = PolicySpec(secondary=FixedPolicy(0.5), malicious=FixedPolicy(0.5))
     result = run_simulation(REF, policies, 100_000, seed=6)
-    hits = [0] * REF.n_bands
-    for record in result.records:
-        for band in record.state_before.primary_bands:
-            hits[band] += 1
-    frequencies = [h / 100_000 for h in hits]
-    worst = max(abs(f - 0.5) for f in frequencies)
+    hits = np.bincount(result.primary_bands.ravel(), minlength=REF.n_bands)
+    frequencies = hits / 100_000
+    worst = float(np.max(np.abs(frequencies - 0.5)))
     elapsed = time.perf_counter() - start
     check(
         6,
@@ -259,8 +256,8 @@ def test_criterion_7_category_c_dwell_time():
     result = run_simulation(REF, FP_BOTH, 100_000, seed=7)
     runs = []
     current = 0
-    for record in result.records:
-        if record.category is Category.C:
+    for code in result.category.tolist():
+        if code == C:
             current += 1
         elif current:
             runs.append(current)
@@ -284,11 +281,8 @@ def test_criterion_8_observation_asymmetry():
     for config in configs:
         for seed in range(4):
             result = run_simulation(config, FP_BOTH, 10_000, seed=seed)
-            for record in result.records:
-                snapshot = record.histories_after
-                if snapshot.malicious_total < snapshot.secondary_total:
-                    all_ok = False
-                    break
+            malicious_total, secondary_total = result.observation_totals()
+            all_ok = all_ok and bool((malicious_total >= secondary_total).all())
     elapsed = time.perf_counter() - start
     check(
         8,

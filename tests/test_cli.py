@@ -250,6 +250,18 @@ class TestCmdSweep:
         assert main(["sweep", "--sweep", "n_primary=9..1"]) == 2
         assert "inverted" in capsys.readouterr().err
 
+    def test_invalid_grid_cell_leaves_the_output_untouched(self, tmp_path, capsys):
+        # n_primary 11 and 12 exceed the 10 bands; the grid is rejected before
+        # anything is opened, so no file appears and an existing one survives
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--sweep", "n_primary=8..12", "--out", str(out)]
+        assert main(argv) == 2
+        assert "n_primary" in capsys.readouterr().err
+        assert not out.exists()
+        out.write_bytes(b"earlier results\n")
+        assert main(argv) == 2
+        assert out.read_bytes() == b"earlier results\n"
+
     def test_missing_sweep_flag_is_a_config_error(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path / "x.csv")]) == 2
 

@@ -1,0 +1,123 @@
+"""Golden output: sha256 of the CSV and of stdout for tiny runs of every command.
+
+The hashes pin the exact bytes the CLI writes, so any refactor of the
+solver, learner, simulator or writer that changes a single byte of output
+fails here. Each case runs in its own temporary directory with a relative
+``--out`` path, so the path echoed on stdout is the same on every machine.
+"""
+
+import hashlib
+
+import pytest
+
+from crn_jamgame.cli import main
+
+CROWDED = ["--n-bands", "32", "--n-primary", "24", "--cost-malicious-switch", "0.5"]
+
+CASES = {
+    "simulate-fp-seed1": ["simulate", "--slots", "2000", "--seed", "1"],
+    "simulate-fp-seed2": ["simulate", "--slots", "2000", "--seed", "2"],
+    "simulate-nash-crowded-seed1": [
+        "simulate", "--slots", "2000", "--seed", "1", *CROWDED,
+        "--policy-secondary", "nash", "--policy-malicious", "nash",
+    ],
+    "simulate-nash-crowded-seed2": [
+        "simulate", "--slots", "2000", "--seed", "2", *CROWDED,
+        "--policy-secondary", "nash", "--policy-malicious", "nash",
+    ],
+    "simulate-fixed-seed1": [
+        "simulate", "--slots", "2000", "--seed", "1",
+        "--policy-secondary", "fixed:0.3", "--policy-malicious", "fixed:0.7",
+    ],
+    "simulate-fixed-seed2": [
+        "simulate", "--slots", "2000", "--seed", "2",
+        "--policy-secondary", "fixed:0.3", "--policy-malicious", "fixed:0.7",
+    ],
+    "simulate-two-bands-seed1": [
+        "simulate", "--slots", "2000", "--seed", "1", "--n-bands", "2", "--n-primary", "0",
+    ],
+    "simulate-two-bands-seed2": [
+        "simulate", "--slots", "2000", "--seed", "2", "--n-bands", "2", "--n-primary", "0",
+    ],
+    "simulate-saturated-seed1": ["simulate", "--slots", "2000", "--seed", "1", "--n-primary", "10"],
+    "simulate-saturated-seed2": ["simulate", "--slots", "2000", "--seed", "2", "--n-primary", "10"],
+    "fp-A": ["fp", "--iterations", "2000", "--category", "A"],
+    "fp-B": ["fp", "--iterations", "2000", "--category", "B"],
+    "nash": ["nash"],
+    "sweep-3x3": [
+        "sweep", "--sweep", "n_primary=3..5", "--sweep", "gain_malicious=50..100:25",
+    ],
+}
+
+# (sha256 of the CSV, sha256 of stdout), recorded from the reference implementation.
+GOLDEN = {
+    "fp-A": (
+        "65c2e56d2c0ade454317f42094ccc052bf0279ea2c569da508b93510d843fe30",
+        "bd9ba0e7446f2f381d5f71a227c33a092f4acb1fb7082bae1bf5013e377ecacf",
+    ),
+    "fp-B": (
+        "7fef7d5e7f558a7ffa730947f3f311800d85fc2344ace07014ac90ffd128d3a9",
+        "7a944729979fd8ca737da25c4e27fccff29d504699a8226daf37c91abab4e65d",
+    ),
+    "nash": (
+        "8c61915e5e27d2ec284a007bcb74ed692aefcddbb3ab03ae1c36bb824e2f76dc",
+        "5f10a2b7ed0190ef294d78811a58da3eb37d8b56fa62140bad5cb0e1ccd9a26f",
+    ),
+    "simulate-fixed-seed1": (
+        "b58f103fd9deff709c20743835cb2d83818efa5ae1f525dfdf5fde4e1572c04f",
+        "df1d7bdf8cd160fa6df6930d41812e33b539a865329951387845e30ae3db04fb",
+    ),
+    "simulate-fixed-seed2": (
+        "368325e9489dbdc4e7a9f3d8053ee4ad611e801f678fbf7656e4bb48af988a07",
+        "80b275ee3b67daf4a0f1f797134499d4567e5e96fff2f15e2e841d2524d17ced",
+    ),
+    "simulate-fp-seed1": (
+        "d028e58b7ed9c60752fc291dfb389525f19073f77fa1ad4f7a1ba7e41c96eae1",
+        "996bb3187e99257171f5c5d45b536a410cb58495637ab7b08d9cb35337b7ec6b",
+    ),
+    "simulate-fp-seed2": (
+        "8821d98e93f93cc71586b97ce2e46e9d46638446a790ce82f84ef63ce6004667",
+        "291e71925e960db85879b338105a5c5c7739ac6c7dab34c97b2c1643a8d705c6",
+    ),
+    "simulate-nash-crowded-seed1": (
+        "0dd655beac7632bca7e9a6623a564f4bff4c07108f85af56e62fbf42f70136ab",
+        "418a819cd85c8bcbd71c615ecd18caac2da8735a3aa73e0f8b09ac661b317da1",
+    ),
+    "simulate-nash-crowded-seed2": (
+        "d6bc24715113e519e820c897317d6fe1762d26be72852a1a71c17c0fa1c574dc",
+        "9b7ba6f2454d26d2c04c8927a5c686d5c589d16d566c17941ce3013c63e7877f",
+    ),
+    "simulate-saturated-seed1": (
+        "fdf4709b88554e37048ad204f7ec2236cc0bd8399676b2f330937bcca5c7a156",
+        "4624a503e3ebb4f1c3f60f357732eac527f85836f50d753ec1b9031c118c66e0",
+    ),
+    "simulate-saturated-seed2": (
+        "6092d5e62fae4d7b68890c33d54c4b7a8d43c7d4f3838f70d8a47b7c9fb47b8b",
+        "4624a503e3ebb4f1c3f60f357732eac527f85836f50d753ec1b9031c118c66e0",
+    ),
+    "simulate-two-bands-seed1": (
+        "c5104cd3e5088b17b124078584033219d2aa9bbfb78892a902969f7db8d24e27",
+        "eb209f255fea2735180d97725b233797743c654f98d878ae82aa253e54ee23a5",
+    ),
+    "simulate-two-bands-seed2": (
+        "e76506df6646ed80884bbe18743abfa3e46f6d83fb235462c62ddc0996a8fa54",
+        "49cdc5e4f6c89259447608807d2b0b088f5ba071b43c15cb5e213ee63001795d",
+    ),
+    "sweep-3x3": (
+        "c5dcb4f3f1a8d52fa2e0bc21a2580668442fa7c02b984566d55dd36345a06c3c",
+        "06a613ca64bb1552def14a52de94e754ac5462958f64de33e002505942d6fa77",
+    ),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(CASES[name] + ["--out", "out.csv"]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    csv = (tmp_path / "out.csv").read_bytes()
+    assert (sha256(csv), sha256(stdout)) == GOLDEN[name]

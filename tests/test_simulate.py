@@ -1,17 +1,17 @@
+import dataclasses
 import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from crn_jamgame import (
     Category,
     FictitiousPlayPolicy,
     FixedPolicy,
-    HistoryCounters,
     NashPolicy,
     NetworkConfig,
-    NetworkState,
     PolicySpec,
     build_game,
     choose_actions,
@@ -23,25 +23,26 @@ from crn_jamgame import (
     strategy_utilities,
     update_histories,
 )
-from crn_jamgame.simulate import STAY, SWITCH
+from crn_jamgame.simulate import CATEGORIES, A, B, C, SimulationResult
 
 REF = NetworkConfig()
 NO_PRIMARIES = NetworkConfig(n_primary=0)
-GAMES = {cat: build_game(REF, cat) for cat in (Category.A, Category.B)}
+GAMES = (build_game(REF, Category.A), build_game(REF, Category.B))
 FP_BOTH = PolicySpec(secondary=FictitiousPlayPolicy(), malicious=FictitiousPlayPolicy())
+STAY, SWITCH = False, True  # switch flags
 
 
 def fresh_histories():
-    return {Category.A: HistoryCounters(), Category.B: HistoryCounters()}
+    return ([0, 0, 0, 0], [0, 0, 0, 0])
 
 
 class TestPlacePrimaries:
     def test_no_primaries(self):
-        assert place_primaries(NO_PRIMARIES, random.Random(0)) == frozenset()
+        assert place_primaries(NO_PRIMARIES, random.Random(0)) == []
 
     def test_saturation(self):
         config = NetworkConfig(n_primary=10)
-        assert place_primaries(config, random.Random(0)) == frozenset(range(10))
+        assert sorted(place_primaries(config, random.Random(0))) == list(range(10))
 
     def test_marginal_occupancy_matches_uniform(self):
         rng = random.Random(314)
@@ -57,39 +58,30 @@ class TestPlacePrimaries:
 
 class TestClassifyState:
     def test_colocated_transmitting_is_a(self):
-        state = NetworkState(3, 3, frozenset({0, 1, 2, 4, 5}), True, 0)
-        assert classify_state(state) is Category.A
+        assert classify_state(3, 3, [0, 1, 2, 4, 5]) == A
 
     def test_primary_on_secondary_band_is_c(self):
-        state = NetworkState(3, 7, frozenset({3, 0, 1}), False, 0)
-        assert classify_state(state) is Category.C
+        assert classify_state(3, 7, [3, 0, 1]) == C
 
     def test_separated_transmitting_is_b(self):
-        state = NetworkState(3, 7, frozenset({0, 1, 2, 4, 5}), True, 0)
-        assert classify_state(state) is Category.B
+        assert classify_state(3, 7, [0, 1, 2, 4, 5]) == B
 
 
 class TestChooseActions:
     def test_category_c_forces_stay(self):
-        actions = choose_actions(
-            Category.C, FP_BOTH, GAMES, fresh_histories(), random.Random(0)
-        )
+        actions = choose_actions(C, FP_BOTH, GAMES, fresh_histories(), random.Random(0))
         assert actions == (STAY, STAY)
 
     def test_degenerate_fixed_profile_is_deterministic(self):
         policies = PolicySpec(secondary=FixedPolicy(1.0), malicious=FixedPolicy(0.0))
         for seed in range(20):
-            actions = choose_actions(
-                Category.A, policies, GAMES, fresh_histories(), random.Random(seed)
-            )
+            actions = choose_actions(A, policies, GAMES, fresh_histories(), random.Random(seed))
             assert actions == (SWITCH, STAY)
 
     def test_labels_follow_the_category_b_game(self):
         # jammer strategy 1 means stay in category B
         policies = PolicySpec(secondary=FixedPolicy(1.0), malicious=FixedPolicy(1.0))
-        actions = choose_actions(
-            Category.B, policies, GAMES, fresh_histories(), random.Random(0)
-        )
+        actions = choose_actions(B, policies, GAMES, fresh_histories(), random.Random(0))
         assert actions == (SWITCH, STAY)
 
     def test_empty_history_learning_is_uniform_over_pairs(self):
@@ -97,9 +89,7 @@ class TestChooseActions:
         seeds = 10_000
         histories = fresh_histories()
         for seed in range(seeds):
-            counts[
-                choose_actions(Category.A, FP_BOTH, GAMES, histories, random.Random(seed))
-            ] += 1
+            counts[choose_actions(A, FP_BOTH, GAMES, histories, random.Random(seed))] += 1
         assert set(counts) == {(s, m) for s in (SWITCH, STAY) for m in (SWITCH, STAY)}
         for pair, n in counts.items():
             assert abs(n / seeds - 0.25) <= 0.015
@@ -110,57 +100,61 @@ class TestChooseActions:
         switches = 0
         seeds = 20_000
         for _ in range(seeds):
-            action_s, _ = choose_actions(Category.A, policies, GAMES, fresh_histories(), rng)
+            action_s, _ = choose_actions(A, policies, GAMES, fresh_histories(), rng)
             switches += action_s == SWITCH
-        p = mixed_equilibrium(GAMES[Category.A]).mixed.p_secondary_first
+        p = mixed_equilibrium(GAMES[A]).mixed.p_secondary_first
         assert abs(switches / seeds - p) <= 3 * math.sqrt(p * (1 - p) / seeds)
+
+
 
 
 class TestSettleSlot:
     def test_colocated_both_stay_is_a_certain_jam_without_primaries(self):
-        state = NetworkState(2, 2, frozenset(), True, 0)
-        (payoff_s, payoff_m), after = settle_slot(state, (STAY, STAY), NO_PRIMARIES, random.Random(0))
+        sec, mal, _, jam, payoff_s, payoff_m = settle_slot(
+            A, 2, 2, (STAY, STAY), NO_PRIMARIES, random.Random(0)
+        )
+        assert jam
         assert payoff_s == -100.0
         assert payoff_m == 75.0
-        assert after.secondary_band == 2 and after.malicious_band == 2
+        assert sec == 2 and mal == 2
 
     def test_colocated_stay_switch_frees_the_secondary(self):
-        state = NetworkState(2, 2, frozenset(), True, 0)
-        (payoff_s, payoff_m), after = settle_slot(state, (STAY, SWITCH), NO_PRIMARIES, random.Random(0))
+        _, mal, _, jam, payoff_s, payoff_m = settle_slot(
+            A, 2, 2, (STAY, SWITCH), NO_PRIMARIES, random.Random(0)
+        )
+        assert not jam
         assert payoff_s == 50.0
         assert payoff_m == -2.0
-        assert after.malicious_band != 2
+        assert mal != 2
 
     def test_category_b_switching_jammer_lands_on_the_secondarys_band(self):
-        state = NetworkState(4, 8, frozenset(), True, 0)
         for seed in range(10):
-            _, after = settle_slot(state, (STAY, SWITCH), NO_PRIMARIES, random.Random(seed))
-            assert after.malicious_band == 4
+            _, mal, *_ = settle_slot(B, 4, 8, (STAY, SWITCH), NO_PRIMARIES, random.Random(seed))
+            assert mal == 4
 
     def test_switch_targets_exclude_the_current_band(self):
-        state = NetworkState(6, 6, frozenset(), True, 0)
         for seed in range(200):
-            _, after = settle_slot(state, (SWITCH, SWITCH), NO_PRIMARIES, random.Random(seed))
-            assert after.secondary_band != 6
-            assert after.malicious_band != 6
+            sec, mal, *_ = settle_slot(A, 6, 6, (SWITCH, SWITCH), NO_PRIMARIES, random.Random(seed))
+            assert sec != 6
+            assert mal != 6
 
     def test_category_c_keeps_positions_and_pays_by_stay_rules(self):
         config = NetworkConfig(n_primary=10)  # saturated: always category C
-        state = NetworkState(1, 5, frozenset(range(10)), False, 0)
-        (payoff_s, payoff_m), after = settle_slot(state, (STAY, STAY), config, random.Random(3))
+        sec, mal, _, jam, payoff_s, payoff_m = settle_slot(
+            C, 1, 5, (STAY, STAY), config, random.Random(3)
+        )
         assert (payoff_s, payoff_m) == (0.0, 0.0)
-        assert after.secondary_band == 1 and after.malicious_band == 5
+        assert not jam
+        assert sec == 1 and mal == 5
 
     def test_jam_flag_consistency(self):
         rng = random.Random(5)
-        state = NetworkState(3, 3, frozenset({0, 1, 2, 4, 5}), True, 0)
         for _ in range(500):
-            (payoff_s, payoff_m), after = settle_slot(state, (SWITCH, SWITCH), REF, rng)
-            jammed = (
-                after.secondary_band == after.malicious_band
-                and after.secondary_band not in after.primary_bands
+            sec, mal, primaries, jam, _, payoff_m = settle_slot(
+                A, 3, 3, (SWITCH, SWITCH), REF, rng
             )
-            if jammed:
+            assert jam == (sec == mal and sec not in primaries)
+            if jam:
                 assert payoff_m == REF.gain_malicious - REF.cost_malicious_switch
             else:
                 assert payoff_m == -REF.cost_malicious_switch
@@ -168,21 +162,22 @@ class TestSettleSlot:
     @pytest.mark.parametrize(
         "category,pre_state",
         [
-            (Category.A, NetworkState(3, 3, frozenset({0, 1, 2, 4, 5}), True, 0)),
-            (Category.B, NetworkState(3, 7, frozenset({0, 1, 2, 4, 5}), True, 0)),
+            (Category.A, (3, 3)),
+            (Category.B, (3, 7)),
         ],
     )
     def test_settlement_means_reproduce_the_payoff_tables(self, category, pre_state):
         # light version of the full oracle in the acceptance suite
-        game = GAMES[category]
+        code = CATEGORIES.index(category)
+        game = GAMES[code]
         rng = random.Random(17)
         trials = 30_000
         for row in (1, 2):
             for col in (1, 2):
-                actions = (game.row_labels[row - 1], game.col_labels[col - 1])
+                actions = (game.row_labels[row - 1] == "switch", game.col_labels[col - 1] == "switch")
                 total_s = total_m = sq_s = sq_m = 0.0
                 for _ in range(trials):
-                    (payoff_s, payoff_m), _ = settle_slot(pre_state, actions, REF, rng)
+                    *_, payoff_s, payoff_m = settle_slot(code, *pre_state, actions, REF, rng)
                     total_s += payoff_s
                     total_m += payoff_m
                     sq_s += payoff_s * payoff_s
@@ -197,98 +192,104 @@ class TestSettleSlot:
 
 
 class TestUpdateHistories:
+    # each category's counts: secondary switch, secondary stay (as seen by
+    # the jammer), jammer switch, jammer stay (as seen by the secondary)
+
     def test_category_c_slot_records_nothing(self):
         histories = fresh_histories()
-        updated = update_histories(Category.C, (STAY, STAY), Category.B, histories)
-        assert updated == histories
+        assert update_histories(C, (STAY, STAY), B, histories) == (False, False)
+        assert histories == fresh_histories()
 
     def test_transition_into_c_records_nothing(self):
         histories = fresh_histories()
-        updated = update_histories(Category.A, (STAY, STAY), Category.C, histories)
-        assert updated == histories
+        assert update_histories(A, (STAY, STAY), C, histories) == (False, False)
+        assert histories == fresh_histories()
 
     def test_stay_in_a_updates_both_sides(self):
-        updated = update_histories(Category.A, (STAY, STAY), Category.A, fresh_histories())
-        counters = updated[Category.A]
-        assert counters.h_s2 == 1  # secondary stayed = strategy 2
-        assert counters.h_m2 == 1  # jammer stayed = strategy 2
-        assert updated[Category.B] == HistoryCounters()
+        histories = fresh_histories()
+        assert update_histories(A, (STAY, STAY), A, histories) == (True, True)
+        assert histories[A] == [0, 1, 0, 1]  # both stays recorded
+        assert histories[B] == [0, 0, 0, 0]
 
     def test_unjammed_switch_blinds_the_secondary(self):
-        updated = update_histories(Category.A, (SWITCH, STAY), Category.B, fresh_histories())
-        counters = updated[Category.A]
-        assert counters.h_s1 == 1  # jammer saw the switch
-        assert counters.total_malicious == 0  # secondary saw nothing
+        histories = fresh_histories()
+        assert update_histories(A, (SWITCH, STAY), B, histories) == (True, False)
+        assert histories[A] == [1, 0, 0, 0]  # jammer saw the switch, secondary saw nothing
 
     def test_jam_after_switching_identifies_the_jammer(self):
         # from A, a next-slot jam means the jammer followed: both record
-        updated = update_histories(Category.A, (SWITCH, SWITCH), Category.A, fresh_histories())
-        counters = updated[Category.A]
-        assert counters.h_s1 == 1
-        assert counters.h_m1 == 1  # jammer switched = strategy 1 in category A
+        histories = fresh_histories()
+        assert update_histories(A, (SWITCH, SWITCH), A, histories) == (True, True)
+        assert histories[A] == [1, 0, 1, 0]
 
     def test_counts_land_in_the_acting_category_bucket(self):
-        updated = update_histories(Category.B, (STAY, STAY), Category.B, fresh_histories())
-        assert updated[Category.A] == HistoryCounters()
-        counters = updated[Category.B]
-        assert counters.h_s2 == 1
-        assert counters.h_m1 == 1  # jammer stay = strategy 1 in category B
+        histories = fresh_histories()
+        assert update_histories(B, (STAY, STAY), B, histories) == (True, True)
+        assert histories[A] == [0, 0, 0, 0]
+        assert histories[B] == [0, 1, 0, 1]
+
+
+def c_run_lengths(category):
+    """Lengths of the runs of category-C slots that end before the trace does."""
+    runs = []
+    current = 0
+    for code in category.tolist():
+        if code == C:
+            current += 1
+        elif current:
+            runs.append(current)
+            current = 0
+    return runs
 
 
 class TestRunSimulation:
     def test_single_slot_shape(self):
         result = run_simulation(REF, FP_BOTH, 1, seed=0)
-        assert len(result.records) == 1
-        snapshot = result.records[0].histories_after
-        assert snapshot.malicious_total <= 1
-        assert snapshot.secondary_total <= 1
+        assert len(result) == 1
+        malicious_total, secondary_total = result.observation_totals()
+        assert malicious_total.tolist() in ([0], [1])
+        assert secondary_total.tolist() in ([0], [1])
 
     def test_saturated_spectrum_is_all_category_c(self):
         config = NetworkConfig(n_primary=10)
         result = run_simulation(config, FP_BOTH, 300, seed=1)
-        assert all(record.category is Category.C for record in result.records)
+        assert (result.category == C).all()
         assert result.summary.cumulative_secondary_payoff == 0.0
         assert result.summary.cumulative_malicious_payoff == 0.0
-        assert result.summary.final_histories.malicious_total == 0
-        assert result.summary.final_histories.secondary_total == 0
+        assert result.summary.malicious_observations == 0
+        assert result.summary.secondary_observations == 0
 
     def test_deterministic_replay(self):
         first = run_simulation(REF, FP_BOTH, 2_000, seed=12)
         second = run_simulation(REF, FP_BOTH, 2_000, seed=12)
-        assert first.records == second.records
+        assert first.games == second.games
+        for field in dataclasses.fields(SimulationResult):
+            if field.name != "games":
+                assert np.array_equal(getattr(first, field.name), getattr(second, field.name))
         assert first.summary == second.summary
 
     def test_record_invariants(self):
         result = run_simulation(REF, FP_BOTH, 5_000, seed=8)
-        previous_totals = (0, 0)
-        for record in result.records:
-            after = record.state_after
-            if record.jam_occurred:
-                assert after.secondary_band == after.malicious_band
-                assert after.secondary_band not in after.primary_bands
-            if record.category is Category.C:
-                assert record.secondary_action == STAY
-                assert record.malicious_action == STAY
-            totals = (
-                record.histories_after.malicious_total,
-                record.histories_after.secondary_total,
-            )
-            # histories are monotone and the jammer always knows at least as much
-            assert totals[0] >= previous_totals[0]
-            assert totals[1] >= previous_totals[1]
-            assert totals[0] >= totals[1]
-            previous_totals = totals
+        # slot t's settled state is slot t + 1's pre-action state
+        jam = result.jam[:-1]
+        after_sec = result.secondary_band[1:]
+        after_mal = result.malicious_band[1:]
+        after_primaries = result.primary_bands[1:]
+        assert (after_sec[jam] == after_mal[jam]).all()
+        assert (after_primaries[jam] != after_sec[jam, None]).all()
+        assert np.array_equal(jam, result.category[1:] == A)
+        in_c = result.category == C
+        assert not result.secondary_switch[in_c].any()
+        assert not result.malicious_switch[in_c].any()
+        # histories are monotone and the jammer always knows at least as much
+        malicious_total, secondary_total = result.observation_totals()
+        assert (np.diff(malicious_total) >= 0).all()
+        assert (np.diff(secondary_total) >= 0).all()
+        assert (malicious_total >= secondary_total).all()
 
     def test_category_c_dwell_time_is_geometric(self):
         result = run_simulation(REF, FP_BOTH, 100_000, seed=21)
-        runs = []
-        current = 0
-        for record in result.records:
-            if record.category is Category.C:
-                current += 1
-            elif current:
-                runs.append(current)
-                current = 0
+        runs = c_run_lengths(result.category)
         mean_dwell = sum(runs) / len(runs)
         assert abs(mean_dwell - 2.0) <= 0.1  # n_bands / (n_bands - n_primary) within 5%
 
@@ -297,22 +298,34 @@ class TestRunSimulation:
         s = result.summary
         assert abs(s.p_star_a - 0.948) <= 0.05
         assert abs(s.q_star_a - 0.84) <= 0.05
-        assert s.final_histories.malicious_total >= s.final_histories.secondary_total
+        assert s.malicious_observations >= s.secondary_observations
+
+    def test_frequencies_count_strategy_one_by_the_game_labels(self):
+        # strategy 1 is a switch for both players in A, but a stay for the jammer in B
+        policies = PolicySpec(secondary=FixedPolicy(1.0), malicious=FixedPolicy(1.0))
+        result = run_simulation(REF, policies, 2_000, seed=4)
+        in_b = result.category == B
+        assert result.secondary_switch[in_b].all()
+        assert not result.malicious_switch[in_b].any()
+        for code in (A, B):
+            for running in result.frequencies(code):
+                defined = running[~np.isnan(running)]
+                assert defined.size > 0
+                assert (defined == 1.0).all()
 
     def test_nash_play_realizes_equilibrium_payoffs_in_a_slots(self):
         policies = PolicySpec(secondary=NashPolicy(), malicious=NashPolicy())
         result = run_simulation(REF, policies, 200_000, seed=13)
-        payoffs_s = [r.secondary_payoff for r in result.records if r.category is Category.A]
-        payoffs_m = [r.malicious_payoff for r in result.records if r.category is Category.A]
+        in_a = result.category == A
+        payoffs_s = result.secondary_payoff[in_a]
+        payoffs_m = result.malicious_payoff[in_a]
         n = len(payoffs_s)
         assert n > 1_000
-        game = GAMES[Category.A]
+        game = GAMES[A]
         eq = mixed_equilibrium(game).mixed
         utils = strategy_utilities(game, eq)
         for values, expected in ((payoffs_s, utils.u_s1), (payoffs_m, utils.u_m1)):
-            mean = sum(values) / n
-            var = sum((v - mean) ** 2 for v in values) / n
-            assert abs(mean - expected) <= 3 * math.sqrt(var / n)
+            assert abs(values.mean() - expected) <= 3 * math.sqrt(values.var() / n)
 
     def test_rejects_zero_slots(self):
         with pytest.raises(ValueError):
