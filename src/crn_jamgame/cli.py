@@ -322,10 +322,10 @@ def cmd_fp(cfg: RunConfig) -> int:
         ["iteration", "secondary_action", "malicious_action", "p_star", "q_star", "err_p", "err_q"],
         rows(),
     )
-    final = trace.final_frequencies()
+    p_star, q_star = trace.final_frequencies()
     print(
         f"category {cfg.category.value}: {len(trace)} iterations, "
-        f"final p*={_fmt(final.p_star)} q*={_fmt(final.q_star)} "
+        f"final p*={_fmt(p_star)} q*={_fmt(q_star)} "
         f"(equilibrium p={_fmt(p_ref)} q={_fmt(q_ref)}) -> {cfg.out}"
     )
     return 0
@@ -440,8 +440,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 row += [p, q, report.degenerate]
                 if with_fp:
                     child_seed = (cfg.seed + index) % (MAX_SEED + 1)
-                    final = run_fp(game, cfg.iterations, child_seed).final_frequencies()
-                    fp_errors += [abs(final.p_star - p), abs(final.q_star - q)]
+                    p_star, q_star = run_fp(game, cfg.iterations, child_seed).final_frequencies()
+                    fp_errors += [abs(p_star - p), abs(q_star - q)]
             yield row + fp_errors
 
     _write_csv(cfg.out, header, rows())

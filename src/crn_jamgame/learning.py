@@ -14,172 +14,39 @@ secondary's coin is flipped before the jammer's, so identical
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from collections.abc import Callable
 from functools import cached_property
 
 import numpy as np
 
 from .games import BimatrixGame
 
-__all__ = [
-    "HistoryCounters",
-    "ExpectedUtilities",
-    "EmpiricalFrequencies",
-    "FpRecord",
-    "FpTrace",
-    "fp_expected_utilities",
-    "best_response",
-    "fp_step",
-    "empirical_frequencies",
-    "run_fp",
-    "convergence_error",
-]
+__all__ = ["FpTrace", "best_response", "run_fp"]
 
-#: Relative tie tolerance for best responses: utilities within
-#: ``TIE_REL_TOL * max(1, |u1|, |u2|)`` of each other count as equal.
+#: Relative tie tolerance for best responses: utilities closer than this
+#: fraction of ``max(1, |u1|, |u2|)`` count as equal.
 TIE_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class HistoryCounters:
-    """Observed action tallies for one game.
+def best_response(u1: float, u2: float, rand: Callable[[], float]) -> int:
+    """Index (1 or 2) of the larger utility; ties break on a fair coin.
 
-    ``h_s1``/``h_s2`` count the secondary's strategy-1/2 plays as recorded
-    by the jammer; ``h_m1``/``h_m2`` count the jammer's plays as recorded
-    by the secondary. Counts never decrease.
+    ``u1`` and ``u2`` are a player's two strategies' payoffs weighted by
+    the rival's observed counts (raw counts, not frequencies: normalizing
+    changes no best response). The tie window is relative (a
+    :data:`TIE_REL_TOL` share of ``max(1, |u1|, |u2|)``) so the rule is
+    stable across payoff scales. ``rand`` is called only on ties.
     """
-
-    h_s1: int = 0
-    h_s2: int = 0
-    h_m1: int = 0
-    h_m2: int = 0
-
-    def __post_init__(self) -> None:
-        if min(self.h_s1, self.h_s2, self.h_m1, self.h_m2) < 0:
-            raise ValueError("history counts must be >= 0")
-
-    @property
-    def total_secondary(self) -> int:
-        """How many secondary actions have been observed."""
-        return self.h_s1 + self.h_s2
-
-    @property
-    def total_malicious(self) -> int:
-        """How many jammer actions have been observed."""
-        return self.h_m1 + self.h_m2
-
-    def with_secondary(self, strategy: int) -> "HistoryCounters":
-        """Copy with one more observed secondary play of ``strategy`` (1 or 2)."""
-        if strategy == 1:
-            return replace(self, h_s1=self.h_s1 + 1)
-        if strategy == 2:
-            return replace(self, h_s2=self.h_s2 + 1)
-        raise ValueError(f"strategy index must be 1 or 2 (got {strategy!r})")
-
-    def with_malicious(self, strategy: int) -> "HistoryCounters":
-        """Copy with one more observed jammer play of ``strategy`` (1 or 2)."""
-        if strategy == 1:
-            return replace(self, h_m1=self.h_m1 + 1)
-        if strategy == 2:
-            return replace(self, h_m2=self.h_m2 + 1)
-        raise ValueError(f"strategy index must be 1 or 2 (got {strategy!r})")
-
-
-@dataclass(frozen=True, slots=True)
-class ExpectedUtilities:
-    """Count-weighted expected utilities, one per player per strategy."""
-
-    u_s1_ex: float
-    u_s2_ex: float
-    u_m1_ex: float
-    u_m2_ex: float
-
-    def secondary_pair(self) -> tuple[float, float]:
-        return (self.u_s1_ex, self.u_s2_ex)
-
-    def malicious_pair(self) -> tuple[float, float]:
-        return (self.u_m1_ex, self.u_m2_ex)
-
-
-@dataclass(frozen=True, slots=True)
-class EmpiricalFrequencies:
-    """Running strategy-1 frequencies of both players."""
-
-    p_star: float
-    q_star: float
-
-
-def fp_expected_utilities(game: BimatrixGame, history: HistoryCounters) -> ExpectedUtilities:
-    """Expected utilities against raw opponent counts (unnormalized).
-
-    Normalizing by the count totals would not change any best response,
-    so the raw-count form is used as is.
-    """
-    return ExpectedUtilities(
-        u_s1_ex=game.a * history.h_m1 + game.b * history.h_m2,
-        u_s2_ex=game.c * history.h_m1 + game.d * history.h_m2,
-        u_m1_ex=game.e * history.h_s1 + game.g * history.h_s2,
-        u_m2_ex=game.f * history.h_s1 + game.h * history.h_s2,
-    )
-
-
-def best_response(utilities: tuple[float, float], rng: random.Random) -> int:
-    """Index (1 or 2) of the better utility; ties break uniformly at random.
-
-    The tie window is relative (``TIE_REL_TOL * max(1, |u1|, |u2|)``) so the
-    rule is stable across payoff scales. The rng is consulted only on ties.
-    """
-    first, second = utilities
-    if abs(first - second) <= TIE_REL_TOL * max(1.0, abs(first), abs(second)):
-        return 1 if rng.random() < 0.5 else 2
-    return 1 if first > second else 2
-
-
-def fp_step(
-    game: BimatrixGame, history: HistoryCounters, rng: random.Random
-) -> tuple[tuple[int, int], HistoryCounters]:
-    """One simultaneous learning stage with full mutual observation.
-
-    Both players best-respond to the rival's recorded counts, then both
-    actions are appended to the history. The secondary's tie-break (if
-    any) consumes randomness before the jammer's.
-    """
-    expected = fp_expected_utilities(game, history)
-    action_s = best_response(expected.secondary_pair(), rng)
-    action_m = best_response(expected.malicious_pair(), rng)
-    updated = history.with_secondary(action_s).with_malicious(action_m)
-    return (action_s, action_m), updated
-
-
-def empirical_frequencies(history: HistoryCounters) -> EmpiricalFrequencies:
-    """Strategy-1 frequencies; undefined (raises) while either side is empty."""
-    if history.total_secondary == 0 or history.total_malicious == 0:
-        raise ValueError("empirical frequencies need at least one observed action per player")
-    return EmpiricalFrequencies(
-        p_star=history.h_s1 / history.total_secondary,
-        q_star=history.h_m1 / history.total_malicious,
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class FpRecord:
-    """One learning stage: actions taken, counters and frequencies after."""
-
-    iteration: int
-    secondary_action: int
-    malicious_action: int
-    counters: HistoryCounters
-    frequencies: EmpiricalFrequencies
-    secondary_payoff: float
-    malicious_payoff: float
+    if abs(u1 - u2) <= TIE_REL_TOL * max(1.0, abs(u1), abs(u2)):
+        return 1 if rand() < 0.5 else 2
+    return 1 if u1 > u2 else 2
 
 
 class FpTrace:
     """Column-oriented record of a learning run.
 
-    Stores the two action streams; counters, frequencies and stage payoffs
-    are derived on demand. Supports ``len``, integer indexing (returning
-    :class:`FpRecord`) and iteration.
+    Stores the two action streams (strategy indices 1 and 2); running
+    frequencies and stage payoffs are derived on demand.
     """
 
     def __init__(self, game: BimatrixGame, actions_secondary: np.ndarray, actions_malicious: np.ndarray):
@@ -198,22 +65,14 @@ class FpTrace:
         return np.arange(1, len(self) + 1)
 
     @cached_property
-    def _cum_s1(self) -> np.ndarray:
-        return np.cumsum(self.actions_secondary == 1)
-
-    @cached_property
-    def _cum_m1(self) -> np.ndarray:
-        return np.cumsum(self.actions_malicious == 1)
-
-    @cached_property
     def p_star(self) -> np.ndarray:
         """Secondary's running strategy-1 frequency after each iteration."""
-        return self._cum_s1 / self.iterations
+        return np.cumsum(self.actions_secondary == 1) / self.iterations
 
     @cached_property
     def q_star(self) -> np.ndarray:
         """Jammer's running strategy-1 frequency after each iteration."""
-        return self._cum_m1 / self.iterations
+        return np.cumsum(self.actions_malicious == 1) / self.iterations
 
     @cached_property
     def secondary_payoffs(self) -> np.ndarray:
@@ -225,88 +84,31 @@ class FpTrace:
         table = np.array([[self.game.e, self.game.f], [self.game.g, self.game.h]])
         return table[self.actions_secondary - 1, self.actions_malicious - 1]
 
-    def counters_at(self, index: int) -> HistoryCounters:
-        """Counters after the 0-based iteration ``index``."""
-        t = index + 1
-        s1 = int(self._cum_s1[index])
-        m1 = int(self._cum_m1[index])
-        return HistoryCounters(h_s1=s1, h_s2=t - s1, h_m1=m1, h_m2=t - m1)
-
-    def __getitem__(self, index: int) -> FpRecord:
-        if not isinstance(index, int):
-            raise TypeError("FpTrace supports integer indexing only")
-        n = len(self)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("trace index out of range")
-        return FpRecord(
-            iteration=index + 1,
-            secondary_action=int(self.actions_secondary[index]),
-            malicious_action=int(self.actions_malicious[index]),
-            counters=self.counters_at(index),
-            frequencies=EmpiricalFrequencies(
-                p_star=float(self.p_star[index]), q_star=float(self.q_star[index])
-            ),
-            secondary_payoff=float(self.secondary_payoffs[index]),
-            malicious_payoff=float(self.malicious_payoffs[index]),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def final_frequencies(self) -> EmpiricalFrequencies:
+    def final_frequencies(self) -> tuple[float, float]:
+        """(p*, q*) after the last iteration."""
         if len(self) == 0:
             raise ValueError("empty trace has no frequencies")
-        return self[len(self) - 1].frequencies
+        return float(self.p_star[-1]), float(self.q_star[-1])
 
 
-def run_fp(
-    game: BimatrixGame,
-    iterations: int,
-    seed: int,
-    *,
-    stop_window: int | None = None,
-    stop_epsilon: float = 0.005,
-) -> FpTrace:
-    """Learning run from an empty history.
+def run_fp(game: BimatrixGame, iterations: int, seed: int) -> FpTrace:
+    """Learning run of ``iterations`` stages from an empty history.
 
-    Without ``stop_window`` the trace has exactly ``iterations`` records.
-    With it, the run additionally halts once both running frequencies have
-    moved less than ``stop_epsilon`` over the last ``stop_window``
-    iterations.
-
-    The inner loop mirrors :func:`fp_step` (kept inline for speed; the
-    equivalence is pinned by tests).
+    Every stage both players best-respond to the rival's counts so far,
+    the secondary first, then both actions are counted.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1 (got {iterations!r})")
-    if stop_window is not None and stop_window < 1:
-        raise ValueError(f"stop_window must be >= 1 (got {stop_window!r})")
-    rng = random.Random(seed)
+    rand = random.Random(seed).random
     a, b, c, d = game.a, game.b, game.c, game.d
     e, f, g, h = game.e, game.f, game.g, game.h
-    act_s = np.empty(iterations, dtype=np.uint8)
-    act_m = np.empty(iterations, dtype=np.uint8)
-    cum_s1 = np.empty(iterations, dtype=np.int64) if stop_window is not None else None
-    cum_m1 = np.empty(iterations, dtype=np.int64) if stop_window is not None else None
+    # bytearray stores are cheaper than NumPy item assignment in the loop
+    act_s = bytearray(iterations)
+    act_m = bytearray(iterations)
     hs1 = hs2 = hm1 = hm2 = 0
-    tol = TIE_REL_TOL
-    rand = rng.random
-    n_done = iterations
     for t in range(iterations):
-        u1 = a * hm1 + b * hm2
-        u2 = c * hm1 + d * hm2
-        if abs(u1 - u2) <= tol * max(1.0, abs(u1), abs(u2)):
-            s = 1 if rand() < 0.5 else 2
-        else:
-            s = 1 if u1 > u2 else 2
-        v1 = e * hs1 + g * hs2
-        v2 = f * hs1 + h * hs2
-        if abs(v1 - v2) <= tol * max(1.0, abs(v1), abs(v2)):
-            m = 1 if rand() < 0.5 else 2
-        else:
-            m = 1 if v1 > v2 else 2
+        s = best_response(a * hm1 + b * hm2, c * hm1 + d * hm2, rand)
+        m = best_response(e * hs1 + g * hs2, f * hs1 + h * hs2, rand)
         act_s[t] = s
         act_m[t] = m
         if s == 1:
@@ -317,34 +119,4 @@ def run_fp(
             hm1 += 1
         else:
             hm2 += 1
-        if stop_window is not None:
-            cum_s1[t] = hs1
-            cum_m1[t] = hm1
-            w = stop_window
-            if t >= w:
-                now = t + 1
-                then = now - w
-                dp = hs1 / now - cum_s1[then - 1] / then
-                dq = hm1 / now - cum_m1[then - 1] / then
-                if abs(dp) < stop_epsilon and abs(dq) < stop_epsilon:
-                    n_done = t + 1
-                    break
-    return FpTrace(game, act_s[:n_done], act_m[:n_done])
-
-
-def convergence_error(trace: FpTrace, reference) -> list[tuple[int, float, float]]:
-    """Per-iteration distance of the running frequencies from a reference.
-
-    ``reference`` is any object with ``p_secondary_first`` and
-    ``q_malicious_first`` attributes. A trace records one action per player
-    per iteration, so both histories are nonempty from iteration 1 on and
-    every iteration yields a row (iteration, |p* - p|, |q* - q|).
-    """
-    if len(trace) == 0:
-        raise ValueError("convergence_error needs a nonempty trace")
-    err_p = np.abs(trace.p_star - reference.p_secondary_first)
-    err_q = np.abs(trace.q_star - reference.q_malicious_first)
-    return [
-        (int(it), float(ep), float(eq))
-        for it, ep, eq in zip(trace.iterations, err_p, err_q)
-    ]
+    return FpTrace(game, np.frombuffer(act_s, np.uint8), np.frombuffer(act_m, np.uint8))

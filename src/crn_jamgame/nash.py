@@ -15,9 +15,7 @@ from .games import BimatrixGame
 
 __all__ = [
     "MixedProfile",
-    "StrategyUtilities",
     "EquilibriumReport",
-    "DeviationCheck",
     "strategy_utilities",
     "pure_equilibria",
     "mixed_equilibrium",
@@ -44,29 +42,6 @@ class MixedProfile:
 
 
 @dataclass(frozen=True, slots=True)
-class StrategyUtilities:
-    """Expected payoff of each pure strategy against the rival's mixture."""
-
-    u_s1: float
-    u_s2: float
-    u_m1: float
-    u_m2: float
-
-
-@dataclass(frozen=True, slots=True)
-class DeviationCheck:
-    """Result of a best-response check at a profile."""
-
-    is_equilibrium: bool
-    gain_secondary: float
-    gain_malicious: float
-
-    @property
-    def max_gain(self) -> float:
-        return max(self.gain_secondary, self.gain_malicious)
-
-
-@dataclass(frozen=True, slots=True)
 class EquilibriumReport:
     """Mixed equilibrium (when the indifference construction lands inside
     [0, 1]) plus all pure equilibria; ``degenerate`` marks games where the
@@ -83,15 +58,22 @@ class EquilibriumReport:
     degenerate: bool
 
 
-def strategy_utilities(game: BimatrixGame, profile: MixedProfile) -> StrategyUtilities:
-    """Each player's expected payoff per pure strategy at the profile."""
+def strategy_utilities(
+    game: BimatrixGame, profile: MixedProfile
+) -> tuple[float, float, float, float]:
+    """Each pure strategy's expected payoff at the profile.
+
+    Returns ``(u_s1, u_s2, u_m1, u_m2)``: the secondary's two rows against
+    the jammer's mixture, then the jammer's two columns against the
+    secondary's.
+    """
     p = profile.p_secondary_first
     q = profile.q_malicious_first
-    return StrategyUtilities(
-        u_s1=game.a * q + game.b * (1.0 - q),
-        u_s2=game.c * q + game.d * (1.0 - q),
-        u_m1=game.e * p + game.g * (1.0 - p),
-        u_m2=game.f * p + game.h * (1.0 - p),
+    return (
+        game.a * q + game.b * (1.0 - q),
+        game.c * q + game.d * (1.0 - q),
+        game.e * p + game.g * (1.0 - p),
+        game.f * p + game.h * (1.0 - p),
     )
 
 
@@ -125,26 +107,21 @@ def mixed_equilibrium(game: BimatrixGame) -> EquilibriumReport:
     if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
         return EquilibriumReport(mixed=None, pure=pure, indifference_residuals=None, degenerate=True)
     mixed = MixedProfile(p_secondary_first=p, q_malicious_first=q)
-    utils = strategy_utilities(game, mixed)
-    residuals = (abs(utils.u_s1 - utils.u_s2), abs(utils.u_m1 - utils.u_m2))
+    u_s1, u_s2, u_m1, u_m2 = strategy_utilities(game, mixed)
+    residuals = (abs(u_s1 - u_s2), abs(u_m1 - u_m2))
     return EquilibriumReport(mixed=mixed, pure=pure, indifference_residuals=residuals, degenerate=False)
 
 
-def verify_equilibrium(
-    game: BimatrixGame, profile: MixedProfile, tolerance: float = 1e-6
-) -> DeviationCheck:
-    """Best-response check: no pure deviation may gain more than ``tolerance``."""
+def verify_equilibrium(game: BimatrixGame, profile: MixedProfile, tolerance: float = 1e-6) -> bool:
+    """Whether no pure deviation gains either player more than ``tolerance``."""
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0 (got {tolerance!r})")
     p = profile.p_secondary_first
     q = profile.q_malicious_first
-    utils = strategy_utilities(game, profile)
-    expected_row = p * utils.u_s1 + (1.0 - p) * utils.u_s2
-    expected_col = q * utils.u_m1 + (1.0 - q) * utils.u_m2
-    gain_row = max(utils.u_s1, utils.u_s2) - expected_row
-    gain_col = max(utils.u_m1, utils.u_m2) - expected_col
-    ok = gain_row <= tolerance and gain_col <= tolerance
-    return DeviationCheck(is_equilibrium=ok, gain_secondary=gain_row, gain_malicious=gain_col)
+    u_s1, u_s2, u_m1, u_m2 = strategy_utilities(game, profile)
+    gain_row = max(u_s1, u_s2) - (p * u_s1 + (1.0 - p) * u_s2)
+    gain_col = max(u_m1, u_m2) - (q * u_m1 + (1.0 - q) * u_m2)
+    return gain_row <= tolerance and gain_col <= tolerance
 
 
 def profile_from_pure(pure: tuple[int, int]) -> MixedProfile:

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .games import BimatrixGame, Category, NetworkConfig, build_game
-from .learning import HistoryCounters, best_response, fp_expected_utilities
+from .learning import best_response
 from .nash import EquilibriumReport, mixed_equilibrium
 
 __all__ = [
@@ -131,17 +131,9 @@ def classify_state(secondary_band: int, malicious_band: int, primaries: list[int
     return B
 
 
-def _strategy_counts(game: BimatrixGame, counts: list[int]) -> HistoryCounters:
-    """One category's per-move observation counts in its game's strategy order."""
-    s_switch, s_stay, m_switch, m_stay = counts
-    secondary = {"switch": s_switch, "stay": s_stay}
-    malicious = {"switch": m_switch, "stay": m_stay}
-    return HistoryCounters(
-        h_s1=secondary[game.row_labels[0]],
-        h_s2=secondary[game.row_labels[1]],
-        h_m1=malicious[game.col_labels[0]],
-        h_m2=malicious[game.col_labels[1]],
-    )
+#: Offset of each move in a per-move count list: [secondary switch,
+#: secondary stay, jammer switch, jammer stay].
+_MOVE = {"switch": 0, "stay": 1}
 
 
 def _draw_strategy(
@@ -166,9 +158,14 @@ def _draw_strategy(
             row, col = equilibrium.pure[0]
             return row if is_secondary else col
         return 1 if rng.random() < 0.5 else 2
-    expected = fp_expected_utilities(game, _strategy_counts(game, counts))
-    pair = expected.secondary_pair() if is_secondary else expected.malicious_pair()
-    return best_response(pair, rng)
+    # count-weighted utilities against the rival's moves in its strategy order
+    if is_secondary:
+        n1 = counts[2 + _MOVE[game.col_labels[0]]]
+        n2 = counts[2 + _MOVE[game.col_labels[1]]]
+        return best_response(game.a * n1 + game.b * n2, game.c * n1 + game.d * n2, rng.random)
+    n1 = counts[_MOVE[game.row_labels[0]]]
+    n2 = counts[_MOVE[game.row_labels[1]]]
+    return best_response(game.e * n1 + game.g * n2, game.f * n1 + game.h * n2, rng.random)
 
 
 def choose_actions(

@@ -1,9 +1,11 @@
 """Independent oracles the tests check the library against.
 
 Everything here recomputes results from first principles (grid search,
-direct Monte Carlo placement) without going through the code paths under
-test.
+direct Monte Carlo placement, stage-by-stage replay) without going
+through the code paths under test.
 """
+
+import random
 
 import numpy as np
 
@@ -86,3 +88,35 @@ def mc_switch_target_occupancy(n_bands, n_primary, trials, seed):
     just_secondary = clean & (rival != target)
     both = clean & (rival == target)
     return just_secondary.mean(), both.mean()
+
+
+def fp_replay(game, iterations, seed):
+    """Best-response learning replayed stage by stage from the payoff cells.
+
+    The documented rule: each stage a player weights its payoff in every
+    cell by how often the rival has played that cell's rival strategy,
+    and plays the strategy with the larger total. Totals within
+    ``1e-9 * max(1, |u1|, |u2|)`` of each other tie, and a tie is a fair
+    coin (``random() < 0.5`` picks strategy 1) on one ``random.Random(seed)``,
+    the secondary's coin before the jammer's. Returns the two action lists.
+    """
+    rng = random.Random(seed)
+
+    def pick(u1, u2):
+        if abs(u1 - u2) <= 1e-9 * max(1.0, abs(u1), abs(u2)):
+            return 1 if rng.random() < 0.5 else 2
+        return 1 if u1 > u2 else 2
+
+    played_s = {1: 0, 2: 0}
+    played_m = {1: 0, 2: 0}
+    actions_s, actions_m = [], []
+    for _ in range(iterations):
+        u_s = [sum(game.row_payoff(row, col) * played_m[col] for col in (1, 2)) for row in (1, 2)]
+        u_m = [sum(game.col_payoff(row, col) * played_s[row] for row in (1, 2)) for col in (1, 2)]
+        action_s = pick(*u_s)
+        action_m = pick(*u_m)
+        played_s[action_s] += 1
+        played_m[action_m] += 1
+        actions_s.append(action_s)
+        actions_m.append(action_m)
+    return actions_s, actions_m

@@ -21,15 +21,14 @@ from crn_jamgame import (
     build_game,
     derived_probabilities,
     mixed_equilibrium,
-    profile_from_pure,
     run_fp,
     run_simulation,
-    settle_slot,
     verify_equilibrium,
 )
 from crn_jamgame.cli import main
 from crn_jamgame.games import BimatrixGame
-from crn_jamgame.simulate import CATEGORIES, C
+from crn_jamgame.nash import profile_from_pure
+from crn_jamgame.simulate import CATEGORIES, C, settle_slot
 from oracles import grid_accepts_near, grid_equilibria
 
 REF = NetworkConfig()
@@ -126,11 +125,11 @@ def test_criterion_3_solver_soundness():
         if report.mixed is not None:
             mixed_count += 1
         ok = all(
-            verify_equilibrium(game, profile_from_pure(pure), 1e-6).is_equilibrium
+            verify_equilibrium(game, profile_from_pure(pure), 1e-6)
             for pure in profiles
         )
         if report.mixed is not None:
-            ok = ok and verify_equilibrium(game, report.mixed, 1e-6).is_equilibrium
+            ok = ok and verify_equilibrium(game, report.mixed, 1e-6)
             near = grid_accepts_near(
                 game, report.mixed.p_secondary_first, report.mixed.q_malicious_first
             )

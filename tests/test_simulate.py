@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crn_jamgame import (
     Category,
@@ -14,16 +16,22 @@ from crn_jamgame import (
     NetworkConfig,
     PolicySpec,
     build_game,
+    mixed_equilibrium,
+    run_simulation,
+)
+from crn_jamgame.nash import strategy_utilities
+from crn_jamgame.simulate import (
+    CATEGORIES,
+    A,
+    B,
+    C,
+    SimulationResult,
     choose_actions,
     classify_state,
-    mixed_equilibrium,
     place_primaries,
-    run_simulation,
     settle_slot,
-    strategy_utilities,
     update_histories,
 )
-from crn_jamgame.simulate import CATEGORIES, A, B, C, SimulationResult
 
 REF = NetworkConfig()
 NO_PRIMARIES = NetworkConfig(n_primary=0)
@@ -104,6 +112,30 @@ class TestChooseActions:
             switches += action_s == SWITCH
         p = mixed_equilibrium(GAMES[A]).mixed.p_secondary_first
         assert abs(switches / seeds - p) <= 3 * math.sqrt(p * (1 - p) / seeds)
+
+    @given(st.sampled_from([A, B]), st.lists(st.integers(0, 60), min_size=4, max_size=4))
+    @settings(max_examples=200)
+    def test_learning_plays_the_better_strategy_against_observed_counts(self, code, counts):
+        # counts: secondary switch, secondary stay (seen by the jammer),
+        # jammer switch, jammer stay (seen by the secondary); strategy order
+        # comes from the game labels, which put the jammer's stay first in B
+        game = GAMES[code]
+        move = {"switch": 0, "stay": 1}
+        m1, m2 = (counts[2 + move[label]] for label in game.col_labels)
+        s1, s2 = (counts[move[label]] for label in game.row_labels)
+        u_s = (game.a * m1 + game.b * m2, game.c * m1 + game.d * m2)
+        u_m = (game.e * s1 + game.g * s2, game.f * s1 + game.h * s2)
+        for u1, u2 in (u_s, u_m):
+            assume(abs(u1 - u2) > 1e-6 * max(1.0, abs(u1), abs(u2)))
+        expected = (
+            game.row_labels[0 if u_s[0] > u_s[1] else 1] == "switch",
+            game.col_labels[0 if u_m[0] > u_m[1] else 1] == "switch",
+        )
+        histories = fresh_histories()
+        histories[code][:] = counts
+        rng = random.Random(0)
+        assert choose_actions(code, FP_BOTH, GAMES, histories, rng) == expected
+        assert rng.getstate() == random.Random(0).getstate()  # no tie, no coin
 
 
 
@@ -323,8 +355,8 @@ class TestRunSimulation:
         assert n > 1_000
         game = GAMES[A]
         eq = mixed_equilibrium(game).mixed
-        utils = strategy_utilities(game, eq)
-        for values, expected in ((payoffs_s, utils.u_s1), (payoffs_m, utils.u_m1)):
+        u_s1, _, u_m1, _ = strategy_utilities(game, eq)
+        for values, expected in ((payoffs_s, u_s1), (payoffs_m, u_m1)):
             assert abs(values.mean() - expected) <= 3 * math.sqrt(values.var() / n)
 
     def test_rejects_zero_slots(self):
