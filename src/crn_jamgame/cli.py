@@ -15,9 +15,12 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .games import Category, NetworkConfig, build_game
 from .learning import run_fp
 from .nash import mixed_equilibrium
+from .output import write_csv
 from .simulate import (
     CATEGORIES,
     A,
@@ -241,7 +244,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _fmt(value) -> str:
-    """CSV cell: bools as 0/1, floats with 6 significant digits."""
+    """Stdout number: bools as 0/1, floats with 6 significant digits."""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
@@ -249,11 +252,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(cell) for cell in row) + "\n")
+#: Rows per slice of the NumPy columns that ``fp`` and ``simulate`` turn
+#: into Python objects at a time.
+_CHUNK = 2048
+
+# Each command's CSV columns, (header, %-format) pairs for ``write_csv``,
+# sit next to the function that builds its rows in the same order.
+
+NASH_COLUMNS = (
+    ("category", "%s"),
+    ("p", "%.6g"),
+    ("q", "%.6g"),
+    ("residual_secondary", "%.6g"),
+    ("residual_malicious", "%.6g"),
+    ("degenerate", "%d"),
+    ("pure_equilibria", "%s"),
+)
 
 
 def cmd_nash(cfg: RunConfig) -> int:
@@ -272,7 +286,7 @@ def cmd_nash(cfg: RunConfig) -> int:
         q = report.mixed.q_malicious_first if report.mixed else float("nan")
         res_s, res_m = report.indifference_residuals or (float("nan"), float("nan"))
         pure_text = ";".join(f"{r}-{c}" for r, c in report.pure)
-        rows.append([category.value, p, q, res_s, res_m, report.degenerate, pure_text])
+        rows.append((category.value, p, q, res_s, res_m, report.degenerate, pure_text))
         line = f"category {category.value}: "
         if report.mixed is not None:
             line += f"p={_fmt(p)} q={_fmt(q)} residuals=({_fmt(res_s)},{_fmt(res_m)})"
@@ -281,12 +295,19 @@ def cmd_nash(cfg: RunConfig) -> int:
         line += f" pure=[{pure_text}] degenerate={_fmt(report.degenerate)}"
         print(line)
     if cfg.out is not None:
-        _write_csv(
-            cfg.out,
-            ["category", "p", "q", "residual_secondary", "residual_malicious", "degenerate", "pure_equilibria"],
-            rows,
-        )
+        write_csv(cfg.out, NASH_COLUMNS, rows)
     return 0
+
+
+FP_COLUMNS = (
+    ("iteration", "%d"),
+    ("secondary_action", "%s"),
+    ("malicious_action", "%s"),
+    ("p_star", "%.6g"),
+    ("q_star", "%.6g"),
+    ("err_p", "%.6g"),
+    ("err_q", "%.6g"),
+)
 
 
 def cmd_fp(cfg: RunConfig) -> int:
@@ -298,30 +319,21 @@ def cmd_fp(cfg: RunConfig) -> int:
     trace = run_fp(game, cfg.iterations, cfg.seed)
 
     def rows():
-        p_star = trace.p_star
-        q_star = trace.q_star
-        act_s = trace.actions_secondary
-        act_m = trace.actions_malicious
-        row_labels = game.row_labels
-        col_labels = game.col_labels
-        for i in range(len(trace)):
-            ps = float(p_star[i])
-            qs = float(q_star[i])
-            yield [
-                i + 1,
-                row_labels[act_s[i] - 1],
-                col_labels[act_m[i] - 1],
-                ps,
-                qs,
-                abs(ps - p_ref),
-                abs(qs - q_ref),
-            ]
+        labels_s = np.array((None, *game.row_labels), dtype=object)
+        labels_m = np.array((None, *game.col_labels), dtype=object)
+        for lo, p_star, q_star in trace.running_frequencies(_CHUNK):
+            hi = lo + len(p_star)
+            yield from zip(
+                range(lo + 1, hi + 1),
+                labels_s[trace.actions_secondary[lo:hi]].tolist(),
+                labels_m[trace.actions_malicious[lo:hi]].tolist(),
+                p_star.tolist(),
+                q_star.tolist(),
+                np.abs(p_star - p_ref).tolist(),
+                np.abs(q_star - q_ref).tolist(),
+            )
 
-    _write_csv(
-        cfg.out,
-        ["iteration", "secondary_action", "malicious_action", "p_star", "q_star", "err_p", "err_q"],
-        rows(),
-    )
+    write_csv(cfg.out, FP_COLUMNS, rows())
     p_star, q_star = trace.final_frequencies()
     print(
         f"category {cfg.category.value}: {len(trace)} iterations, "
@@ -331,50 +343,65 @@ def cmd_fp(cfg: RunConfig) -> int:
     return 0
 
 
+SIMULATE_COLUMNS = (
+    ("slot", "%d"),
+    ("category", "%s"),
+    ("secondary_band", "%d"),
+    ("malicious_band", "%d"),
+    ("n_primaries_on_secondary_band", "%d"),
+    ("secondary_action", "%s"),
+    ("malicious_action", "%s"),
+    ("jam", "%d"),
+    ("payoff_s", "%.6g"),
+    ("payoff_m", "%.6g"),
+    ("pstar_A", "%.6g"),
+    ("qstar_A", "%.6g"),
+    ("pstar_B", "%.6g"),
+    ("qstar_B", "%.6g"),
+)
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
     """Full network run; per-slot trace CSV plus a printed summary."""
     policies = PolicySpec(secondary=cfg.policy_secondary, malicious=cfg.policy_malicious)
     result = run_simulation(cfg.network, policies, cfg.slots, cfg.seed)
-    labels = [category.value for category in CATEGORIES]
-    moves = ("stay", "switch")
-    p_a, q_a = result.frequencies(A)
-    p_b, q_b = result.frequencies(B)
-    columns = [
-        range(len(result)),
-        [labels[code] for code in result.category.tolist()],
-        result.secondary_band.tolist(),
-        result.malicious_band.tolist(),
-        (result.category == C).tolist(),
-        [moves[flag] for flag in result.secondary_switch.tolist()],
-        [moves[flag] for flag in result.malicious_switch.tolist()],
-        result.jam.tolist(),
-        result.secondary_payoff.tolist(),
-        result.malicious_payoff.tolist(),
-        p_a.tolist(),
-        q_a.tolist(),
-        p_b.tolist(),
-        q_b.tolist(),
-    ]
-    _write_csv(
-        cfg.out,
-        [
-            "slot",
-            "category",
-            "secondary_band",
-            "malicious_band",
-            "n_primaries_on_secondary_band",
-            "secondary_action",
-            "malicious_action",
-            "jam",
-            "payoff_s",
-            "payoff_m",
-            "pstar_A",
-            "qstar_A",
-            "pstar_B",
-            "qstar_B",
-        ],
-        zip(*columns),
-    )
+
+    def rows():
+        labels = np.array([category.value for category in CATEGORIES], dtype=object)
+        moves = np.array(("stay", "switch"), dtype=object)
+        columns = (
+            result.secondary_band,
+            result.malicious_band,
+            result.jam,
+            result.secondary_payoff,
+            result.malicious_payoff,
+            *result.frequencies(A),
+            *result.frequencies(B),
+        )
+        for lo in range(0, len(result), _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            category = result.category[part]
+            sec, mal, jam, pay_s, pay_m, p_a, q_a, p_b, q_b = (
+                column[part].tolist() for column in columns
+            )
+            yield from zip(
+                range(lo, lo + len(category)),
+                labels[category].tolist(),
+                sec,
+                mal,
+                (category == C).tolist(),
+                moves[result.secondary_switch[part].view(np.uint8)].tolist(),
+                moves[result.malicious_switch[part].view(np.uint8)].tolist(),
+                jam,
+                pay_s,
+                pay_m,
+                p_a,
+                q_a,
+                p_b,
+                q_b,
+            )
+
+    write_csv(cfg.out, SIMULATE_COLUMNS, rows())
     s = result.summary
     print(f"slots: {s.slots}")
     print(f"cumulative payoff secondary: {_fmt(s.cumulative_secondary_payoff)}")
@@ -415,6 +442,17 @@ def _check_grid(network: NetworkConfig, sweeps) -> None:
             raise ConfigError(f"sweep: {exc}") from None
 
 
+def sweep_columns(sweeps, with_fp: bool) -> tuple[tuple[str, str], ...]:
+    """Columns of ``sweep``: each swept field (``%d`` when its values are
+    ints), then the solved and, with ``with_fp``, the learned values."""
+    columns = [(name, "%d" if isinstance(values[0], int) else "%.6g") for name, values in sweeps]
+    for cat in ("A", "B"):
+        columns += [(f"p_{cat}", "%.6g"), (f"q_{cat}", "%.6g"), (f"degenerate_{cat}", "%d")]
+    if with_fp:
+        columns += [(f"fp_err_{x}_{cat}", "%.6g") for cat in ("A", "B") for x in ("p", "q")]
+    return tuple(columns)
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     """Equilibria (and optional learning errors) over a parameter grid."""
     if not cfg.sweeps:
@@ -422,29 +460,26 @@ def cmd_sweep(cfg: RunConfig) -> int:
     names = [name for name, _values in cfg.sweeps]
     value_lists = [values for _name, values in cfg.sweeps]
     with_fp = cfg.iterations_given
-    header = list(names) + ["p_A", "q_A", "degenerate_A", "p_B", "q_B", "degenerate_B"]
-    if with_fp:
-        header += ["fp_err_p_A", "fp_err_q_A", "fp_err_p_B", "fp_err_q_B"]
     _check_grid(cfg.network, cfg.sweeps)
 
     def rows():
         for index, combo in enumerate(itertools.product(*value_lists)):
             network = replace(cfg.network, **dict(zip(names, combo)))
-            row = list(combo)
-            fp_errors = []
+            row = combo
+            fp_errors = ()
             for category in (Category.A, Category.B):
                 game = build_game(network, category)
                 report = mixed_equilibrium(game)
                 p = report.mixed.p_secondary_first if report.mixed else float("nan")
                 q = report.mixed.q_malicious_first if report.mixed else float("nan")
-                row += [p, q, report.degenerate]
+                row += (p, q, report.degenerate)
                 if with_fp:
                     child_seed = (cfg.seed + index) % (MAX_SEED + 1)
                     p_star, q_star = run_fp(game, cfg.iterations, child_seed).final_frequencies()
-                    fp_errors += [abs(p_star - p), abs(q_star - q)]
+                    fp_errors += (abs(p_star - p), abs(q_star - q))
             yield row + fp_errors
 
-    _write_csv(cfg.out, header, rows())
+    write_csv(cfg.out, sweep_columns(cfg.sweeps, with_fp), rows())
     combo_count = 1
     for values in value_lists:
         combo_count *= len(values)

@@ -46,7 +46,7 @@ class FpTrace:
     """Column-oriented record of a learning run.
 
     Stores the two action streams (strategy indices 1 and 2); running
-    frequencies and stage payoffs are derived on demand.
+    frequencies are derived on demand.
     """
 
     def __init__(self, game: BimatrixGame, actions_secondary: np.ndarray, actions_malicious: np.ndarray):
@@ -64,31 +64,44 @@ class FpTrace:
         """1-based iteration indices."""
         return np.arange(1, len(self) + 1)
 
+    def running_frequencies(self, size: int):
+        """Yield ``(lo, p_star, q_star)`` for consecutive slices of at most
+        ``size`` iterations: each player's running strategy-1 frequency
+        after iterations lo+1, lo+2, ... The counts are carried from slice
+        to slice, so the values equal those of one pass over the run."""
+        count_s = count_m = 0
+        for lo in range(0, len(self), size):
+            run_s = count_s + np.cumsum(self.actions_secondary[lo : lo + size] == 1)
+            run_m = count_m + np.cumsum(self.actions_malicious[lo : lo + size] == 1)
+            count_s, count_m = int(run_s[-1]), int(run_m[-1])
+            stage = np.arange(lo + 1, lo + len(run_s) + 1)
+            yield lo, run_s / stage, run_m / stage
+
     @cached_property
+    def _frequencies(self) -> tuple[np.ndarray, np.ndarray]:
+        for _lo, p_star, q_star in self.running_frequencies(max(len(self), 1)):
+            return p_star, q_star
+        return np.empty(0), np.empty(0)  # an empty trace
+
+    @property
     def p_star(self) -> np.ndarray:
         """Secondary's running strategy-1 frequency after each iteration."""
-        return np.cumsum(self.actions_secondary == 1) / self.iterations
+        return self._frequencies[0]
 
-    @cached_property
+    @property
     def q_star(self) -> np.ndarray:
         """Jammer's running strategy-1 frequency after each iteration."""
-        return np.cumsum(self.actions_malicious == 1) / self.iterations
-
-    @cached_property
-    def secondary_payoffs(self) -> np.ndarray:
-        table = np.array([[self.game.a, self.game.b], [self.game.c, self.game.d]])
-        return table[self.actions_secondary - 1, self.actions_malicious - 1]
-
-    @cached_property
-    def malicious_payoffs(self) -> np.ndarray:
-        table = np.array([[self.game.e, self.game.f], [self.game.g, self.game.h]])
-        return table[self.actions_secondary - 1, self.actions_malicious - 1]
+        return self._frequencies[1]
 
     def final_frequencies(self) -> tuple[float, float]:
-        """(p*, q*) after the last iteration."""
-        if len(self) == 0:
+        """(p*, q*) after the last iteration, from the strategy-1 counts."""
+        n = len(self)
+        if n == 0:
             raise ValueError("empty trace has no frequencies")
-        return float(self.p_star[-1]), float(self.q_star[-1])
+        return (
+            int(np.count_nonzero(self.actions_secondary == 1)) / n,
+            int(np.count_nonzero(self.actions_malicious == 1)) / n,
+        )
 
 
 def run_fp(game: BimatrixGame, iterations: int, seed: int) -> FpTrace:

@@ -95,12 +95,15 @@ def mixed_equilibrium(game: BimatrixGame) -> EquilibriumReport:
     q = (d - b) / (a - c + d - b) and p = (h - g) / (e - f + h - g).
     If either denominator vanishes or a result leaves [0, 1], the game is
     reported degenerate with pure equilibria only. Pure equilibria are
-    always enumerated and included.
+    always enumerated and included. A game without a pure equilibrium
+    has exactly one, fully mixed, equilibrium, so its nonzero denominators
+    are used however small its payoffs are.
     """
     pure = pure_equilibria(game)
     denom_q = game.a - game.c + game.d - game.b
     denom_p = game.e - game.f + game.h - game.g
-    if abs(denom_q) < DEGENERATE_DENOMINATOR_TOL or abs(denom_p) < DEGENERATE_DENOMINATOR_TOL:
+    vanishing = abs(denom_q) < DEGENERATE_DENOMINATOR_TOL or abs(denom_p) < DEGENERATE_DENOMINATOR_TOL
+    if vanishing and (pure or denom_q == 0.0 or denom_p == 0.0):
         return EquilibriumReport(mixed=None, pure=pure, indifference_residuals=None, degenerate=True)
     q = (game.d - game.b) / denom_q
     p = (game.h - game.g) / denom_p

@@ -120,3 +120,17 @@ def fp_replay(game, iterations, seed):
         actions_s.append(action_s)
         actions_m.append(action_m)
     return actions_s, actions_m
+
+
+def csv_line(row):
+    """One CSV line written cell by cell: bools as 0/1, floats as
+    ``format(x, '.6g')``, anything else through ``str``."""
+    cells = []
+    for value in row:
+        if isinstance(value, bool):
+            cells.append("1" if value else "0")
+        elif isinstance(value, float):
+            cells.append(format(value, ".6g"))
+        else:
+            cells.append(str(value))
+    return ",".join(cells) + "\n"

@@ -1,4 +1,9 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -295,3 +300,45 @@ class TestExitCodes:
 
     def test_success_is_zero(self, tmp_path):
         assert main(["nash", "--out", str(tmp_path / "n.csv")]) == 0
+
+    def test_failure_mid_sweep_exits_four_and_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
+        # sweep rows are solved while the file is written; the tenth solve fails
+        import crn_jamgame.cli as cli
+
+        solve = cli.mixed_equilibrium
+        calls = itertools.count()
+
+        def failing_solve(game):
+            if next(calls) == 9:
+                raise OSError("device lost")
+            return solve(game)
+
+        monkeypatch.setattr(cli, "mixed_equilibrium", failing_solve)
+        out = tmp_path / "sweep.csv"
+        out.write_bytes(b"earlier results\n")
+        assert main(["sweep", "--sweep", "n_primary=0..9", "--out", str(out)]) == 4
+        assert "device lost" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier results\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+class TestOutputPaths:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_link_to_stdout_writes_into_the_redirected_file(self, tmp_path):
+        # the shape of `--out /dev/stdout > trace.csv`, with the link kept in tmp_path
+        import crn_jamgame
+
+        link = tmp_path / "stdout"
+        link.symlink_to("/proc/self/fd/1")
+        captured = tmp_path / "captured.txt"
+        env = dict(os.environ, PYTHONPATH=str(Path(crn_jamgame.__file__).parents[1]))
+        with captured.open("wb") as stdout:
+            done = subprocess.run(
+                [sys.executable, "-m", "crn_jamgame.cli", "nash", "--out", str(link)],
+                stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        assert done.returncode == 0, done.stderr
+        text = captured.read_text()
+        assert "category,p,q,residual_secondary,residual_malicious,degenerate,pure_equilibria\n" in text
+        assert "\nA,0.948,0.84," in text
+        assert link.is_symlink() and os.readlink(link) == "/proc/self/fd/1"

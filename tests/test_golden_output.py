@@ -47,6 +47,18 @@ CASES = {
     "sweep-3x3": [
         "sweep", "--sweep", "n_primary=3..5", "--sweep", "gain_malicious=50..100:25",
     ],
+    # lengths that cross the CSV writer's row chunks and end mid-chunk
+    "fp-A-5003": ["fp", "--iterations", "5003", "--category", "A"],
+    "fp-B-5003": ["fp", "--iterations", "5003", "--category", "B"],
+    "simulate-fp-5003": ["simulate", "--slots", "5003", "--seed", "3"],
+    "simulate-nash-crowded-5003": [
+        "simulate", "--slots", "5003", "--seed", "3", *CROWDED,
+        "--policy-secondary", "nash", "--policy-malicious", "nash",
+    ],
+    "sweep-fp-2x3": [
+        "sweep", "--sweep", "n_primary=3..4", "--sweep", "gain_malicious=50..100:25",
+        "--iterations", "300",
+    ],
 }
 
 # (sha256 of the CSV, sha256 of stdout), recorded from the reference implementation.
@@ -107,6 +119,26 @@ GOLDEN = {
         "c5dcb4f3f1a8d52fa2e0bc21a2580668442fa7c02b984566d55dd36345a06c3c",
         "06a613ca64bb1552def14a52de94e754ac5462958f64de33e002505942d6fa77",
     ),
+    "fp-A-5003": (
+        "bd2450fd2aeaabaae6b58e21eac5ef5236e60d3461191454cd27404c19ddb345",
+        "e7ee137fd8f8b758765f51ecd012a4bfcb95e7cf12badf8cbb2976ac32002d70",
+    ),
+    "fp-B-5003": (
+        "8a32a3bfc1ddd1b712085be2e44c8c767fd3493587af231388f4c9ba3b61d507",
+        "5b257d559c7f3ed8b59a2632314ab78ea1281df2bbba4a5863767c87c8810f4a",
+    ),
+    "simulate-fp-5003": (
+        "35b6f00962016e903fc896a91aba61faf60dbb354608afc0be963dca042fb526",
+        "2e2cafe34e9df0b86a9293d5832e67110632f2c8c4a1e808ca7eb17236ca3d70",
+    ),
+    "simulate-nash-crowded-5003": (
+        "7f022cf04eaad09f8ec1c36c8c354f6939bf22702b29d9ba8b55c85a180ef634",
+        "253efcd9a2f885e7f2505ae0958cdcb5c34c308f1ec4a3ea106b90b8ac9b74e0",
+    ),
+    "sweep-fp-2x3": (
+        "ff3febba85e1ee121f314e6aa96329ee45425b291a77889140e9fcb315806eeb",
+        "05e23d6fac70c6d5a250a3cda54a3dc5e6aa6fd4327f40a4656620511264b791",
+    ),
 }
 
 
@@ -116,6 +148,19 @@ def sha256(data: bytes) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(CASES[name] + ["--out", "out.csv"]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    csv = (tmp_path / "out.csv").read_bytes()
+    assert (sha256(csv), sha256(stdout)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 5003])
+@pytest.mark.parametrize("name", ["fp-B-5003", "simulate-fp-5003"])
+def test_row_chunk_size_changes_no_byte(name, chunk, tmp_path, monkeypatch, capsys):
+    import crn_jamgame.cli as cli
+
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
     monkeypatch.chdir(tmp_path)
     assert main(CASES[name] + ["--out", "out.csv"]) == 0
     stdout = capsys.readouterr().out.encode("utf-8")

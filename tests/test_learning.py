@@ -201,6 +201,34 @@ class TestEmpiricalFrequencies:
         assert p_star == pytest.approx(0.94, abs=1e-12)
         assert q_star == pytest.approx(0.84, abs=1e-12)
 
+    @given(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=1, max_size=3000))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_give_the_last_running_frequency_exactly(self, stages):
+        secondary, jammer = (np.array(column, np.uint8) for column in zip(*stages))
+        trace = FpTrace(GAME_A, secondary, jammer)
+        assert trace.final_frequencies() == (float(trace.p_star[-1]), float(trace.q_star[-1]))
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=1, max_size=3000),
+        st.integers(1, 4000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_slices_give_the_same_running_frequencies_as_one_pass(self, stages, size):
+        secondary, jammer = (np.array(column, np.uint8) for column in zip(*stages))
+        trace = FpTrace(GAME_A, secondary, jammer)
+        slices = list(trace.running_frequencies(size))
+        assert [lo for lo, _p, _q in slices] == list(range(0, len(stages), size))
+        stage = np.arange(1, len(stages) + 1)
+        for column, actions in ((1, secondary), (2, jammer)):
+            joined = np.concatenate([part[column] for part in slices])
+            assert np.array_equal(joined, np.cumsum(actions == 1) / stage)
+
+    def test_empty_trace_has_empty_running_frequencies(self):
+        empty = np.array([], np.uint8)
+        trace = FpTrace(GAME_A, empty, empty)
+        assert list(trace.running_frequencies(16)) == []
+        assert trace.p_star.shape == trace.q_star.shape == (0,)
+
     def test_rejects_empty_side(self):
         empty = np.array([], np.uint8)
         with pytest.raises(ValueError):
@@ -264,13 +292,6 @@ class TestRunFp:
         actions_s, actions_m = fp_replay(game, 200, seed)
         assert trace.actions_secondary.tolist() == actions_s
         assert trace.actions_malicious.tolist() == actions_m
-
-    def test_stage_payoffs_come_from_the_matrix(self):
-        trace = run_fp(GAME_A, 50, seed=5)
-        action_s = int(trace.actions_secondary[10])
-        action_m = int(trace.actions_malicious[10])
-        assert trace.secondary_payoffs[10] == GAME_A.row_payoff(action_s, action_m)
-        assert trace.malicious_payoffs[10] == GAME_A.col_payoff(action_s, action_m)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

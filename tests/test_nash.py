@@ -109,6 +109,16 @@ class TestMixedEquilibrium:
         assert report.mixed is None
         assert (2, 1) in report.pure
 
+    def test_tiny_payoffs_without_a_pure_equilibrium_keep_the_mixed_one(self):
+        # the secondary's denominator is -5.5e-229, under the absolute
+        # tolerance, but with no pure equilibrium the mixed one is the answer
+        tiny = 2.767731065784308e-229
+        game = BimatrixGame(a=0.0, b=tiny, c=tiny, d=0.0, e=1.0, f=0.0, g=-1.0, h=0.0)
+        report = mixed_equilibrium(game)
+        assert report.pure == ()
+        assert (report.mixed.p_secondary_first, report.mixed.q_malicious_first) == (0.5, 0.5)
+        assert not report.degenerate
+
 
 class TestVerifyEquilibrium:
     def test_reference_equilibrium_verifies(self):
