@@ -6,6 +6,13 @@ payoff; exact-enough ties are broken uniformly at random. The running
 action frequencies (p*, q*) approach the game's mixed equilibrium as the
 history grows.
 
+``run_fp`` works in runs, stretches of stages in which both players keep
+their actions. Within a run the counts grow by one per stage, so a NumPy
+screen checks a window of the following stages at once and fills every
+stage whose preference is strict by a clear margin; the scalar kernel
+``best_response`` runs only at run ends, near-ties and ties, and stays
+the one implementation of the tie rule.
+
 Determinism contract: one seeded generator drives a run, and on ties the
 secondary's coin is flipped before the jammer's, so identical
 (game, iterations, seed) inputs replay identical traces.
@@ -26,6 +33,17 @@ __all__ = ["FpTrace", "best_response", "run_fp"]
 #: Relative tie tolerance for best responses: utilities closer than this
 #: fraction of ``max(1, |u1|, |u2|)`` count as equal.
 TIE_REL_TOL = 1e-9
+
+#: Stages in a row with unchanged actions after which ``run_fp`` screens
+#: the stages ahead; the threshold doubles after a screen that skips none.
+RUN_MIN = 16
+#: Stages in the first window of a screen; each full window doubles the
+#: next, up to ``WINDOW_MAX``.
+WINDOW_MIN = 64
+WINDOW_MAX = 1024
+#: The screen skips a stage only when the kept strategy leads by more
+#: than this share of ``max(1, |u1|, |u2|)``, twice the tie window.
+SCREEN_REL_MARGIN = 2 * TIE_REL_TOL
 
 
 def best_response(u1: float, u2: float, rand: Callable[[], float]) -> int:
@@ -58,11 +76,6 @@ class FpTrace:
 
     def __len__(self) -> int:
         return int(self.actions_secondary.shape[0])
-
-    @cached_property
-    def iterations(self) -> np.ndarray:
-        """1-based iteration indices."""
-        return np.arange(1, len(self) + 1)
 
     def running_frequencies(self, size: int):
         """Yield ``(lo, p_star, q_star)`` for consecutive slices of at most
@@ -98,17 +111,51 @@ class FpTrace:
         n = len(self)
         if n == 0:
             raise ValueError("empty trace has no frequencies")
+        # actions are 1 or 2, so a stream of n sums to 2n minus its 1s
         return (
-            int(np.count_nonzero(self.actions_secondary == 1)) / n,
-            int(np.count_nonzero(self.actions_malicious == 1)) / n,
+            (2 * n - int(self.actions_secondary.sum(dtype=np.int64))) / n,
+            (2 * n - int(self.actions_malicious.sum(dtype=np.int64))) / n,
         )
+
+
+def _leads(u1: np.ndarray, u2: np.ndarray, keep: int) -> np.ndarray:
+    """Where strategy ``keep`` (1 or 2) leads by more than the screen margin.
+
+    A nan or infinite utility never leads, so such stages go to the
+    scalar kernel.
+    """
+    gap = u1 - u2 if keep == 1 else u2 - u1
+    scale = np.maximum(np.abs(u1), np.abs(u2))
+    return gap > SCREEN_REL_MARGIN * np.maximum(scale, 1.0)
+
+
+def _screen(game: BimatrixGame, s: int, m: int, counts: tuple[int, int, int, int], span: int) -> int:
+    """Stages, of the next ``span``, that keep (s, m) by a clear margin.
+
+    ``counts`` are (hs1, hs2, hm1, hm2) before the first of them. While
+    both players keep their actions, each stage adds one to count ``s``
+    of the secondary and to count ``m`` of the jammer, so the weighted
+    utilities of every stage of the window are evaluated at once.
+    """
+    hs1, hs2, hm1, hm2 = counts
+    steps = np.arange(span, dtype=float)
+    w1, w2 = (hm1 + steps, hm2) if m == 1 else (hm1, hm2 + steps)
+    keep = _leads(game.a * w1 + game.b * w2, game.c * w1 + game.d * w2, s)
+    v1, v2 = (hs1 + steps, hs2) if s == 1 else (hs1, hs2 + steps)
+    keep &= _leads(game.e * v1 + game.g * v2, game.f * v1 + game.h * v2, m)
+    first = int(np.argmin(keep))  # the first stage not kept, or 0
+    return first if not keep[first] else span
 
 
 def run_fp(game: BimatrixGame, iterations: int, seed: int) -> FpTrace:
     """Learning run of ``iterations`` stages from an empty history.
 
     Every stage both players best-respond to the rival's counts so far,
-    the secondary first, then both actions are counted.
+    the secondary first, then both actions are counted. Once the actions
+    have held for ``RUN_MIN`` stages, :func:`_screen` fills the following
+    stages that keep them by a clear margin, in windows; the stage that
+    ends the run goes to ``best_response`` as before. Skipped stages are
+    never ties, so they draw nothing from the generator.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1 (got {iterations!r})")
@@ -119,17 +166,55 @@ def run_fp(game: BimatrixGame, iterations: int, seed: int) -> FpTrace:
     act_s = bytearray(iterations)
     act_m = bytearray(iterations)
     hs1 = hs2 = hm1 = hm2 = 0
-    for t in range(iterations):
-        s = best_response(a * hm1 + b * hm2, c * hm1 + d * hm2, rand)
-        m = best_response(e * hs1 + g * hs2, f * hs1 + h * hs2, rand)
-        act_s[t] = s
-        act_m[t] = m
-        if s == 1:
-            hs1 += 1
-        else:
-            hs2 += 1
-        if m == 1:
-            hm1 += 1
-        else:
-            hm2 += 1
+    s = m = 0  # the previous stage's actions
+    streak = 0  # stages in a row that repeated them
+    patience = RUN_MIN
+    t = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < iterations:
+            for t in range(t, iterations):  # scalar stages until a run is long
+                s_t = best_response(a * hm1 + b * hm2, c * hm1 + d * hm2, rand)
+                m_t = best_response(e * hs1 + g * hs2, f * hs1 + h * hs2, rand)
+                act_s[t] = s_t
+                act_m[t] = m_t
+                if s_t == 1:
+                    hs1 += 1
+                else:
+                    hs2 += 1
+                if m_t == 1:
+                    hm1 += 1
+                else:
+                    hm2 += 1
+                if s_t != s or m_t != m:
+                    s, m, streak = s_t, m_t, 0
+                    continue
+                streak += 1
+                if streak >= patience:
+                    break
+            else:
+                break  # every stage is done
+            t += 1  # past the stage that ended the scalar loop
+            skipped = 0
+            window = WINDOW_MIN
+            while t < iterations:
+                span = min(window, iterations - t)
+                n = _screen(game, s, m, (hs1, hs2, hm1, hm2), span)
+                act_s[t : t + n] = bytes((s,)) * n
+                act_m[t : t + n] = bytes((m,)) * n
+                t += n
+                skipped += n
+                if s == 1:
+                    hs1 += n
+                else:
+                    hs2 += n
+                if m == 1:
+                    hm1 += n
+                else:
+                    hm2 += n
+                if n < span:
+                    break
+                window = min(2 * window, WINDOW_MAX)
+            # a screen that skips nothing (nan utilities, a lasting
+            # near-tie) makes the next one wait twice as long
+            patience = RUN_MIN if skipped else 2 * patience
     return FpTrace(game, np.frombuffer(act_s, np.uint8), np.frombuffer(act_m, np.uint8))

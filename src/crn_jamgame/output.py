@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import stat
+import sys
 import tempfile
 
 __all__ = ["write_csv"]
@@ -18,22 +19,32 @@ __all__ = ["write_csv"]
 def write_csv(path: str, columns, rows) -> None:
     """Write the header and one line per row tuple, atomically.
 
-    When ``path`` is missing or a regular file, the lines go to a
-    temporary file beside it that is then renamed onto it (keeping an
-    existing file's permission bits), so a failure (an ``OSError`` or any
-    exception raised by ``rows``) leaves ``path`` as it was and no
-    temporary file behind. Anything else (a symlink such as /dev/stdout,
-    a device, a pipe) is written in place, through the link.
+    When ``path`` is the file open as stdout (``/dev/stdout``, or the
+    file stdout is redirected to), the lines go through ``sys.stdout``,
+    in order with what the command prints. Otherwise, when ``path`` is
+    missing or a regular file, the lines go to a temporary file beside
+    it that is then renamed onto it (keeping an existing file's
+    permission bits), so a failure (an ``OSError`` or any exception
+    raised by ``rows``) leaves ``path`` as it was and no temporary file
+    behind. Anything else (a symlink, a device, a pipe) is written in
+    place, through the link.
     """
     names, formats = zip(*columns)
     header = ",".join(names) + "\n"
     line = ",".join(formats) + "\n"
 
+    def emit(handle) -> None:
+        handle.write(header)
+        handle.writelines(map(line.__mod__, rows))
+
     def write(file) -> None:
         with open(file, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(header)
-            handle.writelines(map(line.__mod__, rows))
+            emit(handle)
 
+    if _is_stdout(path):
+        emit(sys.stdout)
+        sys.stdout.flush()
+        return
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:
@@ -52,3 +63,18 @@ def write_csv(path: str, columns, rows) -> None:
     except BaseException:
         os.unlink(temp)
         raise
+
+
+def _is_stdout(path: str) -> bool:
+    """Whether ``path`` leads to the file open as file descriptor 1.
+
+    Reopening that file (``/dev/stdout`` is ``/proc/self/fd/1``) with
+    mode ``w`` would truncate a redirected file and write at its own
+    offset, over or under the lines printed through ``sys.stdout``;
+    renaming a new file onto it would leave those lines in the old one.
+    """
+    try:
+        out, target = os.fstat(1), os.stat(path)
+    except OSError:
+        return False
+    return (out.st_dev, out.st_ino) == (target.st_dev, target.st_ino)

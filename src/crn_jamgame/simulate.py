@@ -296,6 +296,12 @@ def _running_frequency(hits: np.ndarray, seen: np.ndarray) -> np.ndarray:
         return np.cumsum(hits) / np.cumsum(seen)
 
 
+def _final_frequency(hits: np.ndarray, seen: np.ndarray) -> float:
+    """The last value of ``_running_frequency``, from the two counts."""
+    n = int(np.count_nonzero(seen))
+    return int(np.count_nonzero(hits)) / n if n else float("nan")
+
+
 def _total(payoffs: np.ndarray) -> float:
     """Left-to-right sum from 0.0, the same float a running total gives."""
     return 0.0 + float(np.cumsum(payoffs)[-1])
@@ -355,6 +361,20 @@ class SimulationResult:
         """Moves recorded so far, both categories: (by the jammer, by the secondary)."""
         return np.cumsum(self.seen_by_malicious), np.cumsum(self.seen_by_secondary)
 
+    def _observed(self, category: int):
+        """Yield ``(hits, seen)`` masks of the secondary's, then the
+        jammer's, recorded moves in category code A or B: ``seen`` marks
+        the moves the rival recorded there, ``hits`` those of them that
+        are strategy 1."""
+        game = self.games[category]
+        here = self.category == category
+        for seen_by_rival, switch, first_label in (
+            (self.seen_by_malicious, self.secondary_switch, game.row_labels[0]),
+            (self.seen_by_secondary, self.malicious_switch, game.col_labels[0]),
+        ):
+            seen = seen_by_rival & here
+            yield seen & (switch == (first_label == "switch")), seen
+
     def frequencies(self, category: int) -> tuple[np.ndarray, np.ndarray]:
         """Running (p*, q*) of category code A or B after each slot.
 
@@ -362,21 +382,13 @@ class SimulationResult:
         recorded in that category, q* the jammer's among its moves the
         secondary recorded; nan until the first such record.
         """
-        game = self.games[category]
-        here = self.category == category
-        seen_s = self.seen_by_malicious & here
-        seen_m = self.seen_by_secondary & here
-        first_s = self.secondary_switch == (game.row_labels[0] == "switch")
-        first_m = self.malicious_switch == (game.col_labels[0] == "switch")
-        return (
-            _running_frequency(seen_s & first_s, seen_s),
-            _running_frequency(seen_m & first_m, seen_m),
-        )
+        p_star, q_star = (_running_frequency(*masks) for masks in self._observed(category))
+        return p_star, q_star
 
     @cached_property
     def summary(self) -> SimulationSummary:
-        p_a, q_a = self.frequencies(A)
-        p_b, q_b = self.frequencies(B)
+        p_a, q_a = (_final_frequency(*masks) for masks in self._observed(A))
+        p_b, q_b = (_final_frequency(*masks) for masks in self._observed(B))
         dwell = np.bincount(self.category, minlength=len(CATEGORIES))
         return SimulationSummary(
             slots=len(self),
@@ -386,10 +398,10 @@ class SimulationResult:
             jam_count=int(np.count_nonzero(self.jam)),
             malicious_observations=int(np.count_nonzero(self.seen_by_malicious)),
             secondary_observations=int(np.count_nonzero(self.seen_by_secondary)),
-            p_star_a=float(p_a[-1]),
-            q_star_a=float(q_a[-1]),
-            p_star_b=float(p_b[-1]),
-            q_star_b=float(q_b[-1]),
+            p_star_a=p_a,
+            q_star_a=q_a,
+            p_star_b=p_b,
+            q_star_b=q_b,
         )
 
 

@@ -322,23 +322,60 @@ class TestExitCodes:
         assert [path.name for path in tmp_path.iterdir()] == ["sweep.csv"]
 
 
+def run_cli(args, stdout):
+    """Run the CLI in a fresh interpreter with ``stdout`` as its standard
+    output, block-buffered as it is by default for a file or a pipe."""
+    import crn_jamgame
+
+    env = dict(os.environ, PYTHONPATH=str(Path(crn_jamgame.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "crn_jamgame.cli", *args],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+    )
+
+
 class TestOutputPaths:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_a_link_to_stdout_writes_into_the_redirected_file(self, tmp_path):
         # the shape of `--out /dev/stdout > trace.csv`, with the link kept in tmp_path
-        import crn_jamgame
-
         link = tmp_path / "stdout"
         link.symlink_to("/proc/self/fd/1")
         captured = tmp_path / "captured.txt"
-        env = dict(os.environ, PYTHONPATH=str(Path(crn_jamgame.__file__).parents[1]))
         with captured.open("wb") as stdout:
-            done = subprocess.run(
-                [sys.executable, "-m", "crn_jamgame.cli", "nash", "--out", str(link)],
-                stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
-            )
+            done = run_cli(["nash", "--out", str(link)], stdout)
         assert done.returncode == 0, done.stderr
         text = captured.read_text()
         assert "category,p,q,residual_secondary,residual_malicious,degenerate,pure_equilibria\n" in text
         assert "\nA,0.948,0.84," in text
         assert link.is_symlink() and os.readlink(link) == "/proc/self/fd/1"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("into", ["link-to-file", "link-to-pipe", "the-file-itself"])
+    @pytest.mark.parametrize(
+        "args, csv_first",
+        [(["nash"], False), (["fp", "--iterations", "3"], True), (["fp", "--iterations", "5000"], True)],
+    )
+    def test_csv_and_printed_lines_keep_program_order_on_stdout(self, tmp_path, args, csv_first, into):
+        # `--out /dev/stdout > file`, `--out /dev/stdout | ...` and
+        # `--out file > file`: nash prints its summary before it writes
+        # the CSV, fp after, and both must come out whole and in that order
+        regular = tmp_path / "regular.csv"
+        done = run_cli([*args, "--out", str(regular)], subprocess.PIPE)
+        assert done.returncode == 0, done.stderr
+        captured = tmp_path / "captured.txt"
+        out = captured
+        if into != "the-file-itself":
+            out = tmp_path / "stdout"
+            out.symlink_to("/proc/self/fd/1")
+        printed = done.stdout.decode().replace(str(regular), str(out))
+        csv_text = regular.read_text()
+        if into == "link-to-pipe":
+            done = run_cli([*args, "--out", str(out)], subprocess.PIPE)
+            output = done.stdout.decode()
+        else:
+            with captured.open("wb") as stdout:
+                done = run_cli([*args, "--out", str(out)], stdout)
+            output = captured.read_text()
+        assert done.returncode == 0, done.stderr
+        assert output == (csv_text + printed if csv_first else printed + csv_text)

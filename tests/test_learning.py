@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crn_jamgame import (
@@ -14,6 +14,7 @@ from crn_jamgame import (
     mixed_equilibrium,
     run_fp,
 )
+from crn_jamgame import learning
 from crn_jamgame.games import BimatrixGame
 from crn_jamgame.learning import FpTrace, best_response
 from crn_jamgame.simulate import A, choose_actions
@@ -26,6 +27,15 @@ EQ_B = mixed_equilibrium(GAME_B).mixed
 DOMINANCE_GAME = BimatrixGame(a=1, b=1, c=0, d=0, e=1, f=0, g=1, h=0)
 
 entries = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+# payoffs whose count-weighted sums overflow to +-inf (and to nan as
+# inf - inf), underflow to subnormals, or are signed zeros
+extreme_entries = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1e308, -1e308, 1.7976931348623157e308]
+    ),
+    st.floats(-1.7976931348623157e308, 1.7976931348623157e308, allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+)
 
 
 @st.composite
@@ -181,8 +191,9 @@ class TestFpStep:
         trace = run_fp(GAME_B, 300, seed=1)
         # strategy-1 count after each stage: whole, starting at 0 or 1, and
         # growing by 0 or 1 (the strategy-2 count takes the rest of each stage)
+        stage = np.arange(1, len(trace) + 1)
         for running in (trace.p_star, trace.q_star):
-            counts = running * trace.iterations
+            counts = running * stage
             first = np.rint(counts)
             assert np.allclose(counts, first, rtol=0, atol=1e-9)
             assert first[0] in (0, 1)
@@ -260,15 +271,18 @@ class TestRunFp:
     def test_trace_length_and_counter_conservation(self):
         trace = run_fp(GAME_A, 257, seed=3)
         assert len(trace) == 257
+        stage = np.arange(1, len(trace) + 1)
         for running, actions in (
             (trace.p_star, trace.actions_secondary),
             (trace.q_star, trace.actions_malicious),
         ):
-            counts = running * trace.iterations
+            counts = running * stage
             assert np.allclose(counts, np.rint(counts), rtol=0, atol=1e-9)
             assert np.array_equal(np.rint(counts), np.cumsum(actions == 1))
             assert running[-1] * len(trace) == pytest.approx(round(running[-1] * len(trace)), abs=1e-9)
-        assert trace.iterations[100] == 101
+        # entry 100 is the frequency after 101 stages
+        ones = np.count_nonzero(trace.actions_secondary[:101] == 1)
+        assert trace.p_star[100] * 101 == pytest.approx(ones)
 
     def test_bitwise_deterministic(self):
         first = run_fp(GAME_B, 5_000, seed=11)
@@ -277,10 +291,11 @@ class TestRunFp:
         assert (first.actions_malicious == second.actions_malicious).all()
 
     def test_matches_stepwise_execution(self):
+        # long enough for hundreds of runs of unchanged actions per game
         for game in (GAME_A, GAME_B):
             for seed in (1, 9, 2024):
-                trace = run_fp(game, 2_000, seed)
-                actions_s, actions_m = fp_replay(game, 2_000, seed)
+                trace = run_fp(game, 100_000, seed)
+                actions_s, actions_m = fp_replay(game, 100_000, seed)
                 assert trace.actions_secondary.tolist() == actions_s
                 assert trace.actions_malicious.tolist() == actions_m
 
@@ -292,6 +307,42 @@ class TestRunFp:
         actions_s, actions_m = fp_replay(game, 200, seed)
         assert trace.actions_secondary.tolist() == actions_s
         assert trace.actions_malicious.tolist() == actions_m
+
+    @given(games(source=st.integers(-3, 3)), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_stepwise_execution_over_long_tie_prone_runs(self, game, seed):
+        # long enough for the run screen to start, stop at ties and restart
+        trace = run_fp(game, 3_000, seed)
+        actions_s, actions_m = fp_replay(game, 3_000, seed)
+        assert trace.actions_secondary.tolist() == actions_s
+        assert trace.actions_malicious.tolist() == actions_m
+
+    @given(games(source=extreme_entries), st.integers(0, 2**32))
+    @example(BimatrixGame(*[1e308, -1e308] * 4), 1)  # nan utilities from the third stage
+    @example(BimatrixGame(*[1.7976931348623157e308] * 8), 2)  # +inf on both sides
+    @example(BimatrixGame(*[5e-324, -0.0, -5e-324, 0.0] * 2), 3)  # subnormal gaps
+    @settings(max_examples=100, deadline=None)
+    def test_matches_stepwise_execution_on_extreme_magnitudes(self, game, seed):
+        trace = run_fp(game, 3_000, seed)
+        actions_s, actions_m = fp_replay(game, 3_000, seed)
+        assert trace.actions_secondary.tolist() == actions_s
+        assert trace.actions_malicious.tolist() == actions_m
+
+    def test_long_runs_skip_the_kernel(self, monkeypatch):
+        # the reference game switches a few hundred times in 300,000
+        # stages; a per-stage loop would make 600,000 kernel calls
+        calls = 0
+        kernel = learning.best_response
+
+        def counted(u1, u2, rand):
+            nonlocal calls
+            calls += 1
+            return kernel(u1, u2, rand)
+
+        monkeypatch.setattr(learning, "best_response", counted)
+        trace = run_fp(GAME_A, 300_000, 1)
+        assert len(trace) == 300_000
+        assert calls < 30_000
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

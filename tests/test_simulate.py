@@ -345,6 +345,29 @@ class TestRunSimulation:
                 assert defined.size > 0
                 assert (defined == 1.0).all()
 
+    @given(
+        st.integers(0, 10),
+        st.sampled_from([FixedPolicy(0.3), NashPolicy(), FictitiousPlayPolicy()]),
+        st.sampled_from([FixedPolicy(0.7), NashPolicy(), FictitiousPlayPolicy()]),
+        st.integers(1, 400),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_summary_frequencies_are_the_last_running_frequencies(
+        self, n_primary, secondary, malicious, slots, seed
+    ):
+        # nan when nothing was recorded in the category: always with ten
+        # primaries (every slot is C), often in short runs
+        config = NetworkConfig(n_primary=n_primary)
+        result = run_simulation(config, PolicySpec(secondary, malicious), slots, seed)
+        s = result.summary
+        for code, summary in ((A, (s.p_star_a, s.q_star_a)), (B, (s.p_star_b, s.q_star_b))):
+            for final, running in zip(summary, result.frequencies(code)):
+                last = float(running[-1])
+                assert final == last or (math.isnan(final) and math.isnan(last))
+        if n_primary == 10:
+            assert all(math.isnan(x) for x in (s.p_star_a, s.q_star_a, s.p_star_b, s.q_star_b))
+
     def test_nash_play_realizes_equilibrium_payoffs_in_a_slots(self):
         policies = PolicySpec(secondary=NashPolicy(), malicious=NashPolicy())
         result = run_simulation(REF, policies, 200_000, seed=13)
