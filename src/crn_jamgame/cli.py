@@ -140,8 +140,8 @@ def _require_int(value, field_name: str, minimum: int, maximum: int | None = Non
 
 
 def parse_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, the JSON config file, the environment seed, and
-    flags (in increasing precedence) into a validated RunConfig."""
+    """Merge flags > the JSON config file > ``CRN_JAMGAME_SEED`` > defaults
+    (in decreasing precedence) into a validated RunConfig."""
     file_values: dict = {}
     if args.config is not None:
         try:
@@ -407,7 +407,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     print(f"cumulative payoff secondary: {_fmt(s.cumulative_secondary_payoff)}")
     print(f"cumulative payoff malicious: {_fmt(s.cumulative_malicious_payoff)}")
     dwell = " ".join(
-        f"{cat.value}={s.category_counts[cat]} ({_fmt(s.dwell_fraction(cat))})"
+        f"{cat.value}={s.category_counts[cat]} ({_fmt(s.category_counts[cat] / s.slots)})"
         for cat in (Category.A, Category.B, Category.C)
     )
     print(f"category dwell: {dwell}")

@@ -20,15 +20,17 @@ secondary's coin is flipped before the jammer's, so identical
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Callable
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
 
 from .games import BimatrixGame
 
-__all__ = ["FpTrace", "best_response", "run_fp"]
+__all__ = ["FpTrace", "best_response", "fit_to_counts", "run_fp"]
 
 #: Relative tie tolerance for best responses: utilities closer than this
 #: fraction of ``max(1, |u1|, |u2|)`` count as equal.
@@ -58,6 +60,18 @@ def best_response(u1: float, u2: float, rand: Callable[[], float]) -> int:
     if abs(u1 - u2) <= TIE_REL_TOL * max(1.0, abs(u1), abs(u2)):
         return 1 if rand() < 0.5 else 2
     return 1 if u1 > u2 else 2
+
+
+def fit_to_counts(game: BimatrixGame, stages: int) -> BimatrixGame:
+    """``game``, scaled by a power of two if its entries weighted by counts
+    summing to at most ``stages`` could pass 2**1020, so that no weighted
+    sum or difference overflows. The scaling is exact and keeps the order
+    of every weighted sum; any other game is returned as it is."""
+    top = max(abs(getattr(game, x)) for x in "abcdefgh")
+    if top * stages <= 2.0**1020:
+        return game
+    shift = math.frexp(top)[1] + math.frexp(stages)[1] - 1020
+    return replace(game, **{x: math.ldexp(getattr(game, x), -shift) for x in "abcdefgh"})
 
 
 class FpTrace:
@@ -155,13 +169,15 @@ def run_fp(game: BimatrixGame, iterations: int, seed: int) -> FpTrace:
     have held for ``RUN_MIN`` stages, :func:`_screen` fills the following
     stages that keep them by a clear margin, in windows; the stage that
     ends the run goes to ``best_response`` as before. Skipped stages are
-    never ties, so they draw nothing from the generator.
+    never ties, so they draw nothing from the generator. Counts weight
+    ``fit_to_counts(game, iterations)``.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1 (got {iterations!r})")
     rand = random.Random(seed).random
-    a, b, c, d = game.a, game.b, game.c, game.d
-    e, f, g, h = game.e, game.f, game.g, game.h
+    weights = fit_to_counts(game, iterations)
+    a, b, c, d = weights.a, weights.b, weights.c, weights.d
+    e, f, g, h = weights.e, weights.f, weights.g, weights.h
     # bytearray stores are cheaper than NumPy item assignment in the loop
     act_s = bytearray(iterations)
     act_m = bytearray(iterations)
@@ -198,7 +214,7 @@ def run_fp(game: BimatrixGame, iterations: int, seed: int) -> FpTrace:
             window = WINDOW_MIN
             while t < iterations:
                 span = min(window, iterations - t)
-                n = _screen(game, s, m, (hs1, hs2, hm1, hm2), span)
+                n = _screen(weights, s, m, (hs1, hs2, hm1, hm2), span)
                 act_s[t : t + n] = bytes((s,)) * n
                 act_m[t : t + n] = bytes((m,)) * n
                 t += n

@@ -20,7 +20,6 @@ __all__ = [
     "pure_equilibria",
     "mixed_equilibrium",
     "verify_equilibrium",
-    "profile_from_pure",
 ]
 
 #: |a - c + d - b| below this counts as a vanishing indifference denominator.
@@ -125,14 +124,3 @@ def verify_equilibrium(game: BimatrixGame, profile: MixedProfile, tolerance: flo
     gain_row = max(u_s1, u_s2) - (p * u_s1 + (1.0 - p) * u_s2)
     gain_col = max(u_m1, u_m2) - (q * u_m1 + (1.0 - q) * u_m2)
     return gain_row <= tolerance and gain_col <= tolerance
-
-
-def profile_from_pure(pure: tuple[int, int]) -> MixedProfile:
-    """Degenerate mixture playing the given 1-based pure strategy pair."""
-    row, col = pure
-    if row not in (1, 2) or col not in (1, 2):
-        raise ValueError(f"pure profile indices must be 1 or 2 (got {pure!r})")
-    return MixedProfile(
-        p_secondary_first=1.0 if row == 1 else 0.0,
-        q_malicious_first=1.0 if col == 1 else 0.0,
-    )

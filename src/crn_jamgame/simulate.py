@@ -23,22 +23,30 @@ out of category C. Observed moves are counted in the bucket of the
 category they were chosen in.
 
 Randomness per run, in draw order: initial secondary band, initial jammer
-band, initial licensed users; then per slot: secondary action draw,
-jammer action draw, next licensed users, secondary target band, jammer
-target band. Identical (config, policies, slots, seed) inputs replay
-identical runs.
+band, initial licensed-user draw; then per slot: secondary action draw,
+jammer action draw, licensed-user draw, secondary target band, jammer
+target band (a Nash policy at a pure equilibrium draws no action,
+fictitious play draws only on ties, and no licensed-user draw is made
+when ``n_primary`` is 0 or ``n_bands``). Licensed users are placed afresh
+every slot, independent of the players; a slot needs of them only
+whether one sits on the secondary's settled band (silenced: category C,
+no jam), which has probability exactly ``n_primary / n_bands`` whatever
+that band, so one draw (:func:`draw_silenced`) gives the process the law
+of placing them all. Identical (config, policies, slots, seed) inputs
+replay identical runs.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .games import BimatrixGame, Category, NetworkConfig, build_game
-from .learning import best_response
+from .learning import best_response, fit_to_counts
 from .nash import EquilibriumReport, mixed_equilibrium
 
 __all__ = [
@@ -52,8 +60,9 @@ __all__ = [
     "PolicySpec",
     "SimulationSummary",
     "SimulationResult",
-    "place_primaries",
+    "draw_silenced",
     "classify_state",
+    "plan_policies",
     "choose_actions",
     "settle_slot",
     "update_histories",
@@ -104,100 +113,92 @@ class PolicySpec:
     malicious: Policy
 
 
-def place_primaries(config: NetworkConfig, rng: random.Random) -> list[int]:
-    """Uniformly place the licensed users on distinct bands.
-
-    Sampling without replacement makes each band's marginal occupancy
-    exactly ``n_primary / n_bands``.
-    """
-    if config.n_primary > config.n_bands:
-        raise ValueError("cannot place more licensed users than bands")
-    return rng.sample(range(config.n_bands), config.n_primary)
+def draw_silenced(config: NetworkConfig, rng: random.Random) -> bool:
+    """Whether a licensed user sits on the secondary's band: one
+    ``randrange(n_bands) < n_primary`` draw, none when that is certain."""
+    if 0 < config.n_primary < config.n_bands:
+        return rng.randrange(config.n_bands) < config.n_primary
+    return config.n_primary > 0
 
 
-def classify_state(secondary_band: int, malicious_band: int, primaries: list[int]) -> int:
-    """Category code of an occupancy.
-
-    A licensed user on the secondary's band silences it, leaving the
-    jammer nothing to sense: category C. Otherwise the secondary
-    transmits, and co-location means a jam revealing both positions
-    (category A); in any other case the jammer senses the secondary's
-    band while staying invisible itself (category B).
-    """
-    if secondary_band in primaries:
+def classify_state(secondary_band: int, malicious_band: int, silenced: bool) -> int:
+    """Category code: C if a licensed user silences the secondary (the
+    jammer senses nothing), else A if co-located (a jam reveals both),
+    else B (the jammer senses the secondary's band, unseen)."""
+    if silenced:
         return C
     if malicious_band == secondary_band:
         return A
     return B
 
 
-#: Offset of each move in a per-move count list: [secondary switch,
-#: secondary stay, jammer switch, jammer stay].
-_MOVE = {"switch": 0, "stay": 1}
+#: A resolved policy: (the category's per-move counts, generator) -> switch flag.
+Draw = Callable[[list[int], random.Random], bool]
 
 
-def _draw_strategy(
-    policy: Policy,
-    is_secondary: bool,
-    game: BimatrixGame,
-    counts: list[int],
-    equilibrium: EquilibriumReport,
-    rng: random.Random,
-) -> int:
+def _plan(
+    policy: Policy, secondary: bool, game: BimatrixGame, equilibrium: EquilibriumReport, slots: int
+) -> Draw:
+    own, rival = game.row_labels, game.col_labels
+    if not secondary:
+        own, rival = rival, own
+    switch = (None, own[0] == "switch", own[1] == "switch")  # by strategy index
+    if isinstance(policy, FictitiousPlayPolicy):
+        # the rival's strategies as offsets into the per-move counts
+        # [secondary switch, secondary stay, jammer switch, jammer stay]
+        i1, i2 = ((2 if secondary else 0) + ("switch", "stay").index(x) for x in rival)
+        w = fit_to_counts(game, slots)
+        x1, x2, y1, y2 = (w.a, w.b, w.c, w.d) if secondary else (w.e, w.g, w.f, w.h)
+
+        def learn(counts: list[int], rng: random.Random) -> bool:
+            n1, n2 = counts[i1], counts[i2]
+            return switch[best_response(x1 * n1 + x2 * n2, y1 * n1 + y2 * n2, rng.random)]
+
+        return learn
     if isinstance(policy, FixedPolicy):
-        return 1 if rng.random() < policy.probability_first else 2
-    if isinstance(policy, NashPolicy):
-        if equilibrium.mixed is not None:
-            prob = (
-                equilibrium.mixed.p_secondary_first
-                if is_secondary
-                else equilibrium.mixed.q_malicious_first
-            )
-            return 1 if rng.random() < prob else 2
-        if equilibrium.pure:
-            row, col = equilibrium.pure[0]
-            return row if is_secondary else col
-        return 1 if rng.random() < 0.5 else 2
-    # count-weighted utilities against the rival's moves in its strategy order
-    if is_secondary:
-        n1 = counts[2 + _MOVE[game.col_labels[0]]]
-        n2 = counts[2 + _MOVE[game.col_labels[1]]]
-        return best_response(game.a * n1 + game.b * n2, game.c * n1 + game.d * n2, rng.random)
-    n1 = counts[_MOVE[game.row_labels[0]]]
-    n2 = counts[_MOVE[game.row_labels[1]]]
-    return best_response(game.e * n1 + game.g * n2, game.f * n1 + game.h * n2, rng.random)
+        first = policy.probability_first
+    elif equilibrium.mixed is not None:
+        mixed = equilibrium.mixed
+        first = mixed.p_secondary_first if secondary else mixed.q_malicious_first
+    elif equilibrium.pure:
+        fixed = switch[equilibrium.pure[0][0 if secondary else 1]]
+        return lambda counts, rng: fixed
+    else:
+        first = 0.5
+    return lambda counts, rng: switch[1] if rng.random() < first else switch[2]
+
+
+def plan_policies(
+    policies: PolicySpec, games: tuple[BimatrixGame, BimatrixGame], slots: int
+) -> tuple[tuple[Draw, Draw], tuple[Draw, Draw]]:
+    """Both players' policies in the games of category codes A and B,
+    resolved once per run into (secondary, jammer) pairs of draws.
+
+    Fixed play, and Nash play of a mixed equilibrium, draw strategy 1
+    with its probability; Nash play of a pure one draws nothing. Fictitious
+    play weights ``fit_to_counts(game, slots)`` by counts below ``slots``.
+    """
+    policy_s, policy_m = policies.secondary, policies.malicious
+    return tuple(
+        (_plan(policy_s, True, game, eq, slots), _plan(policy_m, False, game, eq, slots))
+        for game, eq in zip(games, map(mixed_equilibrium, games))
+    )
 
 
 def choose_actions(
     category: int,
-    policies: PolicySpec,
-    games: tuple[BimatrixGame, BimatrixGame],
+    plans: tuple[tuple[Draw, Draw], tuple[Draw, Draw]],
     histories: tuple[list[int], list[int]],
     rng: random.Random,
-    equilibria: tuple[EquilibriumReport, EquilibriumReport] | None = None,
 ) -> tuple[bool, bool]:
-    """Both players' switch flags for the slot.
-
-    ``games``, ``histories`` and ``equilibria`` are indexed by category
-    code (A, B). Category C forces (stay, stay) with no policy or
-    randomness involved. In A and B the secondary's draw precedes the
-    jammer's, and each drawn strategy index becomes a move through the
-    game's labels.
-    """
+    """Both players' switch flags for the slot, the secondary's drawn
+    first. ``plans`` (from :func:`plan_policies`) and ``histories`` are
+    indexed by category code (A, B); category C forces (stay, stay)."""
     if category == C:
         return (False, False)
-    game = games[category]
+    draw_s, draw_m = plans[category]
     counts = histories[category]
-    if equilibria is not None:
-        equilibrium = equilibria[category]
-    else:
-        equilibrium = mixed_equilibrium(game)
-    strat_s = _draw_strategy(policies.secondary, True, game, counts, equilibrium, rng)
-    strat_m = _draw_strategy(policies.malicious, False, game, counts, equilibrium, rng)
-    return (
-        game.row_labels[strat_s - 1] == "switch",
-        game.col_labels[strat_m - 1] == "switch",
-    )
+    return draw_s(counts, rng), draw_m(counts, rng)
 
 
 def _other_band(current: int, n_bands: int, rng: random.Random) -> int:
@@ -213,14 +214,16 @@ def settle_slot(
     actions: tuple[bool, bool],
     config: NetworkConfig,
     rng: random.Random,
-) -> tuple[int, int, list[int], bool, float, float]:
+) -> tuple[int, int, bool, bool, float, float]:
     """Resolve movement, fresh licensed users, jam and realized payoffs.
 
-    Returns ``(secondary_band, malicious_band, primaries, jam, payoff_s,
-    payoff_m)`` after the slot. Draw order: licensed users first, then the
-    secondary's target band (if it switches), then the jammer's (category
-    A only; in category B a switching jammer goes straight to the
-    secondary's prior band). In category C nobody moves.
+    Returns ``(secondary_band, malicious_band, silenced, jam, payoff_s,
+    payoff_m)`` after the slot, where ``silenced`` says a licensed user
+    sits on the secondary's settled band. Draw order: the licensed-user
+    draw first (:func:`draw_silenced`), then the secondary's target band
+    (if it switches), then the jammer's (category A only; in category B a
+    switching jammer goes straight to the secondary's prior band). In
+    category C nobody moves.
 
     Payoffs come from the post-move occupancy: the secondary earns its
     gain when transmitting unjammed, loses the jam loss when co-located
@@ -230,7 +233,7 @@ def settle_slot(
     category B the secondary's cost applies only when the jammer stays.
     """
     switch_s, switch_m = actions
-    primaries = place_primaries(config, rng)
+    silenced = draw_silenced(config, rng)
     sec_band = secondary_band
     mal_band = malicious_band
     if category != C:
@@ -241,7 +244,6 @@ def settle_slot(
                 mal_band = _other_band(malicious_band, config.n_bands, rng)
             else:
                 mal_band = secondary_band
-    silenced = sec_band in primaries
     jam = (not silenced) and mal_band == sec_band
     payoff_s = 0.0 if silenced else (-config.loss_secondary if jam else config.gain_secondary)
     payoff_m = config.gain_malicious if jam else 0.0
@@ -250,7 +252,7 @@ def settle_slot(
             payoff_s -= config.cost_secondary_switch
         if switch_m:
             payoff_m -= config.cost_malicious_switch
-    return sec_band, mal_band, primaries, jam, payoff_s, payoff_m
+    return sec_band, mal_band, silenced, jam, payoff_s, payoff_m
 
 
 def update_histories(
@@ -323,21 +325,18 @@ class SimulationSummary:
     p_star_b: float
     q_star_b: float
 
-    def dwell_fraction(self, category: Category) -> float:
-        return self.category_counts[category] / self.slots if self.slots else float("nan")
-
 
 @dataclass(eq=False)
 class SimulationResult:
     """Column-oriented record of a run: row ``t`` is slot ``t``.
 
-    ``category`` holds category codes. ``secondary_band``,
-    ``malicious_band`` and ``primary_bands`` (one row of ``n_primary``
-    licensed-user bands per slot) are the pre-action state; the switch
-    flags are the players' moves; ``jam`` and the payoffs are the settled
-    outcome. ``seen_by_malicious`` marks the slots whose secondary move
-    the jammer recorded, ``seen_by_secondary`` those whose jammer move the
-    secondary recorded. Observation totals, running frequencies and the
+    ``category`` holds category codes (C exactly when a licensed user
+    silenced the secondary). ``secondary_band`` and ``malicious_band``
+    are the pre-action state; the switch flags are the players' moves;
+    ``jam`` and the payoffs are the settled outcome.
+    ``seen_by_malicious`` marks the slots whose secondary move the jammer
+    recorded, ``seen_by_secondary`` those whose jammer move the secondary
+    recorded. Observation totals, running frequencies and the
     summary are derived on demand.
     """
 
@@ -345,7 +344,6 @@ class SimulationResult:
     category: np.ndarray
     secondary_band: np.ndarray
     malicious_band: np.ndarray
-    primary_bands: np.ndarray
     secondary_switch: np.ndarray
     malicious_switch: np.ndarray
     jam: np.ndarray
@@ -421,42 +419,39 @@ def run_simulation(
         raise ValueError(f"slots must be >= 1 (got {slots!r})")
     rng = random.Random(seed)
     games = (build_game(config, Category.A), build_game(config, Category.B))
-    equilibria = (mixed_equilibrium(games[A]), mixed_equilibrium(games[B]))
+    plans = plan_policies(policies, games, slots)
     band = np.min_scalar_type(config.n_bands - 1)
-    category = np.empty(slots, np.int8)
     secondary_band = np.empty(slots, band)
     malicious_band = np.empty(slots, band)
-    primary_bands = np.empty((slots, config.n_primary), band)
-    secondary_switch = np.empty(slots, bool)
-    malicious_switch = np.empty(slots, bool)
-    jam = np.empty(slots, bool)
     secondary_payoff = np.empty(slots)
     malicious_payoff = np.empty(slots)
-    seen_by_malicious = np.empty(slots, bool)
-    seen_by_secondary = np.empty(slots, bool)
+    # one-byte columns fill bytearrays: their item stores cost a third of NumPy's
+    category, secondary_switch, malicious_switch, jam, seen_by_malicious, seen_by_secondary = (
+        bytearray(slots) for _ in range(6)
+    )
 
     sec = rng.randrange(config.n_bands)
     mal = rng.randrange(config.n_bands)
-    primaries = place_primaries(config, rng)
-    cat = classify_state(sec, mal, primaries)
+    cat = classify_state(sec, mal, draw_silenced(config, rng))
     histories = ([0, 0, 0, 0], [0, 0, 0, 0])
     for t in range(slots):
         category[t] = cat
         secondary_band[t] = sec
         malicious_band[t] = mal
-        primary_bands[t] = primaries
-        actions = choose_actions(cat, policies, games, histories, rng, equilibria)
+        actions = choose_actions(cat, plans, histories, rng)
         secondary_switch[t], malicious_switch[t] = actions
-        sec, mal, primaries, jam[t], secondary_payoff[t], malicious_payoff[t] = settle_slot(
+        sec, mal, silenced, jam[t], secondary_payoff[t], malicious_payoff[t] = settle_slot(
             cat, sec, mal, actions, config, rng
         )
-        next_cat = classify_state(sec, mal, primaries)
+        next_cat = classify_state(sec, mal, silenced)
         seen_by_malicious[t], seen_by_secondary[t] = update_histories(
             cat, actions, next_cat, histories
         )
         cat = next_cat
+    view = np.frombuffer
     return SimulationResult(
-        games, category, secondary_band, malicious_band, primary_bands,
-        secondary_switch, malicious_switch, jam, secondary_payoff, malicious_payoff,
-        seen_by_malicious, seen_by_secondary,
+        games, view(category, np.int8), secondary_band, malicious_band,
+        view(secondary_switch, bool), view(malicious_switch, bool), view(jam, bool),
+        secondary_payoff, malicious_payoff,
+        view(seen_by_malicious, bool), view(seen_by_secondary, bool),
     )

@@ -1,10 +1,11 @@
 """Independent oracles the tests check the library against.
 
 Everything here recomputes results from first principles (grid search,
-direct Monte Carlo placement, stage-by-stage replay) without going
-through the code paths under test.
+direct Monte Carlo placement, stage-by-stage replay, an exact Markov
+chain) without going through the code paths under test.
 """
 
+import math
 import random
 
 import numpy as np
@@ -98,9 +99,18 @@ def fp_replay(game, iterations, seed):
     and plays the strategy with the larger total. Totals within
     ``1e-9 * max(1, |u1|, |u2|)`` of each other tie, and a tie is a fair
     coin (``random() < 0.5`` picks strategy 1) on one ``random.Random(seed)``,
-    the secondary's coin before the jammer's. Returns the two action lists.
+    the secondary's coin before the jammer's. When max|payoff| x
+    iterations exceeds 2**1020, every payoff is first multiplied by
+    2**-k, k = (binary exponent of max|payoff|) + (that of iterations) -
+    1020, exponents as ``math.frexp`` gives them, so no weighted total
+    can overflow. Returns the two action lists.
     """
     rng = random.Random(seed)
+    cells = [(row, col) for row in (1, 2) for col in (1, 2)]
+    top = max(abs(x) for cell in cells for x in (game.row_payoff(*cell), game.col_payoff(*cell)))
+    scale = 1.0
+    if top * iterations > 2.0**1020:
+        scale = 2.0 ** -(math.frexp(top)[1] + math.frexp(iterations)[1] - 1020)
 
     def pick(u1, u2):
         if abs(u1 - u2) <= 1e-9 * max(1.0, abs(u1), abs(u2)):
@@ -111,8 +121,14 @@ def fp_replay(game, iterations, seed):
     played_m = {1: 0, 2: 0}
     actions_s, actions_m = [], []
     for _ in range(iterations):
-        u_s = [sum(game.row_payoff(row, col) * played_m[col] for col in (1, 2)) for row in (1, 2)]
-        u_m = [sum(game.col_payoff(row, col) * played_s[row] for row in (1, 2)) for col in (1, 2)]
+        u_s = [
+            sum(game.row_payoff(row, col) * scale * played_m[col] for col in (1, 2))
+            for row in (1, 2)
+        ]
+        u_m = [
+            sum(game.col_payoff(row, col) * scale * played_s[row] for row in (1, 2))
+            for col in (1, 2)
+        ]
         action_s = pick(*u_s)
         action_m = pick(*u_m)
         played_s[action_s] += 1
@@ -120,6 +136,77 @@ def fp_replay(game, iterations, seed):
         actions_s.append(action_s)
         actions_m.append(action_m)
     return actions_s, actions_m
+
+
+def interior_equilibrium(a, b, c, d, e, f, g, h):
+    """Strategy-1 probabilities (p, q) of a 2x2 game's fully mixed equilibrium.
+
+    Entries are laid out as in the package: the secondary's payoffs
+    (a, b; c, d) and the jammer's (e, f; g, h) for cells (1,1), (1,2),
+    (2,1), (2,2). p makes the jammer indifferent, q the secondary. Returns
+    None unless both lie strictly inside (0, 1).
+    """
+    den_p = e - f - g + h
+    den_q = a - b - c + d
+    if den_p == 0 or den_q == 0:
+        return None
+    p = (h - g) / den_p
+    q = (d - b) / den_q
+    return (p, q) if 0 < p < 1 and 0 < q < 1 else None
+
+
+def slot_chain(n_bands, n_primary, switch_a, switch_b):
+    """Transition matrix of the slot process when every move is an
+    independent draw given the slot's category (fixed or Nash play).
+
+    States: A, B, C with the players on one band, C with them apart.
+    ``switch_a`` and ``switch_b`` are (secondary, jammer) switch
+    probabilities in categories A and B. A switcher lands uniformly on
+    one of the other bands (u = 1/(n_bands - 1)), except the jammer in B,
+    which jumps to the secondary's band. Licensed users are placed afresh
+    every slot, so the next slot is C with probability
+    rho = n_primary / n_bands whatever the moves; nobody moves in C.
+    """
+    rho = n_primary / n_bands
+    u = 1.0 / (n_bands - 1)
+    s, m = switch_a
+    together_after_a = (1 - s) * (1 - m) + s * m * u
+    s, m = switch_b
+    together_after_b = (1 - s) * m + s * (1 - m) * u
+    chain = np.zeros((4, 4))
+    for state, together in enumerate((together_after_a, together_after_b, 1.0, 0.0)):
+        chain[state] = (
+            (1 - rho) * together,
+            (1 - rho) * (1 - together),
+            rho * together,
+            rho * (1 - together),
+        )
+    return chain
+
+
+#: Indicators of categories A, B and C on the states of ``slot_chain``.
+CHAIN_CATEGORIES = {"A": (1, 0, 0, 0), "B": (0, 1, 0, 0), "C": (0, 0, 1, 1)}
+
+
+def long_run_share(chain, indicator, slots, z):
+    """Stationary share of the states in ``indicator`` and a CLT band for
+    its average over ``slots`` slots from any start.
+
+    Returns ``(share, half_width)``. With the fundamental matrix
+    Z = (I - P + 1 pi)^-1 and g = Z (f - pi f), the asymptotic variance of
+    the slot average is sum_i pi_i fbar_i (2 g_i - fbar_i); the band is
+    ``z`` of its standard errors plus the start's bias, at most
+    2 max|g| / slots.
+    """
+    n = len(chain)
+    coefficients = np.vstack([(np.asarray(chain) - np.eye(n)).T, np.ones(n)])
+    pi = np.linalg.lstsq(coefficients, np.r_[np.zeros(n), 1.0], rcond=None)[0]
+    f = np.asarray(indicator, float)
+    share = float(pi @ f)
+    fbar = f - share
+    g = np.linalg.solve(np.eye(n) - chain + np.outer(np.ones(n), pi), fbar)
+    variance = max(float(np.sum(pi * fbar * (2 * g - fbar))), 0.0)
+    return share, z * (variance / slots) ** 0.5 + 2 * float(np.max(np.abs(g))) / slots
 
 
 def csv_line(row):

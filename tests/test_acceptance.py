@@ -27,7 +27,7 @@ from crn_jamgame import (
 )
 from crn_jamgame.cli import main
 from crn_jamgame.games import BimatrixGame
-from crn_jamgame.nash import profile_from_pure
+from crn_jamgame.nash import MixedProfile
 from crn_jamgame.simulate import CATEGORIES, C, settle_slot
 from oracles import grid_accepts_near, grid_equilibria
 
@@ -125,8 +125,8 @@ def test_criterion_3_solver_soundness():
         if report.mixed is not None:
             mixed_count += 1
         ok = all(
-            verify_equilibrium(game, profile_from_pure(pure), 1e-6)
-            for pure in profiles
+            verify_equilibrium(game, MixedProfile(2.0 - row, 2.0 - col), 1e-6)  # pure (row, col)
+            for row, col in profiles
         )
         if report.mixed is not None:
             ok = ok and verify_equilibrium(game, report.mixed, 1e-6)
@@ -233,19 +233,22 @@ def test_criterion_5_settlement_reproduces_the_tables():
     within_budget(5, elapsed, 60.0)
 
 
-def test_criterion_6_primary_occupancy_marginal():
+def test_criterion_6_licensed_user_draw():
     start = time.perf_counter()
     policies = PolicySpec(secondary=FixedPolicy(0.5), malicious=FixedPolicy(0.5))
-    result = run_simulation(REF, policies, 100_000, seed=6)
-    hits = np.bincount(result.primary_bands.ravel(), minlength=REF.n_bands)
-    frequencies = hits / 100_000
-    worst = float(np.max(np.abs(frequencies - 0.5)))
+    slots = 100_000
+    result = run_simulation(REF, policies, slots + 1, seed=6)
+    # slot t + 1 is C exactly when a licensed user sits on slot t's settled secondary band
+    silenced = np.count_nonzero(result.category[1:] == C) / slots
+    expected = REF.n_primary / REF.n_bands
+    gap = abs(silenced - expected)
     elapsed = time.perf_counter() - start
     check(
         6,
-        "every band's primary-occupancy frequency is 0.5 +- 0.006 over 100000 slots",
-        worst <= 0.006,
-        f"worst |f - 0.5| = {worst:.4f}",
+        f"the settled secondary band is silenced in a share {expected} +- 0.006 "
+        f"of {slots} slots",
+        gap <= 0.006,
+        f"measured {silenced:.4f}",
     )
     within_budget(6, elapsed, 10.0)
 

@@ -76,28 +76,28 @@ GOLDEN = {
         "5f10a2b7ed0190ef294d78811a58da3eb37d8b56fa62140bad5cb0e1ccd9a26f",
     ),
     "simulate-fixed-seed1": (
-        "b58f103fd9deff709c20743835cb2d83818efa5ae1f525dfdf5fde4e1572c04f",
-        "df1d7bdf8cd160fa6df6930d41812e33b539a865329951387845e30ae3db04fb",
+        "71443bc0bb6e7a1da144ea8785e3f5c6388dfcffa5c9d673b1fcd5aee8770b8d",
+        "d206ac35f80ace488f532e53628266025d6f2d9319715dc39deaf9537c307012",
     ),
     "simulate-fixed-seed2": (
-        "368325e9489dbdc4e7a9f3d8053ee4ad611e801f678fbf7656e4bb48af988a07",
-        "80b275ee3b67daf4a0f1f797134499d4567e5e96fff2f15e2e841d2524d17ced",
+        "21d9055c5d9e6f5ec372ccb16f1943ad662647f6617accc6df96f8b7053c47b5",
+        "a99e0eab1d0b54f2c2b0c315b0f746c6e28b7ad09747af4c8bc1beaa17d597d7",
     ),
     "simulate-fp-seed1": (
-        "d028e58b7ed9c60752fc291dfb389525f19073f77fa1ad4f7a1ba7e41c96eae1",
-        "996bb3187e99257171f5c5d45b536a410cb58495637ab7b08d9cb35337b7ec6b",
+        "e3416541c88e093559bf7411124675f480abf06594351cccec7ad22af0b99e99",
+        "0072da3beea064efb498046440248219196abfcbccc7056d6211d8ee2adc62d2",
     ),
     "simulate-fp-seed2": (
-        "8821d98e93f93cc71586b97ce2e46e9d46638446a790ce82f84ef63ce6004667",
-        "291e71925e960db85879b338105a5c5c7739ac6c7dab34c97b2c1643a8d705c6",
+        "6d3e08b24867eef70b06ede50e32f977f2cf408bd113e5d815656e43fd310a7c",
+        "723dcca488ab53f376666871799b6e854f1a5bc5a24435e169dcc9e4477fd05f",
     ),
     "simulate-nash-crowded-seed1": (
-        "0dd655beac7632bca7e9a6623a564f4bff4c07108f85af56e62fbf42f70136ab",
-        "418a819cd85c8bcbd71c615ecd18caac2da8735a3aa73e0f8b09ac661b317da1",
+        "175689e8f9a76f1d97e07dd23cba9e9952c06f729c370f0e60e46326b2a657a2",
+        "c0d9a5eb8159f3b0722e3e3b04231d1737b618247f290eca100d77f6df171429",
     ),
     "simulate-nash-crowded-seed2": (
-        "d6bc24715113e519e820c897317d6fe1762d26be72852a1a71c17c0fa1c574dc",
-        "9b7ba6f2454d26d2c04c8927a5c686d5c589d16d566c17941ce3013c63e7877f",
+        "6d47682e9759e4798580c322440d909fb7a44facf0808197ac7d44e6f9a15520",
+        "21e42e56f60349f97d43b41e0c0204eecf403b97e6a2a94a49f3d9a4cf77a8c3",
     ),
     "simulate-saturated-seed1": (
         "fdf4709b88554e37048ad204f7ec2236cc0bd8399676b2f330937bcca5c7a156",
@@ -128,12 +128,12 @@ GOLDEN = {
         "5b257d559c7f3ed8b59a2632314ab78ea1281df2bbba4a5863767c87c8810f4a",
     ),
     "simulate-fp-5003": (
-        "35b6f00962016e903fc896a91aba61faf60dbb354608afc0be963dca042fb526",
-        "2e2cafe34e9df0b86a9293d5832e67110632f2c8c4a1e808ca7eb17236ca3d70",
+        "ca32c3fdeb664db2a93c80ece8b98ecb5bf0cd02bcc2c98dddc211be76255553",
+        "1728ad306a37be722fafa09bbcb65ff399e164230fc319e3a039733ec3fc0a40",
     ),
     "simulate-nash-crowded-5003": (
-        "7f022cf04eaad09f8ec1c36c8c354f6939bf22702b29d9ba8b55c85a180ef634",
-        "253efcd9a2f885e7f2505ae0958cdcb5c34c308f1ec4a3ea106b90b8ac9b74e0",
+        "556efe741601bf41dd7f8549888b4645bb94c04072bd9cab61cfe86e747b46f1",
+        "fe3c40630f0608e7148ac6ec001cf0f71dda3ef65ad79626fd6a616852b601a9",
     ),
     "sweep-fp-2x3": (
         "ff3febba85e1ee121f314e6aa96329ee45425b291a77889140e9fcb315806eeb",

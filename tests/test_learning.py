@@ -1,4 +1,6 @@
+import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -15,15 +17,18 @@ from crn_jamgame import (
     run_fp,
 )
 from crn_jamgame import learning
+from crn_jamgame.cli import main
 from crn_jamgame.games import BimatrixGame
 from crn_jamgame.learning import FpTrace, best_response
-from crn_jamgame.simulate import A, choose_actions
+from crn_jamgame.simulate import A, choose_actions, plan_policies
 from oracles import fp_replay
 
 GAME_A = build_game(NetworkConfig(), Category.A)
 GAME_B = build_game(NetworkConfig(), Category.B)
 EQ_A = mixed_equilibrium(GAME_A).mixed
 EQ_B = mixed_equilibrium(GAME_B).mixed
+#: Payoffs near the float maximum: count-weighted sums overflow unscaled.
+HUGE = NetworkConfig(gain_malicious=1e308, loss_secondary=1e308, gain_secondary=1e308)
 DOMINANCE_GAME = BimatrixGame(a=1, b=1, c=0, d=0, e=1, f=0, g=1, h=0)
 
 entries = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
@@ -101,9 +106,10 @@ class TestExpectedUtilities:
         # the simulator's learning jammer stays on the same counts
         # (per-move list: secondary switch, secondary stay, jammer switch, jammer stay)
         policies = PolicySpec(FictitiousPlayPolicy(), FictitiousPlayPolicy())
+        plans = plan_policies(policies, (GAME_A, GAME_B), 100)
         for seed in range(10):
             counts = ([0, 10, 0, 0], [0, 0, 0, 0])
-            _, switch_m = choose_actions(A, policies, (GAME_A, GAME_B), counts, random.Random(seed))
+            _, switch_m = choose_actions(A, plans, counts, random.Random(seed))
             assert not switch_m
 
 
@@ -343,6 +349,40 @@ class TestRunFp:
         trace = run_fp(GAME_A, 300_000, 1)
         assert len(trace) == 300_000
         assert calls < 30_000
+
+    @pytest.mark.parametrize("category", [Category.A, Category.B])
+    def test_overflowing_games_learn_like_their_scaled_copies(self, category):
+        # counts times 1e308 overflow; the same game scaled by 2**-1000 does not
+        game = build_game(HUGE, category)
+        small = BimatrixGame(
+            *(math.ldexp(getattr(game, x), -1000) for x in "abcdefgh"),
+            row_labels=game.row_labels,
+            col_labels=game.col_labels,
+        )
+        for seed in (1, 2, 3):
+            trace, twin = run_fp(game, 2_000, seed), run_fp(small, 2_000, seed)
+            assert np.array_equal(trace.actions_secondary, twin.actions_secondary)
+            assert np.array_equal(trace.actions_malicious, twin.actions_malicious)
+
+    def test_overflowing_games_converge_through_the_cli(self, tmp_path, capsys):
+        argv = ["fp", "--iterations", "2000", "--gain-malicious", "1e308",
+                "--loss-secondary", "1e308", "--gain-secondary", "1e308"]
+        assert main(argv + ["--out", str(tmp_path / "fp.csv")]) == 0
+        line = capsys.readouterr().out
+        values = dict(re.findall(r"(p\*?|q\*?)=([0-9.e+-]+)", line))
+        assert float(values["p"]) == pytest.approx(0.9) and float(values["q"]) == pytest.approx(0.9)
+        assert abs(float(values["p*"]) - 0.9) <= 0.03
+        assert abs(float(values["q*"]) - 0.9) <= 0.03
+
+    def test_only_games_that_could_overflow_are_scaled_by_a_power_of_two(self):
+        assert learning.fit_to_counts(GAME_A, 10**12) is GAME_A
+        big = BimatrixGame(*[1e300] * 8)
+        assert learning.fit_to_counts(big, 2**20) is big  # 1e300 * 2**20 < 2**1020
+        scaled = learning.fit_to_counts(big, 2**40)
+        factor = scaled.a / big.a
+        assert math.frexp(factor)[0] == 0.5  # a power of two
+        assert all(getattr(scaled, x) == getattr(big, x) * factor for x in "abcdefgh")
+        assert scaled.a * 2**40 <= 2.0**1020
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from crn_jamgame import Category, NetworkConfig, build_game, mixed_equilibrium, verify_equilibrium
 from crn_jamgame.games import BimatrixGame
-from crn_jamgame.nash import MixedProfile, profile_from_pure, pure_equilibria, strategy_utilities
+from crn_jamgame.nash import MixedProfile, pure_equilibria, strategy_utilities
 from oracles import deviation_gains, grid_equilibria
 
 GAME_A = build_game(NetworkConfig(), Category.A)
@@ -151,8 +151,8 @@ class TestSolverProperties:
         report = mixed_equilibrium(game)
         if report.mixed is not None:
             assert verify_equilibrium(game, report.mixed, 1e-9)
-        for pure in report.pure:
-            assert verify_equilibrium(game, profile_from_pure(pure), 1e-9)
+        for row, col in report.pure:  # strategy 1 with probability 1 or 0
+            assert verify_equilibrium(game, MixedProfile(2.0 - row, 2.0 - col), 1e-9)
 
     @given(games(source=unit_entries))
     @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crn_jamgame import (
@@ -19,6 +19,7 @@ from crn_jamgame import (
     mixed_equilibrium,
     run_simulation,
 )
+from crn_jamgame.games import BimatrixGame
 from crn_jamgame.nash import strategy_utilities
 from crn_jamgame.simulate import (
     CATEGORIES,
@@ -28,10 +29,12 @@ from crn_jamgame.simulate import (
     SimulationResult,
     choose_actions,
     classify_state,
-    place_primaries,
+    draw_silenced,
+    plan_policies,
     settle_slot,
     update_histories,
 )
+from oracles import CHAIN_CATEGORIES, interior_equilibrium, long_run_share, slot_chain
 
 REF = NetworkConfig()
 NO_PRIMARIES = NetworkConfig(n_primary=0)
@@ -44,74 +47,97 @@ def fresh_histories():
     return ([0, 0, 0, 0], [0, 0, 0, 0])
 
 
-class TestPlacePrimaries:
-    def test_no_primaries(self):
-        assert place_primaries(NO_PRIMARIES, random.Random(0)) == []
+def plans(policies):
+    return plan_policies(policies, GAMES, 10_000)
 
-    def test_saturation(self):
-        config = NetworkConfig(n_primary=10)
-        assert sorted(place_primaries(config, random.Random(0))) == list(range(10))
 
-    def test_marginal_occupancy_matches_uniform(self):
+class TestDrawSilenced:
+    @pytest.mark.parametrize("n_primary,silenced", [(0, False), (10, True)])
+    def test_certain_outcomes_draw_nothing(self, n_primary, silenced):
+        rng = random.Random(0)
+        for _ in range(20):
+            assert draw_silenced(NetworkConfig(n_primary=n_primary), rng) is silenced
+        assert rng.getstate() == random.Random(0).getstate()
+
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+           st.integers(0, 2**32))
+    def test_one_band_draw_below_n_primary(self, bands, seed):
+        n_bands, n_primary = bands
+        rng, twin = random.Random(seed), random.Random(seed)
+        silenced = draw_silenced(NetworkConfig(n_bands=n_bands, n_primary=n_primary), rng)
+        assert silenced == (twin.randrange(n_bands) < n_primary)
+        assert rng.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("n_primary", [1, 5, 9])
+    def test_rate_is_the_licensed_share_of_bands(self, n_primary):
+        config = NetworkConfig(n_primary=n_primary)
         rng = random.Random(314)
         draws = 30_000
-        hits = Counter()
-        for _ in range(draws):
-            for band in place_primaries(REF, rng):
-                hits[band] += 1
-        bound = 3 * math.sqrt(0.25 / draws)
-        for band in range(10):
-            assert abs(hits[band] / draws - 0.5) < bound
+        rate = sum(draw_silenced(config, rng) for _ in range(draws)) / draws
+        rho = n_primary / 10
+        assert abs(rate - rho) < 3 * math.sqrt(rho * (1 - rho) / draws)
 
 
 class TestClassifyState:
     def test_colocated_transmitting_is_a(self):
-        assert classify_state(3, 3, [0, 1, 2, 4, 5]) == A
+        assert classify_state(3, 3, False) == A
 
     def test_primary_on_secondary_band_is_c(self):
-        assert classify_state(3, 7, [3, 0, 1]) == C
+        assert classify_state(3, 7, True) == C
+        assert classify_state(3, 3, True) == C
 
     def test_separated_transmitting_is_b(self):
-        assert classify_state(3, 7, [0, 1, 2, 4, 5]) == B
+        assert classify_state(3, 7, False) == B
 
 
 class TestChooseActions:
     def test_category_c_forces_stay(self):
-        actions = choose_actions(C, FP_BOTH, GAMES, fresh_histories(), random.Random(0))
+        actions = choose_actions(C, plans(FP_BOTH), fresh_histories(), random.Random(0))
         assert actions == (STAY, STAY)
 
     def test_degenerate_fixed_profile_is_deterministic(self):
         policies = PolicySpec(secondary=FixedPolicy(1.0), malicious=FixedPolicy(0.0))
         for seed in range(20):
-            actions = choose_actions(A, policies, GAMES, fresh_histories(), random.Random(seed))
+            actions = choose_actions(A, plans(policies), fresh_histories(), random.Random(seed))
             assert actions == (SWITCH, STAY)
 
     def test_labels_follow_the_category_b_game(self):
         # jammer strategy 1 means stay in category B
         policies = PolicySpec(secondary=FixedPolicy(1.0), malicious=FixedPolicy(1.0))
-        actions = choose_actions(B, policies, GAMES, fresh_histories(), random.Random(0))
+        actions = choose_actions(B, plans(policies), fresh_histories(), random.Random(0))
         assert actions == (SWITCH, STAY)
 
     def test_empty_history_learning_is_uniform_over_pairs(self):
         counts = Counter()
         seeds = 10_000
         histories = fresh_histories()
+        fp_plans = plans(FP_BOTH)
         for seed in range(seeds):
-            counts[choose_actions(A, FP_BOTH, GAMES, histories, random.Random(seed))] += 1
+            counts[choose_actions(A, fp_plans, histories, random.Random(seed))] += 1
         assert set(counts) == {(s, m) for s in (SWITCH, STAY) for m in (SWITCH, STAY)}
         for pair, n in counts.items():
             assert abs(n / seeds - 0.25) <= 0.015
 
     def test_nash_policy_uses_the_category_equilibrium(self):
-        policies = PolicySpec(secondary=NashPolicy(), malicious=NashPolicy())
+        nash_plans = plans(PolicySpec(secondary=NashPolicy(), malicious=NashPolicy()))
         rng = random.Random(99)
         switches = 0
         seeds = 20_000
         for _ in range(seeds):
-            action_s, _ = choose_actions(A, policies, GAMES, fresh_histories(), rng)
+            action_s, _ = choose_actions(A, nash_plans, fresh_histories(), rng)
             switches += action_s == SWITCH
         p = mixed_equilibrium(GAMES[A]).mixed.p_secondary_first
         assert abs(switches / seeds - p) <= 3 * math.sqrt(p * (1 - p) / seeds)
+
+    def test_nash_play_of_a_pure_equilibrium_draws_nothing(self):
+        # strategy 1 strictly dominant for both: the only equilibrium is pure (1, 1)
+        game = BimatrixGame(1, 1, 0, 0, 1, 0, 1, 0, ("switch", "stay"), ("stay", "switch"))
+        assert mixed_equilibrium(game).mixed is None
+        nash = plan_policies(PolicySpec(NashPolicy(), NashPolicy()), (game, game), 100)
+        rng = random.Random(0)
+        for code in (A, B):
+            assert choose_actions(code, nash, fresh_histories(), rng) == (SWITCH, STAY)
+        assert rng.getstate() == random.Random(0).getstate()
 
     @given(st.sampled_from([A, B]), st.lists(st.integers(0, 60), min_size=4, max_size=4))
     @settings(max_examples=200)
@@ -134,10 +160,8 @@ class TestChooseActions:
         histories = fresh_histories()
         histories[code][:] = counts
         rng = random.Random(0)
-        assert choose_actions(code, FP_BOTH, GAMES, histories, rng) == expected
+        assert choose_actions(code, plans(FP_BOTH), histories, rng) == expected
         assert rng.getstate() == random.Random(0).getstate()  # no tie, no coin
-
-
 
 
 class TestSettleSlot:
@@ -182,10 +206,10 @@ class TestSettleSlot:
     def test_jam_flag_consistency(self):
         rng = random.Random(5)
         for _ in range(500):
-            sec, mal, primaries, jam, _, payoff_m = settle_slot(
+            sec, mal, silenced, jam, _, payoff_m = settle_slot(
                 A, 3, 3, (SWITCH, SWITCH), REF, rng
             )
-            assert jam == (sec == mal and sec not in primaries)
+            assert jam == (sec == mal and not silenced)
             if jam:
                 assert payoff_m == REF.gain_malicious - REF.cost_malicious_switch
             else:
@@ -306,9 +330,10 @@ class TestRunSimulation:
         jam = result.jam[:-1]
         after_sec = result.secondary_band[1:]
         after_mal = result.malicious_band[1:]
-        after_primaries = result.primary_bands[1:]
+        silenced = result.category[1:] == C  # C exactly when the settled band is silenced
         assert (after_sec[jam] == after_mal[jam]).all()
-        assert (after_primaries[jam] != after_sec[jam, None]).all()
+        assert not silenced[jam].any()
+        assert np.array_equal(jam, (after_sec == after_mal) & ~silenced)
         assert np.array_equal(jam, result.category[1:] == A)
         in_c = result.category == C
         assert not result.secondary_switch[in_c].any()
@@ -382,6 +407,95 @@ class TestRunSimulation:
         for values, expected in ((payoffs_s, u_s1), (payoffs_m, u_m1)):
             assert abs(values.mean() - expected) <= 3 * math.sqrt(values.var() / n)
 
+    def test_overflowing_games_learn_like_their_scaled_copies(self):
+        # counts times 1e308 overflow; the same network scaled by 2**-1000 does not
+        huge = NetworkConfig(gain_malicious=1e308, loss_secondary=1e308, gain_secondary=1e308)
+        scaled = NetworkConfig(
+            **{
+                field.name: math.ldexp(getattr(huge, field.name), -1000)
+                for field in dataclasses.fields(NetworkConfig)
+                if field.name not in ("n_bands", "n_primary")
+            }
+        )
+        first = run_simulation(huge, FP_BOTH, 5_000, seed=5)
+        second = run_simulation(scaled, FP_BOTH, 5_000, seed=5)
+        for name in ("category", "secondary_switch", "malicious_switch", "jam"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+
     def test_rejects_zero_slots(self):
         with pytest.raises(ValueError):
             run_simulation(REF, FP_BOTH, 0, seed=0)
+
+
+#: Standard errors in the band of the long-run chain tests.
+CHAIN_Z = 5
+CHAIN_SLOTS = 20_000
+
+
+@st.composite
+def networks(draw):
+    n_bands = draw(st.integers(2, 12))
+    return NetworkConfig(
+        n_bands=n_bands,
+        n_primary=draw(st.integers(0, n_bands - 1)),
+        cost_secondary_switch=draw(st.floats(0, 20)),
+        cost_malicious_switch=draw(st.floats(0, 20)),
+        gain_secondary=draw(st.floats(10, 100)),
+        gain_malicious=draw(st.floats(10, 100)),
+        loss_secondary=draw(st.floats(10, 200)),
+    )
+
+
+def assert_long_run(result, config, switch_a, switch_b):
+    """Dwell shares and jam rate within the exact chain's CLT band."""
+    chain = slot_chain(config.n_bands, config.n_primary, switch_a, switch_b)
+    slots = len(result)
+    for name, indicator in CHAIN_CATEGORIES.items():
+        share, band = long_run_share(chain, indicator, slots, CHAIN_Z)
+        code = CATEGORIES.index(Category(name))
+        measured = np.count_nonzero(result.category == code) / slots
+        assert abs(measured - share) <= band, (name, measured, share, band)
+    # slot t jams exactly when slot t + 1 is A: the A share one slot later
+    share, band = long_run_share(chain, CHAIN_CATEGORIES["A"], slots, CHAIN_Z)
+    measured = np.count_nonzero(result.jam) / slots
+    assert abs(measured - share) <= band, ("jam", measured, share, band)
+
+
+class TestLongRunChain:
+    """Fixed and Nash play draw every move independently given the
+    category, so the slot process is the 4-state chain of
+    ``oracles.slot_chain``; its stationary shares are exact."""
+
+    @given(
+        networks(),
+        st.floats(0.05, 0.95),
+        st.floats(0.05, 0.95),
+        st.integers(0, 2**32),
+    )
+    @example(NetworkConfig(n_bands=2, n_primary=0), 0.3, 0.7, 1)
+    @example(NetworkConfig(n_bands=2, n_primary=1), 0.3, 0.7, 2)
+    @example(NetworkConfig(n_bands=10, n_primary=9), 0.5, 0.5, 3)
+    @settings(max_examples=20, deadline=None)
+    def test_fixed_play_matches_the_chain(self, config, first_s, first_m, seed):
+        policies = PolicySpec(FixedPolicy(first_s), FixedPolicy(first_m))
+        result = run_simulation(config, policies, CHAIN_SLOTS, seed)
+        # strategy 1 is a switch, except the jammer's in category B (a stay)
+        assert_long_run(result, config, (first_s, first_m), (first_s, 1 - first_m))
+
+    @given(networks(), st.integers(0, 2**32))
+    @example(NetworkConfig(), 1)
+    @example(NetworkConfig(n_bands=2, n_primary=0), 2)
+    @example(NetworkConfig(n_bands=2, n_primary=1), 3)
+    @example(NetworkConfig(n_bands=32, n_primary=24, cost_malicious_switch=0.5), 4)
+    @settings(max_examples=20, deadline=None)
+    def test_nash_play_matches_the_chain(self, config, seed):
+        entries = [
+            [getattr(build_game(config, category), x) for x in "abcdefgh"]
+            for category in (Category.A, Category.B)
+        ]
+        equilibria = [interior_equilibrium(*game) for game in entries]
+        assume(None not in equilibria)
+        (p_a, q_a), (p_b, q_b) = equilibria
+        policies = PolicySpec(NashPolicy(), NashPolicy())
+        result = run_simulation(config, policies, CHAIN_SLOTS, seed)
+        assert_long_run(result, config, (p_a, q_a), (p_b, 1 - q_b))
