@@ -167,6 +167,11 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             network_kwargs[name] = flag_value
+    sweeps = tuple(_parse_sweep(spec) for spec in (args.sweep or []))
+    if args.cmd == "sweep":
+        # a swept field's own value is never used: the base config holds
+        # the first cell's, and _check_grid validates every cell
+        network_kwargs.update((name, values[0]) for name, values in sweeps)
     try:
         network = NetworkConfig(**network_kwargs)
     except (TypeError, ValueError) as exc:
@@ -225,8 +230,6 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         out = _DEFAULT_OUT.get(args.cmd)
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out must be a path string (got {out!r})")
-
-    sweeps = tuple(_parse_sweep(spec) for spec in (args.sweep or []))
 
     return RunConfig(
         command=args.cmd,
@@ -463,11 +466,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     _check_grid(cfg.network, cfg.sweeps)
 
     def rows():
+        # every cell is valid (_check_grid); each is built from one dict of fields
+        fields = {name: getattr(cfg.network, name) for name in _NETWORK_FIELDS}
+        categories = (Category.A, Category.B)
         for index, combo in enumerate(itertools.product(*value_lists)):
-            network = replace(cfg.network, **dict(zip(names, combo)))
+            fields.update(zip(names, combo))
+            network = NetworkConfig(**fields)
             row = combo
             fp_errors = ()
-            for category in (Category.A, Category.B):
+            for category in categories:
                 game = build_game(network, category)
                 report = mixed_equilibrium(game)
                 p = report.mixed.p_secondary_first if report.mixed else float("nan")

@@ -18,8 +18,11 @@ switching costs, the transmission gain, and the jamming gain/loss.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "Category",
@@ -75,8 +78,7 @@ class NetworkConfig:
                 raise ValueError(f"{name} must be finite and >= 0 (got {value!r})")
 
 
-@dataclass(frozen=True, slots=True)
-class DerivedProbabilities:
+class DerivedProbabilities(NamedTuple):
     """Per-band occupancy probabilities seen by a player switching bands.
 
     ``p_primary`` is the chance any given band holds a licensed user.
@@ -100,43 +102,47 @@ def derived_probabilities(config: NetworkConfig) -> DerivedProbabilities:
     * ``p_primary = n_primary / n_bands``
     * ``p_just_secondary = 1 - (1/(n-1) + p_primary - p_primary/(n-1))``
     * ``p_secondary_and_malicious = (1/(n-1)) * (1 - p_primary)``
+
+    They depend only on ``(n_bands, n_primary)`` and are computed once per pair.
     """
-    n = config.n_bands
-    p_primary = config.n_primary / n
-    other = n - 1
+    return _occupancy(config.n_bands, config.n_primary)
+
+
+@functools.lru_cache(maxsize=1024)
+def _occupancy(n_bands: int, n_primary: int) -> DerivedProbabilities:
+    p_primary = n_primary / n_bands
+    other = n_bands - 1
     p_just_secondary = 1.0 - (1.0 / other + p_primary - p_primary / other)
     p_secondary_and_malicious = (1.0 / other) * (1.0 - p_primary)
-    return DerivedProbabilities(
-        p_primary=p_primary,
-        p_just_secondary=p_just_secondary,
-        p_secondary_and_malicious=p_secondary_and_malicious,
-    )
+    return DerivedProbabilities(p_primary, p_just_secondary, p_secondary_and_malicious)
 
 
-@dataclass(frozen=True, slots=True)
-class BimatrixGame:
+class BimatrixGame(namedtuple("BimatrixGame", "a b c d e f g h row_labels col_labels")):
     """2x2 bimatrix game: the secondary picks the row, the jammer the column.
 
     Strategies are indexed 1 and 2. Cell layout: (1,1) -> (a, e),
     (1,2) -> (b, f), (2,1) -> (c, g), (2,2) -> (d, h), with the first
-    component paid to the secondary and the second to the jammer.
+    component paid to the secondary and the second to the jammer;
+    ``row_labels`` and ``col_labels`` name each side's two strategies.
+    Every entry must be finite. An immutable named tuple: a frozen
+    dataclass would pay a guarded setattr per field on every build.
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-    g: float
-    h: float
-    row_labels: tuple[str, str] = ("s1", "s2")
-    col_labels: tuple[str, str] = ("m1", "m2")
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in "abcdefgh":
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"payoff entry {name} must be finite")
+    def __new__(
+        cls, a: float, b: float, c: float, d: float, e: float, f: float, g: float, h: float,
+        row_labels: tuple[str, str] = ("s1", "s2"), col_labels: tuple[str, str] = ("m1", "m2"),
+    ) -> BimatrixGame:
+        entries = (a, b, c, d, e, f, g, h)
+        if not all(map(math.isfinite, entries)):
+            bad = "abcdefgh"[[math.isfinite(x) for x in entries].index(False)]
+            raise ValueError(f"payoff entry {bad} must be finite")
+        return tuple.__new__(cls, (*entries, row_labels, col_labels))
+
+    @classmethod
+    def _make(cls, iterable) -> BimatrixGame:
+        return cls(*iterable)  # so that _replace checks the entries too
 
     def row_payoff(self, row: int, col: int) -> float:
         """Secondary's payoff in cell (row, col), 1-based indices."""
@@ -145,6 +151,10 @@ class BimatrixGame:
     def col_payoff(self, row: int, col: int) -> float:
         """Jammer's payoff in cell (row, col), 1-based indices."""
         return ((self.e, self.f), (self.g, self.h))[row - 1][col - 1]
+
+
+_MOVES = ("switch", "stay")  # the secondary's rows in A and B, the jammer's columns in A
+_B_COLUMNS = ("stay", "switch")  # the jammer's columns in B
 
 
 def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
@@ -163,40 +173,27 @@ def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
     mirrors this exact cost structure so that simulated slot averages
     reproduce these entries.
     """
-    probs = derived_probabilities(config)
-    clear = 1.0 - probs.p_primary  # no licensed user on a given band
+    p_primary, p_just_secondary, p_secondary_and_malicious = derived_probabilities(config)
+    clear = 1.0 - p_primary  # no licensed user on a given band
     c_s = config.cost_secondary_switch
     c_m = config.cost_malicious_switch
     g_s = config.gain_secondary
     g_m = config.gain_malicious
     l_s = config.loss_secondary
     # expected outcome of a blind switch: clean band vs. landing on the jammer
-    roam = g_s * probs.p_just_secondary - l_s * probs.p_secondary_and_malicious
+    roam = g_s * p_just_secondary - l_s * p_secondary_and_malicious
 
+    # entries in the order a, b, c, d (secondary), e, f, g, h (jammer)
     if category is Category.A:
         return BimatrixGame(
-            a=-c_s + roam,
-            b=-c_s + g_s * clear,
-            c=g_s * clear,
-            d=-l_s * clear,
-            e=-c_m + g_m * probs.p_secondary_and_malicious,
-            f=0.0,
-            g=-c_m,
-            h=g_m * clear,
-            row_labels=("switch", "stay"),
-            col_labels=("switch", "stay"),
+            -c_s + roam, -c_s + g_s * clear, g_s * clear, -l_s * clear,
+            -c_m + g_m * p_secondary_and_malicious, 0.0, -c_m, g_m * clear,
+            _MOVES, _MOVES,
         )
     if category is Category.B:
         return BimatrixGame(
-            a=-c_s + roam,
-            b=g_s * clear,
-            c=g_s * clear,
-            d=-l_s * clear,
-            e=g_m * probs.p_secondary_and_malicious,
-            f=-c_m,
-            g=0.0,
-            h=g_m * clear - c_m,
-            row_labels=("switch", "stay"),
-            col_labels=("stay", "switch"),
+            -c_s + roam, g_s * clear, g_s * clear, -l_s * clear,
+            g_m * p_secondary_and_malicious, -c_m, 0.0, g_m * clear - c_m,
+            _MOVES, _B_COLUMNS,
         )
     raise ValueError("category C has no game: both players stay")

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable
-from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -67,11 +66,11 @@ def fit_to_counts(game: BimatrixGame, stages: int) -> BimatrixGame:
     summing to at most ``stages`` could pass 2**1020, so that no weighted
     sum or difference overflows. The scaling is exact and keeps the order
     of every weighted sum; any other game is returned as it is."""
-    top = max(abs(getattr(game, x)) for x in "abcdefgh")
+    top = max(map(abs, game[:8]))
     if top * stages <= 2.0**1020:
         return game
     shift = math.frexp(top)[1] + math.frexp(stages)[1] - 1020
-    return replace(game, **{x: math.ldexp(getattr(game, x), -shift) for x in "abcdefgh"})
+    return BimatrixGame(*(math.ldexp(x, -shift) for x in game[:8]), game.row_labels, game.col_labels)
 
 
 class FpTrace:

@@ -10,6 +10,8 @@ flagged and reported through exhaustive pure-profile enumeration instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from typing import NamedTuple
 
 from .games import BimatrixGame
 
@@ -34,14 +36,13 @@ class MixedProfile:
     q_malicious_first: float
 
     def __post_init__(self) -> None:
-        for name in ("p_secondary_first", "q_malicious_first"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1] (got {value!r})")
+        if not 0.0 <= self.p_secondary_first <= 1.0:
+            raise ValueError(f"p_secondary_first must lie in [0, 1] (got {self.p_secondary_first!r})")
+        if not 0.0 <= self.q_malicious_first <= 1.0:
+            raise ValueError(f"q_malicious_first must lie in [0, 1] (got {self.q_malicious_first!r})")
 
 
-@dataclass(frozen=True, slots=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """Mixed equilibrium (when the indifference construction lands inside
     [0, 1]) plus all pure equilibria; ``degenerate`` marks games where the
     interior construction failed.
@@ -76,16 +77,15 @@ def strategy_utilities(
     )
 
 
+_PROFILES = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
 def pure_equilibria(game: BimatrixGame) -> tuple[tuple[int, int], ...]:
-    """All pure profiles where neither player gains by a unilateral move."""
-    found = []
-    for row in (1, 2):
-        for col in (1, 2):
-            row_ok = game.row_payoff(row, col) >= game.row_payoff(3 - row, col)
-            col_ok = game.col_payoff(row, col) >= game.col_payoff(row, 3 - col)
-            if row_ok and col_ok:
-                found.append((row, col))
-    return tuple(found)
+    """All pure profiles where neither player gains by a unilateral move,
+    in (row, col) order."""
+    a, b, c, d, e, f, g, h = game.a, game.b, game.c, game.d, game.e, game.f, game.g, game.h
+    stable = (a >= c and e >= f, b >= d and f >= e, c >= a and g >= h, d >= b and h >= g)
+    return tuple(compress(_PROFILES, stable))
 
 
 def mixed_equilibrium(game: BimatrixGame) -> EquilibriumReport:
@@ -96,22 +96,25 @@ def mixed_equilibrium(game: BimatrixGame) -> EquilibriumReport:
     reported degenerate with pure equilibria only. Pure equilibria are
     always enumerated and included. A game without a pure equilibrium
     has exactly one, fully mixed, equilibrium, so its nonzero denominators
-    are used however small its payoffs are.
+    are used however small its payoffs are. The residuals are
+    :func:`strategy_utilities`' differences, computed inline.
     """
     pure = pure_equilibria(game)
-    denom_q = game.a - game.c + game.d - game.b
-    denom_p = game.e - game.f + game.h - game.g
+    a, b, c, d, e, f, g, h = game.a, game.b, game.c, game.d, game.e, game.f, game.g, game.h
+    denom_q = a - c + d - b
+    denom_p = e - f + h - g
     vanishing = abs(denom_q) < DEGENERATE_DENOMINATOR_TOL or abs(denom_p) < DEGENERATE_DENOMINATOR_TOL
     if vanishing and (pure or denom_q == 0.0 or denom_p == 0.0):
-        return EquilibriumReport(mixed=None, pure=pure, indifference_residuals=None, degenerate=True)
-    q = (game.d - game.b) / denom_q
-    p = (game.h - game.g) / denom_p
+        return EquilibriumReport(None, pure, None, True)
+    q = (d - b) / denom_q
+    p = (h - g) / denom_p
     if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        return EquilibriumReport(mixed=None, pure=pure, indifference_residuals=None, degenerate=True)
-    mixed = MixedProfile(p_secondary_first=p, q_malicious_first=q)
-    u_s1, u_s2, u_m1, u_m2 = strategy_utilities(game, mixed)
-    residuals = (abs(u_s1 - u_s2), abs(u_m1 - u_m2))
-    return EquilibriumReport(mixed=mixed, pure=pure, indifference_residuals=residuals, degenerate=False)
+        return EquilibriumReport(None, pure, None, True)
+    residuals = (
+        abs((a * q + b * (1.0 - q)) - (c * q + d * (1.0 - q))),
+        abs((e * p + g * (1.0 - p)) - (f * p + h * (1.0 - p))),
+    )
+    return EquilibriumReport(MixedProfile(p, q), pure, residuals, False)
 
 
 def verify_equilibrium(game: BimatrixGame, profile: MixedProfile, tolerance: float = 1e-6) -> bool:

@@ -25,8 +25,9 @@ category they were chosen in.
 Randomness per run, in draw order: initial secondary band, initial jammer
 band, initial licensed-user draw; then per slot: secondary action draw,
 jammer action draw, licensed-user draw, secondary target band, jammer
-target band (a Nash policy at a pure equilibrium draws no action,
-fictitious play draws only on ties, and no licensed-user draw is made
+target band (a policy whose strategy is certain -- fixed play with
+probability 0 or 1, or Nash play of a pure equilibrium -- draws no
+action, fictitious play draws only on ties, and no licensed-user draw is made
 when ``n_primary`` is 0 or ``n_bands``). Licensed users are placed afresh
 every slot, independent of the players; a slot needs of them only
 whether one sits on the secondary's settled band (silenced: category C,
@@ -161,10 +162,12 @@ def _plan(
         mixed = equilibrium.mixed
         first = mixed.p_secondary_first if secondary else mixed.q_malicious_first
     elif equilibrium.pure:
-        fixed = switch[equilibrium.pure[0][0 if secondary else 1]]
-        return lambda counts, rng: fixed
+        first = 1.0 if equilibrium.pure[0][0 if secondary else 1] == 1 else 0.0
     else:
         first = 0.5
+    if first in (0.0, 1.0):  # a certain strategy draws nothing
+        fixed = switch[1 if first else 2]
+        return lambda counts, rng: fixed
     return lambda counts, rng: switch[1] if rng.random() < first else switch[2]
 
 
@@ -175,8 +178,9 @@ def plan_policies(
     resolved once per run into (secondary, jammer) pairs of draws.
 
     Fixed play, and Nash play of a mixed equilibrium, draw strategy 1
-    with its probability; Nash play of a pure one draws nothing. Fictitious
-    play weights ``fit_to_counts(game, slots)`` by counts below ``slots``.
+    with its probability; a probability of 0 or 1, like Nash play of a
+    pure equilibrium, draws nothing. Fictitious play weights
+    ``fit_to_counts(game, slots)`` by counts below ``slots``.
     """
     policy_s, policy_m = policies.secondary, policies.malicious
     return tuple(

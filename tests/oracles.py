@@ -68,6 +68,24 @@ def grid_accepts_near(game, p, q, step=GRID_STEP, gain_tol=GRID_GAIN_TOL):
     return False
 
 
+def brute_force_pure_equilibria(entries):
+    """Pure Nash equilibria of the 2x2 game with payoff entries
+    ``(a, b, c, d, e, f, g, h)`` (cells (1,1), (1,2), (2,1), (2,2); the
+    secondary is paid the first four, the jammer the last four), in
+    (row, col) order: every cell where each player's payoff is at least
+    its best over all of its own strategies against the rival's."""
+    a, b, c, d, e, f, g, h = entries
+    secondary = {(1, 1): a, (1, 2): b, (2, 1): c, (2, 2): d}
+    jammer = {(1, 1): e, (1, 2): f, (2, 1): g, (2, 2): h}
+    cells = [(row, col) for row in (1, 2) for col in (1, 2)]
+    return tuple(
+        (row, col)
+        for row, col in cells
+        if secondary[row, col] >= max(secondary[other, col] for other in (1, 2))
+        and jammer[row, col] >= max(jammer[row, other] for other in (1, 2))
+    )
+
+
 def mc_switch_target_occupancy(n_bands, n_primary, trials, seed):
     """Monte Carlo for the switch-target occupancy probabilities.
 

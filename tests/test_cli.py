@@ -267,6 +267,52 @@ class TestCmdSweep:
         assert main(argv) == 2
         assert out.read_bytes() == b"earlier results\n"
 
+    def test_swept_field_overrides_an_incompatible_default(self, tmp_path):
+        # the default n_primary (5) exceeds 3 bands, but every swept cell is valid
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--n-bands", "3", "--sweep", "n_primary=0..3", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [row["n_primary"] for row in rows] == ["0", "1", "2", "3"]
+
+    def test_grid_with_one_invalid_cell_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--n-bands", "3", "--sweep", "n_primary=0..4", "--out", str(out)]
+        assert main(argv) == 2
+        assert "n_primary" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_cell_builds_and_solves_both_games_once(self, tmp_path, monkeypatch):
+        # the traced benchmark wraps these two names and counts their calls
+        # and the degenerate reports, so a sweep must keep calling them per cell
+        import crn_jamgame.cli as cli
+
+        build_game, mixed_equilibrium = cli.build_game, cli.mixed_equilibrium
+        calls = {"build_game": 0, "mixed_equilibrium": 0, "degenerate": 0}
+
+        def counted_build_game(*args):
+            calls["build_game"] += 1
+            return build_game(*args)
+
+        def counted_mixed_equilibrium(game):
+            report = mixed_equilibrium(game)
+            calls["mixed_equilibrium"] += 1
+            calls["degenerate"] += report.degenerate
+            return report
+
+        monkeypatch.setattr(cli, "build_game", counted_build_game)
+        monkeypatch.setattr(cli, "mixed_equilibrium", counted_mixed_equilibrium)
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--n-bands", "3", "--sweep", "n_primary=0..3",
+            "--sweep", "cost_malicious_switch=0..4:2", "--out", str(out),
+        ]) == 0
+        _, rows = read_csv(out)
+        cells = len(rows)
+        assert cells == 12
+        assert calls["build_game"] == calls["mixed_equilibrium"] == 2 * cells
+        flagged = sum(int(row[f"degenerate_{cat}"]) for row in rows for cat in "AB")
+        assert 0 < calls["degenerate"] == flagged
+
     def test_missing_sweep_flag_is_a_config_error(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path / "x.csv")]) == 2
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crn_jamgame import Category, NetworkConfig, build_game, derived_probabilities
+from crn_jamgame.games import BimatrixGame
 from oracles import mc_switch_target_occupancy
 
 REF = NetworkConfig()  # n_bands=10, n_primary=5, C_s=5, C_m=2, G_s=50, G_m=75, L_s=100
@@ -105,6 +106,24 @@ class TestConfigValidation:
             NetworkConfig(**{field: float("inf")})
         with pytest.raises(ValueError, match=field):
             NetworkConfig(**{field: float("nan")})
+
+
+class TestBimatrixGame:
+    def test_a_non_finite_entry_is_named(self):
+        for index, name in enumerate("abcdefgh"):
+            for bad in (float("inf"), float("-inf"), float("nan")):
+                entries = [1.0] * 8
+                entries[index] = bad
+                with pytest.raises(ValueError, match=f"payoff entry {name} must be finite"):
+                    BimatrixGame(*entries)
+                with pytest.raises(ValueError, match=f"payoff entry {name} must be finite"):
+                    BimatrixGame(*[1.0] * 8)._replace(**{name: bad})
+
+    def test_an_overflowing_config_entry_is_rejected(self):
+        # -cost + roam passes -1.8e308 although every field is finite
+        config = NetworkConfig(n_primary=0, cost_secondary_switch=1.7e308, loss_secondary=1.7e308)
+        with pytest.raises(ValueError, match="payoff entry a must be finite"):
+            build_game(config, Category.A)
 
 
 class TestBuildGame:

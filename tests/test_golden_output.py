@@ -59,6 +59,19 @@ CASES = {
         "sweep", "--sweep", "n_primary=3..4", "--sweep", "gain_malicious=50..100:25",
         "--iterations", "300",
     ],
+    # zero costs and gains, n_primary = n_bands and nan cells: 108 of the
+    # 216 games are degenerate, so every fallback branch of the solver runs
+    "sweep-degenerate": [
+        "sweep", "--n-bands", "3", "--n-primary", "0", "--sweep", "n_primary=0..3",
+        "--sweep", "cost_secondary_switch=0..10:5", "--sweep", "cost_malicious_switch=0..4:2",
+        "--sweep", "gain_malicious=0..150:75",
+    ],
+    # switching costs that push p or q out of [0, 1]: 30 of the 120 games
+    # take that degenerate branch, 30 the vanishing-denominator one
+    "sweep-out-of-range": [
+        "sweep", "--sweep", "cost_malicious_switch=0..20:5", "--sweep", "gain_malicious=0..150:50",
+        "--sweep", "cost_secondary_switch=0..60:30",
+    ],
 }
 
 # (sha256 of the CSV, sha256 of stdout), recorded from the reference implementation.
@@ -138,6 +151,14 @@ GOLDEN = {
     "sweep-fp-2x3": (
         "ff3febba85e1ee121f314e6aa96329ee45425b291a77889140e9fcb315806eeb",
         "05e23d6fac70c6d5a250a3cda54a3dc5e6aa6fd4327f40a4656620511264b791",
+    ),
+    "sweep-degenerate": (
+        "4cdebebd0a2969d1fe6b720a3eef5228693843da9c6cf519c0af7b6f05b0db21",
+        "2d13b916e7cc758cb828f8d17f69ce96de3efe3901c13f653a614568d6c759af",
+    ),
+    "sweep-out-of-range": (
+        "e3810c4a9d8626802c5f722adca018050b4b33241676b206147387a619d91774",
+        "ee574b0b5c14d8c43778b638f82fb31e6e07a7642e63b433aa53c42675f95101",
     ),
 }
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from crn_jamgame import Category, NetworkConfig, build_game, mixed_equilibrium, verify_equilibrium
 from crn_jamgame.games import BimatrixGame
 from crn_jamgame.nash import MixedProfile, pure_equilibria, strategy_utilities
-from oracles import deviation_gains, grid_equilibria
+from oracles import brute_force_pure_equilibria, deviation_gains, grid_equilibria
 
 GAME_A = build_game(NetworkConfig(), Category.A)
 GAME_B = build_game(NetworkConfig(), Category.B)
@@ -144,6 +144,9 @@ class TestSolverProperties:
         report = mixed_equilibrium(game)
         assert report.mixed is not None
         assert max(report.indifference_residuals) <= 1e-9
+        # bit for bit the differences of strategy_utilities at the profile
+        u_s1, u_s2, u_m1, u_m2 = strategy_utilities(game, report.mixed)
+        assert report.indifference_residuals == (abs(u_s1 - u_s2), abs(u_m1 - u_m2))
 
     @given(games())
     @settings(max_examples=300)
@@ -207,3 +210,33 @@ class TestSolverProperties:
         for row, col in pure_equilibria(game):
             assert game.row_payoff(row, col) >= game.row_payoff(3 - row, col)
             assert game.col_payoff(row, col) >= game.col_payoff(row, 3 - col)
+
+
+def payoff_entries(game):
+    return (game.a, game.b, game.c, game.d, game.e, game.f, game.g, game.h)
+
+
+@st.composite
+def built_games(draw):
+    """Category games of drawn configs; round values and zero costs make ties."""
+    n_bands = draw(st.integers(2, 12))
+    value = st.one_of(
+        st.sampled_from([0.0, 1.0, 2.0, 5.0, 50.0]),
+        st.floats(0.0, 1000.0, allow_nan=False, allow_infinity=False, allow_subnormal=False),
+    )
+    config = NetworkConfig(n_bands, draw(st.integers(0, n_bands)), *(draw(value) for _ in range(5)))
+    return build_game(config, draw(st.sampled_from([Category.A, Category.B])))
+
+
+class TestPureEquilibriaCompleteness:
+    """``pure_equilibria`` returns exactly the brute-force set, in order."""
+
+    @given(games(st.sampled_from([-1.0, 0.0, 1.0])))
+    @settings(max_examples=500)
+    def test_tied_games(self, game):
+        assert pure_equilibria(game) == brute_force_pure_equilibria(payoff_entries(game))
+
+    @given(built_games())
+    @settings(max_examples=300)
+    def test_built_games(self, game):
+        assert pure_equilibria(game) == brute_force_pure_equilibria(payoff_entries(game))

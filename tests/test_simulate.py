@@ -139,6 +139,16 @@ class TestChooseActions:
             assert choose_actions(code, nash, fresh_histories(), rng) == (SWITCH, STAY)
         assert rng.getstate() == random.Random(0).getstate()
 
+    @pytest.mark.parametrize("first", [0.0, 1.0])
+    def test_fixed_play_of_a_certain_strategy_draws_nothing(self, first):
+        fixed = plans(PolicySpec(FixedPolicy(first), FixedPolicy(first)))
+        rng = random.Random(0)
+        for code in (A, B):
+            # strategy 1 is switch for both in A; the jammer's is stay in B
+            expected = (first == 1.0, (first == 1.0) == (code == A))
+            assert choose_actions(code, fixed, fresh_histories(), rng) == expected
+        assert rng.getstate() == random.Random(0).getstate()
+
     @given(st.sampled_from([A, B]), st.lists(st.integers(0, 60), min_size=4, max_size=4))
     @settings(max_examples=200)
     def test_learning_plays_the_better_strategy_against_observed_counts(self, code, counts):
