@@ -11,9 +11,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import fields, replace
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,39 +26,12 @@ from .learning import run_fp
 from .nash import mixed_equilibrium
 from .output import write_csv
 from .simulate import (
-    CATEGORIES,
-    A,
-    B,
-    C,
-    FictitiousPlayPolicy,
-    FixedPolicy,
-    NashPolicy,
-    Policy,
-    PolicySpec,
+    CATEGORIES, A, B, C, FictitiousPlayPolicy, FixedPolicy, NashPolicy, Policy, PolicySpec,
     run_simulation,
 )
 
 MAX_SEED = 2**64 - 1
 SEED_ENV_VAR = "CRN_JAMGAME_SEED"
-
-_NETWORK_INT_FIELDS = ("n_bands", "n_primary")
-_NETWORK_FLOAT_FIELDS = (
-    "cost_secondary_switch",
-    "cost_malicious_switch",
-    "gain_secondary",
-    "gain_malicious",
-    "loss_secondary",
-)
-_NETWORK_FIELDS = _NETWORK_INT_FIELDS + _NETWORK_FLOAT_FIELDS
-_CONFIG_KEYS = _NETWORK_FIELDS + (
-    "seed",
-    "iterations",
-    "slots",
-    "category",
-    "policy_secondary",
-    "policy_malicious",
-    "out",
-)
 
 _DEFAULT_OUT = {"fp": "fp_trace.csv", "simulate": "sim_trace.csv", "sweep": "sweep.csv"}
 
@@ -63,24 +40,24 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the offending field."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters for one command invocation."""
-
-    command: str
-    network: NetworkConfig
-    seed: int
-    iterations: int
-    slots: int
-    category: Category
-    policy_secondary: Policy
-    policy_malicious: Policy
-    out: str | None
-    sweeps: tuple[tuple[str, tuple[float, ...]], ...]
-    iterations_given: bool
+def _integer(minimum: int, maximum: int | None, value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer (got {value!r})")
+    if value < minimum or (maximum is not None and value > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ConfigError(f"{key} must be {bound} (got {value!r})")
+    return value
 
 
-def _parse_policy(text: str, field_name: str) -> Policy:
+def _category(value, key: str) -> Category:
+    if value not in ("A", "B"):
+        raise ConfigError(f"{key} must be 'A' or 'B' (got {value!r})")
+    return Category(value)
+
+
+def _policy(text, key: str) -> Policy:
+    if not isinstance(text, str):
+        raise ConfigError(f"{key} must be a string (got {text!r})")
     if text == "nash":
         return NashPolicy()
     if text == "fp":
@@ -89,160 +66,136 @@ def _parse_policy(text: str, field_name: str) -> Policy:
         try:
             prob = float(text.split(":", 1)[1])
         except ValueError:
-            raise ConfigError(f"{field_name}: fixed policy needs a number (got {text!r})") from None
+            raise ConfigError(f"{key}: fixed policy needs a number (got {text!r})") from None
         if not 0.0 <= prob <= 1.0:
-            raise ConfigError(f"{field_name}: fixed probability must lie in [0, 1] (got {prob!r})")
+            raise ConfigError(f"{key}: fixed probability must lie in [0, 1] (got {prob!r})")
         return FixedPolicy(prob)
-    raise ConfigError(f"{field_name}: expected 'fixed:P', 'nash' or 'fp' (got {text!r})")
+    raise ConfigError(f"{key}: expected 'fixed:P', 'nash' or 'fp' (got {text!r})")
+
+
+def _path(value, key: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{key} must be a path string (got {value!r})")
+    return value
+
+
+class Setting(NamedTuple):
+    """A config-file key and its flag ``--key-with-dashes``. ``check`` turns the
+    merged value into the run's; ``NetworkConfig`` checks the network keys."""
+
+    key: str
+    type: type
+    default: object
+    check: Callable | None = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+_NETWORK_ROWS = tuple(Setting(f.name, type(f.default), f.default) for f in fields(NetworkConfig))
+#: The network constants and their types, in ``NetworkConfig``'s field order.
+_NETWORK_TYPES = {row.key: row.type for row in _NETWORK_ROWS}
+
+SETTINGS = (
+    # None: CRN_JAMGAME_SEED, else 1
+    Setting("seed", int, None, partial(_integer, 0, MAX_SEED), "64-bit unsigned RNG seed"),
+    Setting("iterations", int, 20000, partial(_integer, 1, None), "learning stages (fp, sweep)"),
+    Setting("slots", int, 10000, partial(_integer, 1, None), "simulated time slots (simulate)"),
+    Setting("category", str, "A", _category, "which game to learn (fp)", ("A", "B")),
+    Setting("policy_secondary", str, "fp", _policy, "fixed:P | nash | fp (simulate)"),
+    Setting("policy_malicious", str, "fp", _policy, "fixed:P | nash | fp (simulate)"),
+    # None: the command's default file, or no CSV for nash
+    Setting("out", str, None, _path, "output CSV path"),
+    *_NETWORK_ROWS,
+)
+_SETTING_KEYS = frozenset(row.key for row in SETTINGS)
 
 
 def _parse_sweep(spec: str) -> tuple[str, tuple[float, ...]]:
     if "=" not in spec:
         raise ConfigError(f"sweep: expected FIELD=LO..HI[:STEP] (got {spec!r})")
     name, _, range_text = spec.partition("=")
-    if name not in _NETWORK_FIELDS:
-        raise ConfigError(f"sweep: unknown field {name!r}; sweepable: {', '.join(_NETWORK_FIELDS)}")
-    is_int = name in _NETWORK_INT_FIELDS
-    number = int if is_int else float
-    step_text = None
-    if ":" in range_text:
-        range_text, _, step_text = range_text.partition(":")
+    number = _NETWORK_TYPES.get(name)
+    if number is None:
+        raise ConfigError(f"sweep: unknown field {name!r}; sweepable: {', '.join(_NETWORK_TYPES)}")
+    range_text, colon, step_text = range_text.partition(":")
+    lo_text, dots, hi_text = range_text.partition("..")
     try:
-        if ".." in range_text:
-            lo_text, _, hi_text = range_text.partition("..")
-            lo, hi = number(lo_text), number(hi_text)
-        else:
-            lo = hi = number(range_text)
-        step = number(step_text) if step_text is not None else number(1)
+        lo = number(lo_text)
+        hi = number(hi_text) if dots else lo
+        step = number(step_text) if colon else number(1)
     except ValueError:
         raise ConfigError(f"sweep: malformed range for {name} (got {spec!r})") from None
     if step <= 0:
         raise ConfigError(f"sweep: {name} step must be > 0 (got {step!r})")
     if lo > hi:
         raise ConfigError(f"sweep: {name} range is inverted ({lo!r} > {hi!r})")
-    if is_int:
-        values = tuple(range(int(lo), int(hi) + 1, int(step)))
+    if number is int:
+        values = tuple(range(lo, hi + 1, step))
     else:
-        count = int((hi - lo) / step + 1e-9) + 1
-        values = tuple(lo + i * step for i in range(count))
-    if not values:
-        raise ConfigError(f"sweep: {name} range is empty (got {spec!r})")
+        steps = (hi - lo) / step
+        if not all(map(math.isfinite, (lo, step, steps))):  # then hi is finite too
+            raise ConfigError(f"sweep: {name} range must be finite (got {spec!r})")
+        values = tuple(lo + i * step for i in range(int(steps + 1e-9) + 1))
     return name, values
 
 
-def _require_int(value, field_name: str, minimum: int, maximum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{field_name} must be an integer (got {value!r})")
-    if value < minimum or (maximum is not None and value > maximum):
-        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-        raise ConfigError(f"{field_name} must be {bound} (got {value!r})")
-    return value
-
-
-def parse_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags > the JSON config file > ``CRN_JAMGAME_SEED`` > defaults
-    (in decreasing precedence) into a validated RunConfig."""
-    file_values: dict = {}
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ConfigError(f"config: cannot read {args.config!r}: {exc}") from None
-        if text.strip():
-            try:
-                file_values = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config: {args.config!r} is not valid JSON: {exc}") from None
-            if not isinstance(file_values, dict):
-                raise ConfigError("config: top-level JSON value must be an object")
-        for key in file_values:
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"config: unknown key {key!r}")
-
-    network_kwargs = {}
-    for name in _NETWORK_FIELDS:
-        if name in file_values:
-            network_kwargs[name] = file_values[name]
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            network_kwargs[name] = flag_value
-    sweeps = tuple(_parse_sweep(spec) for spec in (args.sweep or []))
-    if args.cmd == "sweep":
-        # a swept field's own value is never used: the base config holds
-        # the first cell's, and _check_grid validates every cell
-        network_kwargs.update((name, values[0]) for name, values in sweeps)
+def _read_config(path: str) -> dict:
     try:
-        network = NetworkConfig(**network_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config: cannot read {path!r}: {exc}") from None
+    if not text.strip():
+        return {}
+    try:
+        values = json.loads(text)
+    # ValueError: bad JSON, or an integer over the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"config: {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise ConfigError("config: top-level JSON value must be an object")
+    for key in values:
+        if key not in _SETTING_KEYS:
+            raise ConfigError(f"config: unknown key {key!r}")
+    return values
 
-    seed = file_values.get("seed")
-    if seed is None and os.environ.get(SEED_ENV_VAR):
+
+def parse_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The run's validated settings: ``network`` (a NetworkConfig), every other
+    row of ``SETTINGS`` by its key, ``command``, ``sweeps`` and ``iterations_given``.
+
+    Each value comes from its flag, else the ``--config`` JSON file, else
+    ``CRN_JAMGAME_SEED`` (seed only), else the row's default. For ``sweep``
+    a swept field takes its range's first value (``_check_grid`` checks every
+    cell). Raises ConfigError, naming the field, for any invalid value.
+    """
+    file_values = {} if args.config is None else _read_config(args.config)
+    values = {}
+    for row in SETTINGS:
+        value = getattr(args, row.key)
+        values[row.key] = file_values.get(row.key, row.default) if value is None else value
+    if values["seed"] is None:
+        text = os.environ.get(SEED_ENV_VAR)
         try:
-            seed = int(os.environ[SEED_ENV_VAR])
+            values["seed"] = int(text) if text else 1
         except ValueError:
-            raise ConfigError(
-                f"seed: {SEED_ENV_VAR} must be an integer (got {os.environ[SEED_ENV_VAR]!r})"
-            ) from None
-    if args.seed is not None:
-        seed = args.seed
-    if seed is None:
-        seed = 1
-    seed = _require_int(seed, "seed", 0, MAX_SEED)
-
-    iterations = file_values.get("iterations", 20000)
-    iterations_given = "iterations" in file_values
-    if args.iterations is not None:
-        iterations = args.iterations
-        iterations_given = True
-    iterations = _require_int(iterations, "iterations", 1)
-
-    slots = file_values.get("slots", 10000)
-    if args.slots is not None:
-        slots = args.slots
-    slots = _require_int(slots, "slots", 1)
-
-    category_text = file_values.get("category", "A")
-    if args.category is not None:
-        category_text = args.category
-    if category_text not in ("A", "B"):
-        raise ConfigError(f"category must be 'A' or 'B' (got {category_text!r})")
-    category = Category(category_text)
-
-    policy_s_text = file_values.get("policy_secondary", "fp")
-    if args.policy_secondary is not None:
-        policy_s_text = args.policy_secondary
-    policy_m_text = file_values.get("policy_malicious", "fp")
-    if args.policy_malicious is not None:
-        policy_m_text = args.policy_malicious
-    if not isinstance(policy_s_text, str):
-        raise ConfigError(f"policy_secondary must be a string (got {policy_s_text!r})")
-    if not isinstance(policy_m_text, str):
-        raise ConfigError(f"policy_malicious must be a string (got {policy_m_text!r})")
-    policy_secondary = _parse_policy(policy_s_text, "policy_secondary")
-    policy_malicious = _parse_policy(policy_m_text, "policy_malicious")
-
-    out = file_values.get("out")
-    if args.out is not None:
-        out = args.out
-    if out is None:
-        out = _DEFAULT_OUT.get(args.cmd)
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"out must be a path string (got {out!r})")
-
-    return RunConfig(
-        command=args.cmd,
-        network=network,
-        seed=seed,
-        iterations=iterations,
-        slots=slots,
-        category=category,
-        policy_secondary=policy_secondary,
-        policy_malicious=policy_malicious,
-        out=out,
-        sweeps=sweeps,
-        iterations_given=iterations_given,
+            raise ConfigError(f"seed: {SEED_ENV_VAR} must be an integer (got {text!r})") from None
+    sweeps = tuple(_parse_sweep(spec) for spec in (args.sweep or []))
+    network_values = {name: values.pop(name) for name in _NETWORK_TYPES}
+    if args.cmd == "sweep":
+        network_values.update((name, swept[0]) for name, swept in sweeps)
+    try:
+        network = NetworkConfig(**network_values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    for row in SETTINGS:
+        if row.check is not None:
+            values[row.key] = row.check(values[row.key], row.key)
+    if values["out"] is None:
+        values["out"] = _DEFAULT_OUT.get(args.cmd)
+    iterations_given = args.iterations is not None or "iterations" in file_values
+    return argparse.Namespace(
+        command=args.cmd, network=network, sweeps=sweeps, iterations_given=iterations_given, **values
     )
 
 
@@ -273,7 +226,7 @@ NASH_COLUMNS = (
 )
 
 
-def cmd_nash(cfg: RunConfig) -> int:
+def cmd_nash(cfg: argparse.Namespace) -> int:
     """Solve both category games and report (p, q) plus pure equilibria."""
     rows = []
     for category in (Category.A, Category.B):
@@ -313,7 +266,7 @@ FP_COLUMNS = (
 )
 
 
-def cmd_fp(cfg: RunConfig) -> int:
+def cmd_fp(cfg: argparse.Namespace) -> int:
     """Run learning on the chosen category's game; one CSV row per stage."""
     game = build_game(cfg.network, cfg.category)
     reference = mixed_equilibrium(game).mixed
@@ -364,7 +317,7 @@ SIMULATE_COLUMNS = (
 )
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: argparse.Namespace) -> int:
     """Full network run; per-slot trace CSV plus a printed summary."""
     policies = PolicySpec(secondary=cfg.policy_secondary, malicious=cfg.policy_malicious)
     result = run_simulation(cfg.network, policies, cfg.slots, cfg.seed)
@@ -435,7 +388,7 @@ def _check_grid(network: NetworkConfig, sweeps) -> None:
     against ``n_bands``, so one config per swept float value and one per
     swept (n_bands, n_primary) pair cover the grid without building it.
     """
-    ints = {name: values for name, values in sweeps if name in _NETWORK_INT_FIELDS}
+    ints = {name: values for name, values in sweeps if _NETWORK_TYPES[name] is int}
     changes = [{name: value} for name, values in sweeps if name not in ints for value in values]
     changes += [dict(zip(ints, combo)) for combo in itertools.product(*ints.values())]
     for change in changes:
@@ -456,7 +409,7 @@ def sweep_columns(sweeps, with_fp: bool) -> tuple[tuple[str, str], ...]:
     return tuple(columns)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: argparse.Namespace) -> int:
     """Equilibria (and optional learning errors) over a parameter grid."""
     if not cfg.sweeps:
         raise ConfigError("sweep: at least one --sweep FIELD=LO..HI[:STEP] is required")
@@ -467,11 +420,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     def rows():
         # every cell is valid (_check_grid); each is built from one dict of fields
-        fields = {name: getattr(cfg.network, name) for name in _NETWORK_FIELDS}
+        cell = {name: getattr(cfg.network, name) for name in _NETWORK_TYPES}
         categories = (Category.A, Category.B)
         for index, combo in enumerate(itertools.product(*value_lists)):
-            fields.update(zip(names, combo))
-            network = NetworkConfig(**fields)
+            cell.update(zip(names, combo))
+            network = NetworkConfig(**cell)
             row = combo
             fp_errors = ()
             for category in categories:
@@ -487,10 +440,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             yield row + fp_errors
 
     write_csv(cfg.out, sweep_columns(cfg.sweeps, with_fp), rows())
-    combo_count = 1
-    for values in value_lists:
-        combo_count *= len(values)
-    print(f"{combo_count} combinations -> {cfg.out}")
+    print(f"{math.prod(map(len, value_lists))} combinations -> {cfg.out}")
     return 0
 
 
@@ -507,23 +457,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat JSON config file; flags override its values")
-    common.add_argument("--seed", type=int, help="64-bit unsigned RNG seed")
-    common.add_argument("--iterations", type=int, help="learning stages (fp, sweep)")
-    common.add_argument("--slots", type=int, help="simulated time slots (simulate)")
-    common.add_argument("--category", choices=("A", "B"), help="which game to learn (fp)")
-    common.add_argument("--policy-secondary", help="fixed:P | nash | fp (simulate)")
-    common.add_argument("--policy-malicious", help="fixed:P | nash | fp (simulate)")
-    common.add_argument("--out", help="output CSV path")
     common.add_argument(
         "--sweep",
         action="append",
         metavar="FIELD=LO..HI[:STEP]",
         help="parameter range (sweep); repeat for a Cartesian product",
     )
-    for name in _NETWORK_INT_FIELDS:
-        common.add_argument(f"--{name.replace('_', '-')}", type=int, dest=name)
-    for name in _NETWORK_FLOAT_FIELDS:
-        common.add_argument(f"--{name.replace('_', '-')}", type=float, dest=name)
+    for row in SETTINGS:
+        flag = f"--{row.key.replace('_', '-')}"
+        common.add_argument(flag, dest=row.key, type=row.type, choices=row.choices, help=row.help)
     sub = parser.add_subparsers(dest="cmd", required=True)
     sub.add_parser("nash", parents=[common], help="solve both category games")
     sub.add_parser("fp", parents=[common], help="learning run on one category's game")
@@ -535,12 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.cmd](cfg)
+        return _COMMANDS[args.cmd](parse_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

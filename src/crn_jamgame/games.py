@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,6 +43,9 @@ class Category(enum.Enum):
     C = "C"  # secondary silenced by a licensed user; nobody knows anything
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 @dataclass(frozen=True, slots=True)
 class NetworkConfig:
     """Static network parameters. Defaults are the reference scenario."""
@@ -60,6 +64,8 @@ class NetworkConfig:
                 f"n_bands must be an integer >= 2 (got {self.n_bands!r}); "
                 "switching needs at least one other band"
             )
+        if self.n_bands > _FLOAT_MAX:  # the games divide by n_bands - 1 as a float
+            raise ValueError(f"n_bands must be finite as a float (got {self.n_bands!r})")
         if not isinstance(self.n_primary, int) or not 0 <= self.n_primary <= self.n_bands:
             raise ValueError(
                 f"n_primary must be an integer in [0, n_bands] (got {self.n_primary!r})"
@@ -74,7 +80,8 @@ class NetworkConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a number (got {value!r})")
-            if not math.isfinite(value) or value < 0:
+            # false for NaN, infinities and an int too large for a float alike
+            if not 0 <= value <= _FLOAT_MAX:
                 raise ValueError(f"{name} must be finite and >= 0 (got {value!r})")
 
 

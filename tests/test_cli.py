@@ -3,11 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crn_jamgame import cli
 from crn_jamgame.cli import main
+from crn_jamgame.simulate import FictitiousPlayPolicy, FixedPolicy, NashPolicy
 
 REFERENCE_DEFAULTS = {
     "n_bands": 10,
@@ -18,6 +23,43 @@ REFERENCE_DEFAULTS = {
     "gain_malicious": 75,
     "loss_secondary": 100,
 }
+
+
+# Every config-file key: (default, config-file value, flag value), each as
+# parse_config resolves it for `simulate`; policies and the category by name.
+PRECEDENCE = {
+    "seed": (1, 11, 12),
+    "iterations": (20000, 30, 40),
+    "slots": (10000, 50, 60),
+    "category": ("A", "B", "A"),
+    "policy_secondary": ("fp", "nash", "fixed:0.25"),
+    "policy_malicious": ("fp", "fixed:0.5", "nash"),
+    "out": ("sim_trace.csv", "file.csv", "flag.csv"),
+    "n_bands": (10, 12, 14),
+    "n_primary": (5, 6, 7),
+    "cost_secondary_switch": (5, 1.5, 2.5),
+    "cost_malicious_switch": (2, 3.5, 4.5),
+    "gain_secondary": (50, 5.5, 6.5),
+    "gain_malicious": (75, 7.5, 8.5),
+    "loss_secondary": (100, 9.5, 10.5),
+}
+POLICY_NAMES = {
+    FictitiousPlayPolicy(): "fp",
+    NashPolicy(): "nash",
+    FixedPolicy(0.25): "fixed:0.25",
+    FixedPolicy(0.5): "fixed:0.5",
+}
+
+
+def resolve(key, *args):
+    """``key``'s value as parse_config resolves it for ``simulate ARGS``."""
+    cfg = cli.parse_config(cli._build_parser().parse_args(["simulate", *args]))
+    if key in REFERENCE_DEFAULTS:
+        return getattr(cfg.network, key)
+    value = getattr(cfg, key)
+    if key == "category":
+        return value.value
+    return POLICY_NAMES[value] if key.startswith("policy_") else value
 
 
 def write_config(tmp_path, name="config.json", **values):
@@ -77,6 +119,112 @@ class TestParseConfig:
     def test_out_of_range_seed_rejected(self, capsys):
         assert main(["nash", "--seed", "-3"]) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", list(PRECEDENCE))
+    def test_flag_beats_file_beats_default(self, key, tmp_path, monkeypatch):
+        monkeypatch.delenv("CRN_JAMGAME_SEED", raising=False)
+        default, file_value, flag_value = PRECEDENCE[key]
+        config = write_config(tmp_path, **{key: file_value})
+        flag = [f"--{key.replace('_', '-')}", str(flag_value)]
+        assert resolve(key) == default
+        assert resolve(key, "--config", config) == file_value
+        assert resolve(key, *flag) == flag_value
+        assert resolve(key, "--config", config, *flag) == flag_value
+
+    def test_seed_env_var_ranks_between_file_and_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CRN_JAMGAME_SEED", "7")
+        assert resolve("seed") == 7
+        assert resolve("seed", "--config", write_config(tmp_path, seed=None)) == 7
+        assert resolve("seed", "--config", write_config(tmp_path, seed=11)) == 11
+        assert resolve("seed", "--config", write_config(tmp_path, seed=11), "--seed", "12") == 12
+        monkeypatch.setenv("CRN_JAMGAME_SEED", "seven")
+        assert resolve("seed", "--seed", "12") == 12  # a flag never reads the variable
+        with pytest.raises(cli.ConfigError, match="CRN_JAMGAME_SEED"):
+            resolve("seed")
+
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            (b'{"gain_secondary": 1' + b"0" * 400 + b"}", "gain_secondary must be finite"),
+            (b'{"n_bands": 1' + b"0" * 400 + b', "n_primary": 0}', "n_bands must be finite"),
+            (b'{"seed": 1' + b"0" * 5000 + b"}", "not valid JSON"),
+            (b"[" * 100_000, "not valid JSON"),
+            (b'{"out": "\xff"}', "cannot read"),
+        ],
+        ids=["int-over-float-range", "bands-over-float-range", "int-over-digit-limit",
+             "deep-nesting", "not-utf8"],
+    )
+    def test_unusable_config_file_exits_two_and_writes_nothing(self, tmp_path, capsys, content, named):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        out = tmp_path / "nash.csv"
+        assert main(["nash", "--config", str(config), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+# JSON values of every type, with ints past 2**64 and past a float's range
+# and floats including NaN and the infinities (json writes those as NaN and
+# Infinity, which json.loads reads back)
+json_values = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.sampled_from(["", "A", "B", "C", "nash", "fp", "fixed:0.25", "fixed:2", "fixed:x", "x.csv"]),
+    st.integers(-300, 300),
+    st.integers(-(2**72), 2**72),
+    st.sampled_from([2**64 - 1, 2**64, 10**400, -(10**400)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+config_files = st.dictionaries(st.sampled_from([*PRECEDENCE, "bogus"]), json_values, max_size=5)
+# range ends and steps keep every range under ~1,200 values
+range_ends = st.one_of(
+    st.integers(-300, 300).map(str),
+    st.floats(-300, 300).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "x", ""]),
+)
+range_steps = st.sampled_from(["1", "2", "0.5", "2.5", "0", "-1", "nan", "inf", "1e300", "1e400", "x"])
+sweep_specs = st.one_of(
+    st.builds(
+        lambda name, lo, hi, step: f"{name}={lo}..{hi}" + ("" if step is None else f":{step}"),
+        st.sampled_from([*REFERENCE_DEFAULTS, "seed"]),
+        range_ends,
+        range_ends,
+        st.none() | range_steps,
+    ),
+    st.builds(lambda name, value: f"{name}={value}", st.sampled_from(list(REFERENCE_DEFAULTS)), range_ends),
+    st.text(max_size=6),
+)
+
+
+def config_argv(directory, command, file_values, specs):
+    path = Path(directory) / "config.json"
+    path.write_text(json.dumps(file_values))
+    return [command, "--config", str(path), *(f"--sweep={spec}" for spec in specs)]
+
+
+class TestParseConfigFuzz:
+    @given(st.sampled_from(list(cli._COMMANDS)), config_files, st.lists(sweep_specs, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_every_input_parses_or_is_a_config_error(self, command, file_values, specs):
+        with tempfile.TemporaryDirectory() as directory:
+            argv = config_argv(directory, command, file_values, specs)
+            try:
+                cli.parse_config(cli._build_parser().parse_args(argv))
+            except cli.ConfigError:
+                pass
+
+    @given(config_files, st.lists(sweep_specs, max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_nash_exits_two_and_writes_nothing_when_parsing_fails(self, file_values, specs):
+        with tempfile.TemporaryDirectory() as directory:
+            out = Path(directory) / "nash.csv"
+            argv = [*config_argv(directory, "nash", file_values, specs), "--out", str(out)]
+            try:
+                cli.parse_config(cli._build_parser().parse_args(argv))
+            except cli.ConfigError:
+                assert main(argv) == 2
+                assert not out.exists()
 
 
 class TestCmdNash:
@@ -254,6 +402,23 @@ class TestCmdSweep:
     def test_inverted_range_is_a_config_error(self, capsys):
         assert main(["sweep", "--sweep", "n_primary=9..1"]) == 2
         assert "inverted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "gain_secondary=1e400..1e400",
+            "gain_secondary=0..1e400:1e300",
+            "gain_secondary=nan..nan",
+            "gain_secondary=0..1:nan",
+            "gain_secondary=0..1e308:1e-308",
+            "gain_secondary=5..5:inf",
+        ],
+    )
+    def test_non_finite_range_is_a_config_error_naming_the_field(self, tmp_path, capsys, spec):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--sweep", spec, "--out", str(out)]) == 2
+        assert "gain_secondary range must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_grid_cell_leaves_the_output_untouched(self, tmp_path, capsys):
         # n_primary 11 and 12 exceed the 10 bands; the grid is rejected before

@@ -85,6 +85,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="n_primary"):
             NetworkConfig(n_bands=5, n_primary=6)
 
+    def test_rejects_more_bands_than_a_float_holds(self):
+        with pytest.raises(ValueError, match="n_bands must be finite"):
+            NetworkConfig(n_bands=10**400, n_primary=0)
+
     def test_rejects_negative_primaries(self):
         with pytest.raises(ValueError, match="n_primary"):
             NetworkConfig(n_primary=-1)
@@ -106,6 +110,8 @@ class TestConfigValidation:
             NetworkConfig(**{field: float("inf")})
         with pytest.raises(ValueError, match=field):
             NetworkConfig(**{field: float("nan")})
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            NetworkConfig(**{field: 10**400})  # an int too large for a float
 
 
 class TestBimatrixGame:

@@ -1,4 +1,5 @@
-"""The README's Library example runs as written.
+"""The README's Library example runs as written, and its CLI usage block
+and config-file key list name exactly the settings the CLI has.
 
 The block is executed verbatim, so a name it imports that leaves the
 package's top level, or a return value it unpacks that changes shape,
@@ -8,7 +9,12 @@ fails here.
 import re
 from pathlib import Path
 
+import pytest
+
+from crn_jamgame import cli
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+FLAG = re.compile(r"--[a-z][a-z-]*")
 
 
 def library_block():
@@ -23,3 +29,19 @@ def test_library_example_runs_verbatim():
     exec(compile(library_block(), str(README), "exec"), namespace)
     p_star, q_star = namespace["trace"].final_frequencies()
     assert abs(p_star - 0.948) <= 0.03 and abs(q_star - 0.84) <= 0.03  # as its comment says
+
+
+def test_config_file_keys_are_the_settings_table():
+    keys = re.search(r"\nKeys: `([^`]*)`", README.read_text(encoding="utf-8")).group(1)
+    assert sorted(re.split(r",\s*", keys)) == sorted(row.key for row in cli.SETTINGS)
+
+
+def test_usage_block_names_every_flag_of_every_command(capsys):
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    usage = set(FLAG.findall(re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)))
+    table = {f"--{row.key.replace('_', '-')}" for row in cli.SETTINGS}
+    assert usage == table | {"--config", "--sweep"}
+    for command in cli._COMMANDS:
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert set(FLAG.findall(capsys.readouterr().out)) == usage | {"--help"}
