@@ -21,13 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .games import Category, NetworkConfig, build_game
+from .games import FIRST_IS_SWITCH, BimatrixGame, Category, NetworkConfig, build_game
 from .learning import run_fp
 from .nash import mixed_equilibrium
 from .output import write_csv
 from .simulate import (
-    CATEGORIES, A, B, C, FictitiousPlayPolicy, FixedPolicy, NashPolicy, Policy, PolicySpec,
-    run_simulation,
+    FictitiousPlayPolicy, FixedPolicy, NashPolicy, Policy, PolicySpec, run_simulation,
 )
 
 MAX_SEED = 2**64 - 1
@@ -52,7 +51,7 @@ def _integer(minimum: int, maximum: int | None, value, key: str) -> int:
 def _category(value, key: str) -> Category:
     if value not in ("A", "B"):
         raise ConfigError(f"{key} must be 'A' or 'B' (got {value!r})")
-    return Category(value)
+    return Category[value]
 
 
 def _policy(text, key: str) -> Policy:
@@ -109,6 +108,10 @@ SETTINGS = (
 )
 _SETTING_KEYS = frozenset(row.key for row in SETTINGS)
 
+#: Most values one ``--sweep`` range may hold; its count is checked before
+#: any value is made.
+MAX_SWEEP_VALUES = 100_000
+
 
 def _parse_sweep(spec: str) -> tuple[str, tuple[float, ...]]:
     if "=" not in spec:
@@ -130,13 +133,15 @@ def _parse_sweep(spec: str) -> tuple[str, tuple[float, ...]]:
     if lo > hi:
         raise ConfigError(f"sweep: {name} range is inverted ({lo!r} > {hi!r})")
     if number is int:
-        values = tuple(range(lo, hi + 1, step))
+        count = (hi - lo) // step + 1
     else:
         steps = (hi - lo) / step
         if not all(map(math.isfinite, (lo, step, steps))):  # then hi is finite too
             raise ConfigError(f"sweep: {name} range must be finite (got {spec!r})")
-        values = tuple(lo + i * step for i in range(int(steps + 1e-9) + 1))
-    return name, values
+        count = int(steps + 1e-9) + 1
+    if count > MAX_SWEEP_VALUES:
+        raise ConfigError(f"sweep: {name} range holds more than {MAX_SWEEP_VALUES} values")
+    return name, tuple(lo + i * step for i in range(count))
 
 
 def _read_config(path: str) -> dict:
@@ -212,6 +217,19 @@ def _fmt(value) -> str:
 #: into Python objects at a time.
 _CHUNK = 2048
 
+#: The move labels of ``fp`` and ``simulate``, indexed by switch flag.
+_MOVES = ("stay", "switch")
+
+
+def _game(network: NetworkConfig, category: Category, names=(), values=()) -> BimatrixGame:
+    """``build_game``; a payoff entry that overflows is a ConfigError naming the sweep cell."""
+    try:
+        return build_game(network, category)
+    except ValueError as exc:
+        cell = ", ".join(map("{}={!r}".format, names, values))
+        where = f"sweep: {cell}: " if cell else ""
+        raise ConfigError(f"{where}category {category.name} game: {exc}") from None
+
 # Each command's CSV columns, (header, %-format) pairs for ``write_csv``,
 # sit next to the function that builds its rows in the same order.
 
@@ -230,21 +248,18 @@ def cmd_nash(cfg: argparse.Namespace) -> int:
     """Solve both category games and report (p, q) plus pure equilibria."""
     rows = []
     for category in (Category.A, Category.B):
-        game = build_game(cfg.network, category)
-        report = mixed_equilibrium(game)
-        if report.mixed is None and not report.pure:
+        report = mixed_equilibrium(_game(cfg.network, category))
+        if report.degenerate and not report.pure:
             print(
-                f"error: category {category.value} game has no representable equilibrium",
+                f"error: category {category.name} game has no representable equilibrium",
                 file=sys.stderr,
             )
             return 3
-        p = report.mixed.p_secondary_first if report.mixed else float("nan")
-        q = report.mixed.q_malicious_first if report.mixed else float("nan")
-        res_s, res_m = report.indifference_residuals or (float("nan"), float("nan"))
+        p, q, res_s, res_m = report.p, report.q, report.residual_secondary, report.residual_malicious
         pure_text = ";".join(f"{r}-{c}" for r, c in report.pure)
-        rows.append((category.value, p, q, res_s, res_m, report.degenerate, pure_text))
-        line = f"category {category.value}: "
-        if report.mixed is not None:
+        rows.append((category.name, p, q, res_s, res_m, report.degenerate, pure_text))
+        line = f"category {category.name}: "
+        if not report.degenerate:
             line += f"p={_fmt(p)} q={_fmt(q)} residuals=({_fmt(res_s)},{_fmt(res_m)})"
         else:
             line += "no mixed equilibrium"
@@ -268,15 +283,15 @@ FP_COLUMNS = (
 
 def cmd_fp(cfg: argparse.Namespace) -> int:
     """Run learning on the chosen category's game; one CSV row per stage."""
-    game = build_game(cfg.network, cfg.category)
-    reference = mixed_equilibrium(game).mixed
-    p_ref = reference.p_secondary_first if reference else float("nan")
-    q_ref = reference.q_malicious_first if reference else float("nan")
+    game = _game(cfg.network, cfg.category)
+    reference = mixed_equilibrium(game)
     trace = run_fp(game, cfg.iterations, cfg.seed)
+    first_s, first_m = FIRST_IS_SWITCH[cfg.category]
 
     def rows():
-        labels_s = np.array((None, *game.row_labels), dtype=object)
-        labels_m = np.array((None, *game.col_labels), dtype=object)
+        # each player's move labels by strategy index 1, 2
+        labels_s = np.array((None, _MOVES[first_s], _MOVES[not first_s]), dtype=object)
+        labels_m = np.array((None, _MOVES[first_m], _MOVES[not first_m]), dtype=object)
         for lo, p_star, q_star in trace.running_frequencies(_CHUNK):
             hi = lo + len(p_star)
             yield from zip(
@@ -285,16 +300,16 @@ def cmd_fp(cfg: argparse.Namespace) -> int:
                 labels_m[trace.actions_malicious[lo:hi]].tolist(),
                 p_star.tolist(),
                 q_star.tolist(),
-                np.abs(p_star - p_ref).tolist(),
-                np.abs(q_star - q_ref).tolist(),
+                np.abs(p_star - reference.p).tolist(),
+                np.abs(q_star - reference.q).tolist(),
             )
 
     write_csv(cfg.out, FP_COLUMNS, rows())
     p_star, q_star = trace.final_frequencies()
     print(
-        f"category {cfg.category.value}: {len(trace)} iterations, "
+        f"category {cfg.category.name}: {len(trace)} iterations, "
         f"final p*={_fmt(p_star)} q*={_fmt(q_star)} "
-        f"(equilibrium p={_fmt(p_ref)} q={_fmt(q_ref)}) -> {cfg.out}"
+        f"(equilibrium p={_fmt(reference.p)} q={_fmt(reference.q)}) -> {cfg.out}"
     )
     return 0
 
@@ -319,20 +334,22 @@ SIMULATE_COLUMNS = (
 
 def cmd_simulate(cfg: argparse.Namespace) -> int:
     """Full network run; per-slot trace CSV plus a printed summary."""
+    for category in (Category.A, Category.B):
+        _game(cfg.network, category)  # run_simulation builds them again
     policies = PolicySpec(secondary=cfg.policy_secondary, malicious=cfg.policy_malicious)
     result = run_simulation(cfg.network, policies, cfg.slots, cfg.seed)
 
     def rows():
-        labels = np.array([category.value for category in CATEGORIES], dtype=object)
-        moves = np.array(("stay", "switch"), dtype=object)
+        labels = np.array([category.name for category in Category], dtype=object)
+        moves = np.array(_MOVES, dtype=object)
         columns = (
             result.secondary_band,
             result.malicious_band,
             result.jam,
             result.secondary_payoff,
             result.malicious_payoff,
-            *result.frequencies(A),
-            *result.frequencies(B),
+            *result.frequencies(Category.A),
+            *result.frequencies(Category.B),
         )
         for lo in range(0, len(result), _CHUNK):
             part = slice(lo, lo + _CHUNK)
@@ -345,7 +362,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
                 labels[category].tolist(),
                 sec,
                 mal,
-                (category == C).tolist(),
+                (category == Category.C).tolist(),
                 moves[result.secondary_switch[part].view(np.uint8)].tolist(),
                 moves[result.malicious_switch[part].view(np.uint8)].tolist(),
                 jam,
@@ -363,8 +380,8 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
     print(f"cumulative payoff secondary: {_fmt(s.cumulative_secondary_payoff)}")
     print(f"cumulative payoff malicious: {_fmt(s.cumulative_malicious_payoff)}")
     dwell = " ".join(
-        f"{cat.value}={s.category_counts[cat]} ({_fmt(s.category_counts[cat] / s.slots)})"
-        for cat in (Category.A, Category.B, Category.C)
+        f"{cat.name}={s.category_counts[cat]} ({_fmt(s.category_counts[cat] / s.slots)})"
+        for cat in Category
     )
     print(f"category dwell: {dwell}")
     print(f"jams: {s.jam_count}")
@@ -428,15 +445,13 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
             row = combo
             fp_errors = ()
             for category in categories:
-                game = build_game(network, category)
+                game = _game(network, category, names, combo)
                 report = mixed_equilibrium(game)
-                p = report.mixed.p_secondary_first if report.mixed else float("nan")
-                q = report.mixed.q_malicious_first if report.mixed else float("nan")
-                row += (p, q, report.degenerate)
+                row += (report.p, report.q, report.degenerate)
                 if with_fp:
                     child_seed = (cfg.seed + index) % (MAX_SEED + 1)
                     p_star, q_star = run_fp(game, cfg.iterations, child_seed).final_frequencies()
-                    fp_errors += (abs(p_star - p), abs(q_star - q))
+                    fp_errors += (abs(p_star - report.p), abs(q_star - report.q))
             yield row + fp_errors
 
     write_csv(cfg.out, sweep_columns(cfg.sweeps, with_fp), rows())

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 __all__ = [
     "Category",
+    "FIRST_IS_SWITCH",
     "NetworkConfig",
     "DerivedProbabilities",
     "BimatrixGame",
@@ -35,12 +36,19 @@ __all__ = [
 ]
 
 
-class Category(enum.Enum):
-    """Information regime of a slot: who knows the rival's band."""
+class Category(enum.IntEnum):
+    """Information regime of a slot: who knows the rival's band. The values
+    are the simulator's category codes; ``.name`` is the label."""
 
-    A = "A"  # both players located each other (jam happened)
-    B = "B"  # jammer knows the secondary's band, not vice versa
-    C = "C"  # secondary silenced by a licensed user; nobody knows anything
+    A = 0  # both players located each other (jam happened)
+    B = 1  # jammer knows the secondary's band, not vice versa
+    C = 2  # secondary silenced by a licensed user; nobody knows anything
+
+
+#: Whether strategy 1 is a switch (strategy 2 being the other move), by
+#: category code (A, B), then player (secondary, jammer). Only B's jammer
+#: lists staying first.
+FIRST_IS_SWITCH = ((True, True), (True, False))
 
 
 _FLOAT_MAX = sys.float_info.max
@@ -124,13 +132,13 @@ def _occupancy(n_bands: int, n_primary: int) -> DerivedProbabilities:
     return DerivedProbabilities(p_primary, p_just_secondary, p_secondary_and_malicious)
 
 
-class BimatrixGame(namedtuple("BimatrixGame", "a b c d e f g h row_labels col_labels")):
+class BimatrixGame(namedtuple("BimatrixGame", "a b c d e f g h")):
     """2x2 bimatrix game: the secondary picks the row, the jammer the column.
 
     Strategies are indexed 1 and 2. Cell layout: (1,1) -> (a, e),
     (1,2) -> (b, f), (2,1) -> (c, g), (2,2) -> (d, h), with the first
-    component paid to the secondary and the second to the jammer;
-    ``row_labels`` and ``col_labels`` name each side's two strategies.
+    component paid to the secondary and the second to the jammer.
+    Which strategy is a switch is :data:`FIRST_IS_SWITCH`'s to say.
     Every entry must be finite. An immutable named tuple: a frozen
     dataclass would pay a guarded setattr per field on every build.
     """
@@ -138,30 +146,17 @@ class BimatrixGame(namedtuple("BimatrixGame", "a b c d e f g h row_labels col_la
     __slots__ = ()
 
     def __new__(
-        cls, a: float, b: float, c: float, d: float, e: float, f: float, g: float, h: float,
-        row_labels: tuple[str, str] = ("s1", "s2"), col_labels: tuple[str, str] = ("m1", "m2"),
+        cls, a: float, b: float, c: float, d: float, e: float, f: float, g: float, h: float
     ) -> BimatrixGame:
         entries = (a, b, c, d, e, f, g, h)
         if not all(map(math.isfinite, entries)):
             bad = "abcdefgh"[[math.isfinite(x) for x in entries].index(False)]
             raise ValueError(f"payoff entry {bad} must be finite")
-        return tuple.__new__(cls, (*entries, row_labels, col_labels))
+        return tuple.__new__(cls, entries)
 
     @classmethod
     def _make(cls, iterable) -> BimatrixGame:
         return cls(*iterable)  # so that _replace checks the entries too
-
-    def row_payoff(self, row: int, col: int) -> float:
-        """Secondary's payoff in cell (row, col), 1-based indices."""
-        return ((self.a, self.b), (self.c, self.d))[row - 1][col - 1]
-
-    def col_payoff(self, row: int, col: int) -> float:
-        """Jammer's payoff in cell (row, col), 1-based indices."""
-        return ((self.e, self.f), (self.g, self.h))[row - 1][col - 1]
-
-
-_MOVES = ("switch", "stay")  # the secondary's rows in A and B, the jammer's columns in A
-_B_COLUMNS = ("stay", "switch")  # the jammer's columns in B
 
 
 def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
@@ -195,12 +190,10 @@ def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
         return BimatrixGame(
             -c_s + roam, -c_s + g_s * clear, g_s * clear, -l_s * clear,
             -c_m + g_m * p_secondary_and_malicious, 0.0, -c_m, g_m * clear,
-            _MOVES, _MOVES,
         )
     if category is Category.B:
         return BimatrixGame(
             -c_s + roam, g_s * clear, g_s * clear, -l_s * clear,
             g_m * p_secondary_and_malicious, -c_m, 0.0, g_m * clear - c_m,
-            _MOVES, _B_COLUMNS,
         )
     raise ValueError("category C has no game: both players stay")

@@ -66,11 +66,11 @@ def fit_to_counts(game: BimatrixGame, stages: int) -> BimatrixGame:
     summing to at most ``stages`` could pass 2**1020, so that no weighted
     sum or difference overflows. The scaling is exact and keeps the order
     of every weighted sum; any other game is returned as it is."""
-    top = max(map(abs, game[:8]))
+    top = max(map(abs, game))
     if top * stages <= 2.0**1020:
         return game
     shift = math.frexp(top)[1] + math.frexp(stages)[1] - 1020
-    return BimatrixGame(*(math.ldexp(x, -shift) for x in game[:8]), game.row_labels, game.col_labels)
+    return BimatrixGame(*(math.ldexp(x, -shift) for x in game))
 
 
 class FpTrace:

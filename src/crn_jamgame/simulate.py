@@ -46,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .games import BimatrixGame, Category, NetworkConfig, build_game
+from .games import FIRST_IS_SWITCH, BimatrixGame, Category, NetworkConfig, build_game
 from .learning import best_response, fit_to_counts
 from .nash import EquilibriumReport, mixed_equilibrium
 
@@ -54,7 +54,6 @@ __all__ = [
     "A",
     "B",
     "C",
-    "CATEGORIES",
     "FixedPolicy",
     "NashPolicy",
     "FictitiousPlayPolicy",
@@ -70,10 +69,8 @@ __all__ = [
     "run_simulation",
 ]
 
-#: Category codes of the slot loop and of ``SimulationResult.category``;
-#: each indexes its :class:`Category` in ``CATEGORIES``.
-A, B, C = range(3)
-CATEGORIES = (Category.A, Category.B, Category.C)
+#: Category codes of the slot loop and of ``SimulationResult.category``.
+A, B, C = Category
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,16 +135,16 @@ Draw = Callable[[list[int], random.Random], bool]
 
 
 def _plan(
-    policy: Policy, secondary: bool, game: BimatrixGame, equilibrium: EquilibriumReport, slots: int
+    policy: Policy, secondary: bool, order: tuple[bool, bool], game: BimatrixGame,
+    equilibrium: EquilibriumReport, slots: int,
 ) -> Draw:
-    own, rival = game.row_labels, game.col_labels
-    if not secondary:
-        own, rival = rival, own
-    switch = (None, own[0] == "switch", own[1] == "switch")  # by strategy index
+    own_first, rival_first = order if secondary else order[::-1]  # strategy 1 is a switch
+    switch = (None, own_first, not own_first)  # by strategy index
     if isinstance(policy, FictitiousPlayPolicy):
         # the rival's strategies as offsets into the per-move counts
         # [secondary switch, secondary stay, jammer switch, jammer stay]
-        i1, i2 = ((2 if secondary else 0) + ("switch", "stay").index(x) for x in rival)
+        base = 2 if secondary else 0
+        i1, i2 = (base, base + 1) if rival_first else (base + 1, base)
         w = fit_to_counts(game, slots)
         x1, x2, y1, y2 = (w.a, w.b, w.c, w.d) if secondary else (w.e, w.g, w.f, w.h)
 
@@ -158,9 +155,8 @@ def _plan(
         return learn
     if isinstance(policy, FixedPolicy):
         first = policy.probability_first
-    elif equilibrium.mixed is not None:
-        mixed = equilibrium.mixed
-        first = mixed.p_secondary_first if secondary else mixed.q_malicious_first
+    elif not equilibrium.degenerate:
+        first = equilibrium.p if secondary else equilibrium.q
     elif equilibrium.pure:
         first = 1.0 if equilibrium.pure[0][0 if secondary else 1] == 1 else 0.0
     else:
@@ -175,7 +171,8 @@ def plan_policies(
     policies: PolicySpec, games: tuple[BimatrixGame, BimatrixGame], slots: int
 ) -> tuple[tuple[Draw, Draw], tuple[Draw, Draw]]:
     """Both players' policies in the games of category codes A and B,
-    resolved once per run into (secondary, jammer) pairs of draws.
+    resolved once per run into (secondary, jammer) pairs of switch-flag
+    draws, by :data:`games.FIRST_IS_SWITCH`.
 
     Fixed play, and Nash play of a mixed equilibrium, draw strategy 1
     with its probability; a probability of 0 or 1, like Nash play of a
@@ -184,8 +181,8 @@ def plan_policies(
     """
     policy_s, policy_m = policies.secondary, policies.malicious
     return tuple(
-        (_plan(policy_s, True, game, eq, slots), _plan(policy_m, False, game, eq, slots))
-        for game, eq in zip(games, map(mixed_equilibrium, games))
+        (_plan(policy_s, True, order, game, eq, slots), _plan(policy_m, False, order, game, eq, slots))
+        for order, game, eq in zip(FIRST_IS_SWITCH, games, map(mixed_equilibrium, games))
     )
 
 
@@ -367,15 +364,15 @@ class SimulationResult:
         """Yield ``(hits, seen)`` masks of the secondary's, then the
         jammer's, recorded moves in category code A or B: ``seen`` marks
         the moves the rival recorded there, ``hits`` those of them that
-        are strategy 1."""
-        game = self.games[category]
+        are strategy 1 (:data:`games.FIRST_IS_SWITCH`)."""
         here = self.category == category
-        for seen_by_rival, switch, first_label in (
-            (self.seen_by_malicious, self.secondary_switch, game.row_labels[0]),
-            (self.seen_by_secondary, self.malicious_switch, game.col_labels[0]),
+        first_s, first_m = FIRST_IS_SWITCH[category]
+        for seen_by_rival, switch, first_is_switch in (
+            (self.seen_by_malicious, self.secondary_switch, first_s),
+            (self.seen_by_secondary, self.malicious_switch, first_m),
         ):
             seen = seen_by_rival & here
-            yield seen & (switch == (first_label == "switch")), seen
+            yield seen & (switch == first_is_switch), seen
 
     def frequencies(self, category: int) -> tuple[np.ndarray, np.ndarray]:
         """Running (p*, q*) of category code A or B after each slot.
@@ -391,12 +388,12 @@ class SimulationResult:
     def summary(self) -> SimulationSummary:
         p_a, q_a = (_final_frequency(*masks) for masks in self._observed(A))
         p_b, q_b = (_final_frequency(*masks) for masks in self._observed(B))
-        dwell = np.bincount(self.category, minlength=len(CATEGORIES))
+        dwell = np.bincount(self.category, minlength=len(Category))
         return SimulationSummary(
             slots=len(self),
             cumulative_secondary_payoff=_total(self.secondary_payoff),
             cumulative_malicious_payoff=_total(self.malicious_payoff),
-            category_counts={cat: int(n) for cat, n in zip(CATEGORIES, dwell)},
+            category_counts={cat: int(n) for cat, n in zip(Category, dwell)},
             jam_count=int(np.count_nonzero(self.jam)),
             malicious_observations=int(np.count_nonzero(self.seen_by_malicious)),
             secondary_observations=int(np.count_nonzero(self.seen_by_secondary)),

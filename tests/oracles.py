@@ -14,6 +14,16 @@ GRID_STEP = 1e-3
 GRID_GAIN_TOL = 1e-2
 
 
+def row_payoff(game, row, col):
+    """The secondary's payoff in cell (row, col), 1-based indices."""
+    return ((game.a, game.b), (game.c, game.d))[row - 1][col - 1]
+
+
+def col_payoff(game, row, col):
+    """The jammer's payoff in cell (row, col), 1-based indices."""
+    return ((game.e, game.f), (game.g, game.h))[row - 1][col - 1]
+
+
 def deviation_gains(game, p, q):
     """Best-response gains at (p, q), computed straight from the payoffs.
 
@@ -125,7 +135,7 @@ def fp_replay(game, iterations, seed):
     """
     rng = random.Random(seed)
     cells = [(row, col) for row in (1, 2) for col in (1, 2)]
-    top = max(abs(x) for cell in cells for x in (game.row_payoff(*cell), game.col_payoff(*cell)))
+    top = max(abs(x) for cell in cells for x in (row_payoff(game, *cell), col_payoff(game, *cell)))
     scale = 1.0
     if top * iterations > 2.0**1020:
         scale = 2.0 ** -(math.frexp(top)[1] + math.frexp(iterations)[1] - 1020)
@@ -140,11 +150,11 @@ def fp_replay(game, iterations, seed):
     actions_s, actions_m = [], []
     for _ in range(iterations):
         u_s = [
-            sum(game.row_payoff(row, col) * scale * played_m[col] for col in (1, 2))
+            sum(row_payoff(game, row, col) * scale * played_m[col] for col in (1, 2))
             for row in (1, 2)
         ]
         u_m = [
-            sum(game.col_payoff(row, col) * scale * played_s[row] for row in (1, 2))
+            sum(col_payoff(game, row, col) * scale * played_s[row] for row in (1, 2))
             for col in (1, 2)
         ]
         action_s = pick(*u_s)

@@ -26,10 +26,9 @@ from crn_jamgame import (
     verify_equilibrium,
 )
 from crn_jamgame.cli import main
-from crn_jamgame.games import BimatrixGame
-from crn_jamgame.nash import MixedProfile
-from crn_jamgame.simulate import CATEGORIES, C, settle_slot
-from oracles import grid_accepts_near, grid_equilibria
+from crn_jamgame.games import FIRST_IS_SWITCH, BimatrixGame
+from crn_jamgame.simulate import C, settle_slot
+from oracles import col_payoff, grid_accepts_near, grid_equilibria, row_payoff
 
 REF = NetworkConfig()
 FP_BOTH = PolicySpec(secondary=FictitiousPlayPolicy(), malicious=FictitiousPlayPolicy())
@@ -122,17 +121,15 @@ def test_criterion_3_solver_soundness():
         game = BimatrixGame(*[rng.uniform(-1.0, 1.0) for _ in range(8)])
         report = mixed_equilibrium(game)
         profiles = list(report.pure)
-        if report.mixed is not None:
+        if not report.degenerate:
             mixed_count += 1
         ok = all(
-            verify_equilibrium(game, MixedProfile(2.0 - row, 2.0 - col), 1e-6)  # pure (row, col)
+            verify_equilibrium(game, 2.0 - row, 2.0 - col, 1e-6)  # pure (row, col)
             for row, col in profiles
         )
-        if report.mixed is not None:
-            ok = ok and verify_equilibrium(game, report.mixed, 1e-6)
-            near = grid_accepts_near(
-                game, report.mixed.p_secondary_first, report.mixed.q_malicious_first
-            )
+        if not report.degenerate:
+            ok = ok and verify_equilibrium(game, report.p, report.q, 1e-6)
+            near = grid_accepts_near(game, report.p, report.q)
             grid_agreements += near
             ok = ok and near
         verified += ok
@@ -140,13 +137,12 @@ def test_criterion_3_solver_soundness():
             # periodic full brute-force sweeps pin the restricted check
             full_sweeps += 1
             grid_p, grid_q = grid_equilibria(game)
-            if report.mixed is not None:
-                p = report.mixed.p_secondary_first
-                q = report.mixed.q_malicious_first
+            if not report.degenerate:
+                p, q = report.p, report.q
                 hit = ((abs(grid_p - p) <= 1e-3 + 1e-12) & (abs(grid_q - q) <= 1e-3 + 1e-12)).any()
                 assert hit, f"full sweep disagrees with solver on game {index}"
             if len(grid_p) > 0:
-                assert report.mixed is not None or report.pure
+                assert not report.degenerate or report.pure
     elapsed = time.perf_counter() - start
     check(
         3,
@@ -164,9 +160,8 @@ def test_criterion_4_learning_convergence():
     details = []
     for category in (Category.A, Category.B):
         game = build_game(REF, category)
-        equilibrium = mixed_equilibrium(game).mixed
-        p_ref = equilibrium.p_secondary_first
-        q_ref = equilibrium.q_malicious_first
+        equilibrium = mixed_equilibrium(game)
+        p_ref, q_ref = equilibrium.p, equilibrium.q
         close = 0
         decayed = 0
         for seed in range(50):
@@ -179,7 +174,7 @@ def test_criterion_4_learning_convergence():
             late = max(err_p_final, err_q_final)
             decayed += late < early
         all_ok = all_ok and close >= 9 and decayed >= 48
-        details.append(f"{category.value}: {close}/10 close, {decayed}/50 decayed")
+        details.append(f"{category.name}: {close}/10 close, {decayed}/50 decayed")
     elapsed = time.perf_counter() - start
     check(
         4,
@@ -199,21 +194,21 @@ def test_criterion_5_settlement_reproduces_the_tables():
     all_ok = True
     worst_sigma = 0.0
     for category, (sec_band, mal_band) in pre_bands.items():
-        code = CATEGORIES.index(category)
         game = build_game(REF, category)
+        first_s, first_m = FIRST_IS_SWITCH[category]
         for row in (1, 2):
             for col in (1, 2):
-                actions = (game.row_labels[row - 1] == "switch", game.col_labels[col - 1] == "switch")
+                actions = ((row == 1) == first_s, (col == 1) == first_m)
                 total_s = total_m = sq_s = sq_m = 0.0
                 for _ in range(slots):
-                    *_, payoff_s, payoff_m = settle_slot(code, sec_band, mal_band, actions, REF, rng)
+                    *_, payoff_s, payoff_m = settle_slot(category, sec_band, mal_band, actions, REF, rng)
                     total_s += payoff_s
                     total_m += payoff_m
                     sq_s += payoff_s * payoff_s
                     sq_m += payoff_m * payoff_m
                 for total, sq, expected in (
-                    (total_s, sq_s, game.row_payoff(row, col)),
-                    (total_m, sq_m, game.col_payoff(row, col)),
+                    (total_s, sq_s, row_payoff(game, row, col)),
+                    (total_m, sq_m, col_payoff(game, row, col)),
                 ):
                     mean = total / slots
                     std_err = math.sqrt(max(sq / slots - mean * mean, 0.0) / slots)

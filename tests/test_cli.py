@@ -58,7 +58,7 @@ def resolve(key, *args):
         return getattr(cfg.network, key)
     value = getattr(cfg, key)
     if key == "category":
-        return value.value
+        return value.name
     return POLICY_NAMES[value] if key.startswith("policy_") else value
 
 
@@ -420,6 +420,34 @@ class TestCmdSweep:
         assert "gain_secondary range must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_range_holds_at_most_the_value_limit(self, tmp_path, capsys):
+        limit = cli.MAX_SWEEP_VALUES
+        argv = ["sweep", "--sweep", f"gain_secondary=0..{limit - 1}"]
+        cfg = cli.parse_config(cli._build_parser().parse_args(argv))
+        assert len(cfg.sweeps[0][1]) == limit
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--sweep", f"gain_secondary=0..{limit}", "--out", str(out)]) == 2
+        assert "sweep: gain_secondary range holds more than" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_huge_integer_range_is_rejected_before_it_is_built(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--sweep", "n_primary=0..1" + "0" * 400, "--out", str(out)]) == 2
+        assert "sweep: n_primary range holds more than" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_overflowing_payoff_entry_names_the_cell_and_writes_nothing(self, tmp_path, capsys):
+        # the cell loss_secondary=1e308 passes every field check, but its
+        # category-A entry a = -cost + roam overflows to -inf
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--n-primary", "0", "--cost-secondary-switch", "1.7e308",
+            "--sweep", "loss_secondary=0..1.7e308:1e308", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "config error: sweep: loss_secondary=1e+308: category A game: payoff entry a" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_grid_cell_leaves_the_output_untouched(self, tmp_path, capsys):
         # n_primary 11 and 12 exceed the 10 bands; the grid is rejected before
         # anything is opened, so no file appears and an existing one survives
@@ -502,12 +530,26 @@ class TestExitCodes:
         import crn_jamgame.cli as cli
         from crn_jamgame.nash import EquilibriumReport
 
+        nan = float("nan")
         empty = EquilibriumReport(
-            mixed=None, pure=(), indifference_residuals=None, degenerate=True
+            p=nan, q=nan, pure=(), residual_secondary=nan, residual_malicious=nan, degenerate=True
         )
         monkeypatch.setattr(cli, "mixed_equilibrium", lambda game: empty)
         assert main(["nash"]) == 3
         assert "no representable equilibrium" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["nash", "fp", "simulate"])
+    def test_an_overflowing_payoff_entry_exits_two_and_writes_nothing(self, tmp_path, capsys, command):
+        # every field is finite, but category A's entry a = -cost + roam
+        # overflows to -inf
+        out = tmp_path / "out.csv"
+        assert main([
+            command, "--n-primary", "0", "--cost-secondary-switch", "1.7e308",
+            "--loss-secondary", "1.7e308", "--iterations", "10", "--slots", "10", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "config error: category A game: payoff entry a must be finite" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_success_is_zero(self, tmp_path):
         assert main(["nash", "--out", str(tmp_path / "n.csv")]) == 0

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crn_jamgame import Category, NetworkConfig, build_game, derived_probabilities
-from crn_jamgame.games import BimatrixGame
+from crn_jamgame import Category, NetworkConfig, build_game, derived_probabilities, simulate
+from crn_jamgame.games import FIRST_IS_SWITCH, BimatrixGame
 from oracles import mc_switch_target_occupancy
 
 REF = NetworkConfig()  # n_bands=10, n_primary=5, C_s=5, C_m=2, G_s=50, G_m=75, L_s=100
@@ -114,7 +114,18 @@ class TestConfigValidation:
             NetworkConfig(**{field: 10**400})  # an int too large for a float
 
 
+class TestCategory:
+    def test_values_are_the_simulator_codes(self):
+        assert [(c.name, c.value) for c in Category] == [("A", 0), ("B", 1), ("C", 2)]
+        assert (simulate.A, simulate.B, simulate.C) == tuple(Category)
+
+
 class TestBimatrixGame:
+    def test_holds_its_eight_entries_only(self):
+        game = build_game(REF, Category.B)
+        assert game._fields == tuple("abcdefgh")
+        assert tuple(game) == tuple(getattr(game, x) for x in "abcdefgh")
+
     def test_a_non_finite_entry_is_named(self):
         for index, name in enumerate("abcdefgh"):
             for bad in (float("inf"), float("-inf"), float("nan")):
@@ -143,8 +154,7 @@ class TestBuildGame:
         assert game.f == 0.0
         assert game.g == pytest.approx(-2.0, abs=1e-9)
         assert game.h == pytest.approx(37.5, abs=1e-9)
-        assert game.row_labels == ("switch", "stay")
-        assert game.col_labels == ("switch", "stay")
+        assert FIRST_IS_SWITCH[Category.A] == (True, True)  # both over (switch, stay)
 
     def test_category_b_reference_entries(self):
         game = build_game(REF, Category.B)
@@ -156,8 +166,7 @@ class TestBuildGame:
         assert game.f == pytest.approx(-2.0, abs=1e-9)
         assert game.g == 0.0
         assert game.h == pytest.approx(35.5, abs=1e-9)
-        assert game.row_labels == ("switch", "stay")
-        assert game.col_labels == ("stay", "switch")
+        assert FIRST_IS_SWITCH[Category.B] == (True, False)  # jammer over (stay, switch)
 
     def test_category_b_switch_switch_cell_has_no_secondary_cost(self):
         # deliberate asymmetry of the analytic tables: b equals the plain

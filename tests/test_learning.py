@@ -25,8 +25,8 @@ from oracles import fp_replay
 
 GAME_A = build_game(NetworkConfig(), Category.A)
 GAME_B = build_game(NetworkConfig(), Category.B)
-EQ_A = mixed_equilibrium(GAME_A).mixed
-EQ_B = mixed_equilibrium(GAME_B).mixed
+EQ_A = mixed_equilibrium(GAME_A)
+EQ_B = mixed_equilibrium(GAME_B)
 #: Payoffs near the float maximum: count-weighted sums overflow unscaled.
 HUGE = NetworkConfig(gain_malicious=1e308, loss_secondary=1e308, gain_secondary=1e308)
 DOMINANCE_GAME = BimatrixGame(a=1, b=1, c=0, d=0, e=1, f=0, g=1, h=0)
@@ -257,13 +257,13 @@ class TestEmpiricalFrequencies:
 class TestRunFp:
     def test_reference_game_a_converges(self):
         p_star, q_star = run_fp(GAME_A, 20_000, seed=1).final_frequencies()
-        assert abs(p_star - EQ_A.p_secondary_first) <= 0.03
-        assert abs(q_star - EQ_A.q_malicious_first) <= 0.03
+        assert abs(p_star - EQ_A.p) <= 0.03
+        assert abs(q_star - EQ_A.q) <= 0.03
 
     def test_reference_game_b_converges(self):
         p_star, q_star = run_fp(GAME_B, 20_000, seed=1).final_frequencies()
-        assert abs(p_star - EQ_B.p_secondary_first) <= 0.03
-        assert abs(q_star - EQ_B.q_malicious_first) <= 0.03
+        assert abs(p_star - EQ_B.p) <= 0.03
+        assert abs(q_star - EQ_B.q) <= 0.03
 
     def test_dominant_strategies_lock_in_after_one_observation(self):
         for seed in range(8):
@@ -350,15 +350,11 @@ class TestRunFp:
         assert len(trace) == 300_000
         assert calls < 30_000
 
-    @pytest.mark.parametrize("category", [Category.A, Category.B])
+    @pytest.mark.parametrize("category", [Category.A, Category.B], ids=["Category.A", "Category.B"])
     def test_overflowing_games_learn_like_their_scaled_copies(self, category):
         # counts times 1e308 overflow; the same game scaled by 2**-1000 does not
         game = build_game(HUGE, category)
-        small = BimatrixGame(
-            *(math.ldexp(getattr(game, x), -1000) for x in "abcdefgh"),
-            row_labels=game.row_labels,
-            col_labels=game.col_labels,
-        )
+        small = BimatrixGame(*(math.ldexp(getattr(game, x), -1000) for x in "abcdefgh"))
         for seed in (1, 2, 3):
             trace, twin = run_fp(game, 2_000, seed), run_fp(small, 2_000, seed)
             assert np.array_equal(trace.actions_secondary, twin.actions_secondary)
@@ -404,8 +400,8 @@ class TestConvergenceError:
         improved = 0
         for seed in range(10):
             trace = run_fp(GAME_A, 20_000, seed)
-            err_p = np.abs(trace.p_star - EQ_A.p_secondary_first)
-            err_q = np.abs(trace.q_star - EQ_A.q_malicious_first)
+            err_p = np.abs(trace.p_star - EQ_A.p)
+            err_q = np.abs(trace.q_star - EQ_A.q)
             early = max(err_p[99], err_q[99])
             late = max(err_p[-1], err_q[-1])
             improved += late < early

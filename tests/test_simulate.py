@@ -19,10 +19,9 @@ from crn_jamgame import (
     mixed_equilibrium,
     run_simulation,
 )
-from crn_jamgame.games import BimatrixGame
+from crn_jamgame.games import FIRST_IS_SWITCH, BimatrixGame
 from crn_jamgame.nash import strategy_utilities
 from crn_jamgame.simulate import (
-    CATEGORIES,
     A,
     B,
     C,
@@ -34,7 +33,14 @@ from crn_jamgame.simulate import (
     settle_slot,
     update_histories,
 )
-from oracles import CHAIN_CATEGORIES, interior_equilibrium, long_run_share, slot_chain
+from oracles import (
+    CHAIN_CATEGORIES,
+    col_payoff,
+    interior_equilibrium,
+    long_run_share,
+    row_payoff,
+    slot_chain,
+)
 
 REF = NetworkConfig()
 NO_PRIMARIES = NetworkConfig(n_primary=0)
@@ -126,17 +132,18 @@ class TestChooseActions:
         for _ in range(seeds):
             action_s, _ = choose_actions(A, nash_plans, fresh_histories(), rng)
             switches += action_s == SWITCH
-        p = mixed_equilibrium(GAMES[A]).mixed.p_secondary_first
+        p = mixed_equilibrium(GAMES[A]).p
         assert abs(switches / seeds - p) <= 3 * math.sqrt(p * (1 - p) / seeds)
 
     def test_nash_play_of_a_pure_equilibrium_draws_nothing(self):
         # strategy 1 strictly dominant for both: the only equilibrium is pure (1, 1)
-        game = BimatrixGame(1, 1, 0, 0, 1, 0, 1, 0, ("switch", "stay"), ("stay", "switch"))
-        assert mixed_equilibrium(game).mixed is None
+        game = BimatrixGame(1, 1, 0, 0, 1, 0, 1, 0)
+        assert mixed_equilibrium(game).degenerate
         nash = plan_policies(PolicySpec(NashPolicy(), NashPolicy()), (game, game), 100)
         rng = random.Random(0)
         for code in (A, B):
-            assert choose_actions(code, nash, fresh_histories(), rng) == (SWITCH, STAY)
+            # strategy 1 is switch for both in A; the jammer's is stay in B
+            assert choose_actions(code, nash, fresh_histories(), rng) == (SWITCH, code == A)
         assert rng.getstate() == random.Random(0).getstate()
 
     @pytest.mark.parametrize("first", [0.0, 1.0])
@@ -154,19 +161,17 @@ class TestChooseActions:
     def test_learning_plays_the_better_strategy_against_observed_counts(self, code, counts):
         # counts: secondary switch, secondary stay (seen by the jammer),
         # jammer switch, jammer stay (seen by the secondary); strategy order
-        # comes from the game labels, which put the jammer's stay first in B
+        # comes from the order table, which puts the jammer's stay first in B
         game = GAMES[code]
-        move = {"switch": 0, "stay": 1}
-        m1, m2 = (counts[2 + move[label]] for label in game.col_labels)
-        s1, s2 = (counts[move[label]] for label in game.row_labels)
+        first_s, first_m = FIRST_IS_SWITCH[code]
+        s1, s2 = (counts[0], counts[1]) if first_s else (counts[1], counts[0])
+        m1, m2 = (counts[2], counts[3]) if first_m else (counts[3], counts[2])
         u_s = (game.a * m1 + game.b * m2, game.c * m1 + game.d * m2)
         u_m = (game.e * s1 + game.g * s2, game.f * s1 + game.h * s2)
         for u1, u2 in (u_s, u_m):
             assume(abs(u1 - u2) > 1e-6 * max(1.0, abs(u1), abs(u2)))
-        expected = (
-            game.row_labels[0 if u_s[0] > u_s[1] else 1] == "switch",
-            game.col_labels[0 if u_m[0] > u_m[1] else 1] == "switch",
-        )
+        # strategy 1 is the better one exactly when u1 > u2
+        expected = ((u_s[0] > u_s[1]) == first_s, (u_m[0] > u_m[1]) == first_m)
         histories = fresh_histories()
         histories[code][:] = counts
         rng = random.Random(0)
@@ -231,26 +236,27 @@ class TestSettleSlot:
             (Category.A, (3, 3)),
             (Category.B, (3, 7)),
         ],
+        ids=["Category.A-pre_state0", "Category.B-pre_state1"],
     )
     def test_settlement_means_reproduce_the_payoff_tables(self, category, pre_state):
         # light version of the full oracle in the acceptance suite
-        code = CATEGORIES.index(category)
-        game = GAMES[code]
+        game = GAMES[category]
+        first_s, first_m = FIRST_IS_SWITCH[category]
         rng = random.Random(17)
         trials = 30_000
         for row in (1, 2):
             for col in (1, 2):
-                actions = (game.row_labels[row - 1] == "switch", game.col_labels[col - 1] == "switch")
+                actions = ((row == 1) == first_s, (col == 1) == first_m)
                 total_s = total_m = sq_s = sq_m = 0.0
                 for _ in range(trials):
-                    *_, payoff_s, payoff_m = settle_slot(code, *pre_state, actions, REF, rng)
+                    *_, payoff_s, payoff_m = settle_slot(category, *pre_state, actions, REF, rng)
                     total_s += payoff_s
                     total_m += payoff_m
                     sq_s += payoff_s * payoff_s
                     sq_m += payoff_m * payoff_m
                 for total, sq, expected in (
-                    (total_s, sq_s, game.row_payoff(row, col)),
-                    (total_m, sq_m, game.col_payoff(row, col)),
+                    (total_s, sq_s, row_payoff(game, row, col)),
+                    (total_m, sq_m, col_payoff(game, row, col)),
                 ):
                     mean = total / trials
                     std_err = math.sqrt(max(sq / trials - mean * mean, 0.0) / trials)
@@ -403,19 +409,29 @@ class TestRunSimulation:
         if n_primary == 10:
             assert all(math.isnan(x) for x in (s.p_star_a, s.q_star_a, s.p_star_b, s.q_star_b))
 
-    def test_nash_play_realizes_equilibrium_payoffs_in_a_slots(self):
+    @pytest.mark.parametrize("code,z", [(A, 3), (B, 5)], ids=["A", "B"])
+    def test_nash_play_realizes_equilibrium_payoffs(self, code, z):
+        # settled payoffs check the game's strategy order here. Consecutive
+        # B slots are correlated, so the i.i.d. standard error understates
+        # B's spread: its band is 5 of them. At the equilibrium a player's
+        # mean payoff is flat in its own mixing, and in B a flipped jammer
+        # order moves the secondary's by only 0.18; the secondary's switch
+        # slots alone (its strategy 1 in both games) move from 13.7 to 23.
         policies = PolicySpec(secondary=NashPolicy(), malicious=NashPolicy())
         result = run_simulation(REF, policies, 200_000, seed=13)
-        in_a = result.category == A
-        payoffs_s = result.secondary_payoff[in_a]
-        payoffs_m = result.malicious_payoff[in_a]
-        n = len(payoffs_s)
-        assert n > 1_000
-        game = GAMES[A]
-        eq = mixed_equilibrium(game).mixed
-        u_s1, _, u_m1, _ = strategy_utilities(game, eq)
-        for values, expected in ((payoffs_s, u_s1), (payoffs_m, u_m1)):
-            assert abs(values.mean() - expected) <= 3 * math.sqrt(values.var() / n)
+        here = result.category == code
+        switched = here & result.secondary_switch
+        game = GAMES[code]
+        eq = mixed_equilibrium(game)
+        u_s1, _, u_m1, _ = strategy_utilities(game, eq.p, eq.q)
+        for values, expected in (
+            (result.secondary_payoff[here], u_s1),
+            (result.malicious_payoff[here], u_m1),
+            (result.secondary_payoff[switched], u_s1),
+        ):
+            n = len(values)
+            assert n > 1_000
+            assert abs(values.mean() - expected) <= z * math.sqrt(values.var() / n)
 
     def test_overflowing_games_learn_like_their_scaled_copies(self):
         # counts times 1e308 overflow; the same network scaled by 2**-1000 does not
@@ -462,8 +478,7 @@ def assert_long_run(result, config, switch_a, switch_b):
     slots = len(result)
     for name, indicator in CHAIN_CATEGORIES.items():
         share, band = long_run_share(chain, indicator, slots, CHAIN_Z)
-        code = CATEGORIES.index(Category(name))
-        measured = np.count_nonzero(result.category == code) / slots
+        measured = np.count_nonzero(result.category == Category[name]) / slots
         assert abs(measured - share) <= band, (name, measured, share, band)
     # slot t jams exactly when slot t + 1 is A: the A share one slot later
     share, band = long_run_share(chain, CHAIN_CATEGORIES["A"], slots, CHAIN_Z)
