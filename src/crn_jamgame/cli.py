@@ -24,7 +24,7 @@ import numpy as np
 from .games import FIRST_IS_SWITCH, BimatrixGame, Category, NetworkConfig, build_game
 from .learning import run_fp
 from .nash import mixed_equilibrium
-from .output import write_csv
+from .output import Labels, write_csv
 from .simulate import (
     FictitiousPlayPolicy, FixedPolicy, NashPolicy, Policy, PolicySpec, run_simulation,
 )
@@ -213,9 +213,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-#: Rows per slice of the NumPy columns that ``fp`` and ``simulate`` turn
-#: into Python objects at a time.
-_CHUNK = 2048
+#: Rows per block that a command hands ``write_csv``. A block's arrays and
+#: line buffer are the writer's transient memory, which grows with it;
+#: blocks of 1024 rows encode as fast as larger ones.
+_CHUNK = 1024
 
 #: The move labels of ``fp`` and ``simulate``, indexed by switch flag.
 _MOVES = ("stay", "switch")
@@ -231,7 +232,7 @@ def _game(network: NetworkConfig, category: Category, names=(), values=()) -> Bi
         raise ConfigError(f"{where}category {category.name} game: {exc}") from None
 
 # Each command's CSV columns, (header, %-format) pairs for ``write_csv``,
-# sit next to the function that builds its rows in the same order.
+# sit next to the function that builds its blocks in the same order.
 
 NASH_COLUMNS = (
     ("category", "%s"),
@@ -266,7 +267,7 @@ def cmd_nash(cfg: argparse.Namespace) -> int:
         line += f" pure=[{pure_text}] degenerate={_fmt(report.degenerate)}"
         print(line)
     if cfg.out is not None:
-        write_csv(cfg.out, NASH_COLUMNS, rows)
+        write_csv(cfg.out, NASH_COLUMNS, [list(zip(*rows))])
     return 0
 
 
@@ -288,23 +289,23 @@ def cmd_fp(cfg: argparse.Namespace) -> int:
     trace = run_fp(game, cfg.iterations, cfg.seed)
     first_s, first_m = FIRST_IS_SWITCH[cfg.category]
 
-    def rows():
+    def blocks():
         # each player's move labels by strategy index 1, 2
-        labels_s = np.array((None, _MOVES[first_s], _MOVES[not first_s]), dtype=object)
-        labels_m = np.array((None, _MOVES[first_m], _MOVES[not first_m]), dtype=object)
+        moves_s = ("", _MOVES[first_s], _MOVES[not first_s])
+        moves_m = ("", _MOVES[first_m], _MOVES[not first_m])
         for lo, p_star, q_star in trace.running_frequencies(_CHUNK):
             hi = lo + len(p_star)
-            yield from zip(
-                range(lo + 1, hi + 1),
-                labels_s[trace.actions_secondary[lo:hi]].tolist(),
-                labels_m[trace.actions_malicious[lo:hi]].tolist(),
-                p_star.tolist(),
-                q_star.tolist(),
-                np.abs(p_star - reference.p).tolist(),
-                np.abs(q_star - reference.q).tolist(),
+            yield (
+                np.arange(lo + 1, hi + 1),
+                Labels(trace.actions_secondary[lo:hi], moves_s),
+                Labels(trace.actions_malicious[lo:hi], moves_m),
+                p_star,
+                q_star,
+                np.abs(p_star - reference.p),
+                np.abs(q_star - reference.q),
             )
 
-    write_csv(cfg.out, FP_COLUMNS, rows())
+    write_csv(cfg.out, FP_COLUMNS, blocks())
     p_star, q_star = trace.final_frequencies()
     print(
         f"category {cfg.category.name}: {len(trace)} iterations, "
@@ -334,14 +335,16 @@ SIMULATE_COLUMNS = (
 
 def cmd_simulate(cfg: argparse.Namespace) -> int:
     """Full network run; per-slot trace CSV plus a printed summary."""
-    for category in (Category.A, Category.B):
-        _game(cfg.network, category)  # run_simulation builds them again
     policies = PolicySpec(secondary=cfg.policy_secondary, malicious=cfg.policy_malicious)
-    result = run_simulation(cfg.network, policies, cfg.slots, cfg.seed)
+    try:
+        result = run_simulation(cfg.network, policies, cfg.slots, cfg.seed)
+    except ValueError:
+        for category in (Category.A, Category.B):
+            _game(cfg.network, category)  # a ConfigError if a payoff entry overflows
+        raise
 
-    def rows():
-        labels = np.array([category.name for category in Category], dtype=object)
-        moves = np.array(_MOVES, dtype=object)
+    def blocks():
+        labels = tuple(category.name for category in Category)
         columns = (
             result.secondary_band,
             result.malicious_band,
@@ -354,17 +357,15 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         for lo in range(0, len(result), _CHUNK):
             part = slice(lo, lo + _CHUNK)
             category = result.category[part]
-            sec, mal, jam, pay_s, pay_m, p_a, q_a, p_b, q_b = (
-                column[part].tolist() for column in columns
-            )
-            yield from zip(
-                range(lo, lo + len(category)),
-                labels[category].tolist(),
+            sec, mal, jam, pay_s, pay_m, p_a, q_a, p_b, q_b = (column[part] for column in columns)
+            yield (
+                np.arange(lo, lo + len(category)),
+                Labels(category, labels),
                 sec,
                 mal,
-                (category == Category.C).tolist(),
-                moves[result.secondary_switch[part].view(np.uint8)].tolist(),
-                moves[result.malicious_switch[part].view(np.uint8)].tolist(),
+                category == Category.C,
+                Labels(result.secondary_switch[part].view(np.uint8), _MOVES),
+                Labels(result.malicious_switch[part].view(np.uint8), _MOVES),
                 jam,
                 pay_s,
                 pay_m,
@@ -374,7 +375,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
                 q_b,
             )
 
-    write_csv(cfg.out, SIMULATE_COLUMNS, rows())
+    write_csv(cfg.out, SIMULATE_COLUMNS, blocks())
     s = result.summary
     print(f"slots: {s.slots}")
     print(f"cumulative payoff secondary: {_fmt(s.cumulative_secondary_payoff)}")
@@ -454,7 +455,10 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
                     fp_errors += (abs(p_star - report.p), abs(q_star - report.q))
             yield row + fp_errors
 
-    write_csv(cfg.out, sweep_columns(cfg.sweeps, with_fp), rows())
+    cells = rows()
+    # each block's columns, made from its rows; nothing holds a block once written
+    blocks = iter(lambda: tuple(zip(*itertools.islice(cells, _CHUNK))), ())
+    write_csv(cfg.out, sweep_columns(cfg.sweeps, with_fp), blocks)
     print(f"{math.prod(map(len, value_lists))} combinations -> {cfg.out}")
     return 0
 

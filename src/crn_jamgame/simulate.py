@@ -341,7 +341,6 @@ class SimulationResult:
     summary are derived on demand.
     """
 
-    games: tuple[BimatrixGame, BimatrixGame]
     category: np.ndarray
     secondary_band: np.ndarray
     malicious_band: np.ndarray
@@ -451,7 +450,7 @@ def run_simulation(
         cat = next_cat
     view = np.frombuffer
     return SimulationResult(
-        games, view(category, np.int8), secondary_band, malicious_band,
+        view(category, np.int8), secondary_band, malicious_band,
         view(secondary_switch, bool), view(malicious_switch, bool), view(jam, bool),
         secondary_payoff, malicious_payoff,
         view(seen_by_malicious, bool), view(seen_by_secondary, bool),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from crn_jamgame import cli
 from crn_jamgame.cli import main
+from crn_jamgame.games import Category
 from crn_jamgame.simulate import FictitiousPlayPolicy, FixedPolicy, NashPolicy
 
 REFERENCE_DEFAULTS = {
@@ -352,6 +353,22 @@ class TestCmdSimulate:
         for out in (first, second):
             assert main(["simulate", "--slots", "3000", "--seed", "9", "--out", str(out)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_each_category_game_is_built_once_per_run(self, tmp_path, monkeypatch):
+        # the traced benchmark wraps build_game where the CLI and the
+        # simulator look it up, and counts every call
+        import crn_jamgame.simulate as simulate
+
+        built = []
+        for module in (cli, simulate):
+            def counted_build_game(network, category, build_game=module.build_game):
+                built.append(category)
+                return build_game(network, category)
+
+            monkeypatch.setattr(module, "build_game", counted_build_game)
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--slots", "50", "--out", str(out)]) == 0
+        assert sorted(built) == [Category.A, Category.B]
 
 
 class TestCmdSweep:

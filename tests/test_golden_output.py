@@ -66,6 +66,18 @@ CASES = {
         "--sweep", "cost_secondary_switch=0..10:5", "--sweep", "cost_malicious_switch=0..4:2",
         "--sweep", "gain_malicious=0..150:75",
     ],
+    # the benchmark's workloads (bench/run_bench.py) at seed 1: only at
+    # these sizes do float cells fall on a rounding tie of the sixth digit
+    "bench-fp-long": ["fp", "--category", "A", "--iterations", "300000", "--seed", "1"],
+    "bench-sim-learn": ["simulate", "--slots", "60000", "--seed", "1"],
+    "bench-sim-crowded": [
+        "simulate", "--slots", "40000", "--policy-secondary", "nash", "--policy-malicious", "nash",
+        *CROWDED, "--seed", "1",
+    ],
+    "bench-sweep-grid": [
+        "sweep", "--sweep", "n_primary=0..9", "--sweep", "gain_malicious=5..400:5",
+        "--sweep", "loss_secondary=5..400:10", "--seed", "1",
+    ],
     # switching costs that push p or q out of [0, 1]: 30 of the 120 games
     # take that degenerate branch, 30 the vanishing-denominator one
     "sweep-out-of-range": [
@@ -160,6 +172,22 @@ GOLDEN = {
         "e3810c4a9d8626802c5f722adca018050b4b33241676b206147387a619d91774",
         "ee574b0b5c14d8c43778b638f82fb31e6e07a7642e63b433aa53c42675f95101",
     ),
+    "bench-fp-long": (
+        "d63d4d42809f908e606e899b34c0997b58297ed1ffcfe54871d9c2ef739a9366",
+        "02d5c9dc002ea946f5263a014bcc22cf6256c2b2da8185da345d4ad6e2933c76",
+    ),
+    "bench-sim-learn": (
+        "c1948d8c35072aea8a66e38bd30c4acf0e436780c23acd4cf6ee9208f43afc00",
+        "d048b75159e12f7802efac2a2db7217457e42845fa7e7a9708768817221d695d",
+    ),
+    "bench-sim-crowded": (
+        "18ae5312192d050029245874e580ddf52c5a0b564bdae499accb7c3a50e98fa4",
+        "37cba0e1c153f8e0d2783408e56ad0de49df47e2e4de90460ff5f04629e96342",
+    ),
+    "bench-sweep-grid": (
+        "a592af8e68ac503de061616d2a7af652508c9c876d6522a76b9a2d875d3b3808",
+        "26e9f294dbac0539a7e085b4051b77294bbf58d6576a9e2d71d6e1fa262db135",
+    ),
 }
 
 
@@ -177,7 +205,7 @@ def test_golden_output(name, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 5003])
-@pytest.mark.parametrize("name", ["fp-B-5003", "simulate-fp-5003"])
+@pytest.mark.parametrize("name", ["fp-B-5003", "simulate-fp-5003", "sweep-fp-2x3"])
 def test_row_chunk_size_changes_no_byte(name, chunk, tmp_path, monkeypatch, capsys):
     import crn_jamgame.cli as cli
 
