@@ -3,7 +3,7 @@
 Configuration comes from a flat JSON file plus flags (flags win); every
 run is a pure function of (config, seed), so repeated invocations write
 byte-identical CSVs. Exit codes: 0 success, 2 config error, 3 a category
-game has no representable equilibrium, 4 I/O error.
+game has no representable equilibrium, 4 I/O error, 141 a closed output pipe.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import fields, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -90,7 +89,7 @@ class Setting(NamedTuple):
     choices: tuple[str, ...] | None = None
 
 
-_NETWORK_ROWS = tuple(Setting(f.name, type(f.default), f.default) for f in fields(NetworkConfig))
+_NETWORK_ROWS = tuple(Setting(k, type(v), v) for k, v in NetworkConfig._field_defaults.items())
 #: The network constants and their types, in ``NetworkConfig``'s field order.
 _NETWORK_TYPES = {row.key: row.type for row in _NETWORK_ROWS}
 
@@ -251,10 +250,8 @@ def cmd_nash(cfg: argparse.Namespace) -> int:
     for category in (Category.A, Category.B):
         report = mixed_equilibrium(_game(cfg.network, category))
         if report.degenerate and not report.pure:
-            print(
-                f"error: category {category.name} game has no representable equilibrium",
-                file=sys.stderr,
-            )
+            message = f"error: category {category.name} game has no representable equilibrium"
+            print(message, file=sys.stderr)
             return 3
         p, q, res_s, res_m = report.p, report.q, report.residual_secondary, report.residual_malicious
         pure_text = ";".join(f"{r}-{c}" for r, c in report.pure)
@@ -386,11 +383,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
     )
     print(f"category dwell: {dwell}")
     print(f"jams: {s.jam_count}")
-    print(
-        "history totals: "
-        f"malicious={s.malicious_observations} "
-        f"secondary={s.secondary_observations}"
-    )
+    print(f"history totals: malicious={s.malicious_observations} secondary={s.secondary_observations}")
     print(
         f"final frequencies: A p*={_fmt(s.p_star_a)} q*={_fmt(s.q_star_a)}; "
         f"B p*={_fmt(s.p_star_b)} q*={_fmt(s.q_star_b)}"
@@ -411,7 +404,7 @@ def _check_grid(network: NetworkConfig, sweeps) -> None:
     changes += [dict(zip(ints, combo)) for combo in itertools.product(*ints.values())]
     for change in changes:
         try:
-            replace(network, **change)
+            network._replace(**change)
         except ValueError as exc:
             raise ConfigError(f"sweep: {exc}") from None
 
@@ -437,12 +430,12 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     _check_grid(cfg.network, cfg.sweeps)
 
     def rows():
-        # every cell is valid (_check_grid); each is built from one dict of fields
-        cell = {name: getattr(cfg.network, name) for name in _NETWORK_TYPES}
+        # every cell is valid (_check_grid), so each is built without a check
+        cell = cfg.network._asdict()
         categories = (Category.A, Category.B)
         for index, combo in enumerate(itertools.product(*value_lists)):
             cell.update(zip(names, combo))
-            network = NetworkConfig(**cell)
+            network = tuple.__new__(NetworkConfig, cell.values())
             row = combo
             fp_errors = ()
             for category in categories:
@@ -496,10 +489,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.cmd](parse_config(args))
+        code = _COMMANDS[args.cmd](parse_config(args))
+        sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: exit quietly as a writer killed by SIGPIPE would,
+        # with fd 1 on devnull so that the interpreter's last flush raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return 141
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

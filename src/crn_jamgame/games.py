@@ -22,7 +22,6 @@ import functools
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
@@ -54,43 +53,45 @@ FIRST_IS_SWITCH = ((True, True), (True, False))
 _FLOAT_MAX = sys.float_info.max
 
 
-@dataclass(frozen=True, slots=True)
-class NetworkConfig:
-    """Static network parameters. Defaults are the reference scenario."""
+class NetworkConfig(
+    namedtuple(
+        "NetworkConfig",
+        "n_bands n_primary cost_secondary_switch cost_malicious_switch"
+        " gain_secondary gain_malicious loss_secondary",
+        defaults=(10, 5, 5.0, 2.0, 50.0, 75.0, 100.0),
+    )
+):
+    """Static network parameters. Defaults are the reference scenario.
 
-    n_bands: int = 10
-    n_primary: int = 5
-    cost_secondary_switch: float = 5.0
-    cost_malicious_switch: float = 2.0
-    gain_secondary: float = 50.0
-    gain_malicious: float = 75.0
-    loss_secondary: float = 100.0
+    A checked named tuple: the constructor, ``_make`` and ``_replace``
+    raise ValueError, naming the field, for an invalid value.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n_bands, int) or self.n_bands < 2:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> NetworkConfig:
+        self = super().__new__(cls, *args, **kwargs)
+        n_bands, n_primary = self[:2]
+        if not isinstance(n_bands, int) or n_bands < 2:
             raise ValueError(
-                f"n_bands must be an integer >= 2 (got {self.n_bands!r}); "
+                f"n_bands must be an integer >= 2 (got {n_bands!r}); "
                 "switching needs at least one other band"
             )
-        if self.n_bands > _FLOAT_MAX:  # the games divide by n_bands - 1 as a float
-            raise ValueError(f"n_bands must be finite as a float (got {self.n_bands!r})")
-        if not isinstance(self.n_primary, int) or not 0 <= self.n_primary <= self.n_bands:
-            raise ValueError(
-                f"n_primary must be an integer in [0, n_bands] (got {self.n_primary!r})"
-            )
-        for name in (
-            "cost_secondary_switch",
-            "cost_malicious_switch",
-            "gain_secondary",
-            "gain_malicious",
-            "loss_secondary",
-        ):
-            value = getattr(self, name)
+        if n_bands > _FLOAT_MAX:  # the games divide by n_bands - 1 as a float
+            raise ValueError(f"n_bands must be finite as a float (got {n_bands!r})")
+        if not isinstance(n_primary, int) or not 0 <= n_primary <= n_bands:
+            raise ValueError(f"n_primary must be an integer in [0, n_bands] (got {n_primary!r})")
+        for name, value in zip(self._fields[2:], self[2:]):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a number (got {value!r})")
             # false for NaN, infinities and an int too large for a float alike
             if not 0 <= value <= _FLOAT_MAX:
                 raise ValueError(f"{name} must be finite and >= 0 (got {value!r})")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> NetworkConfig:
+        return cls(*iterable)  # so that _replace checks the fields too
 
 
 class DerivedProbabilities(NamedTuple):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable
-from functools import cached_property
 
 import numpy as np
 
@@ -102,22 +101,6 @@ class FpTrace:
             count_s, count_m = int(run_s[-1]), int(run_m[-1])
             stage = np.arange(lo + 1, lo + len(run_s) + 1)
             yield lo, run_s / stage, run_m / stage
-
-    @cached_property
-    def _frequencies(self) -> tuple[np.ndarray, np.ndarray]:
-        for _lo, p_star, q_star in self.running_frequencies(max(len(self), 1)):
-            return p_star, q_star
-        return np.empty(0), np.empty(0)  # an empty trace
-
-    @property
-    def p_star(self) -> np.ndarray:
-        """Secondary's running strategy-1 frequency after each iteration."""
-        return self._frequencies[0]
-
-    @property
-    def q_star(self) -> np.ndarray:
-        """Jammer's running strategy-1 frequency after each iteration."""
-        return self._frequencies[1]
 
     def final_frequencies(self) -> tuple[float, float]:
         """(p*, q*) after the last iteration, from the strategy-1 counts."""

@@ -166,11 +166,14 @@ def test_criterion_4_learning_convergence():
         decayed = 0
         for seed in range(50):
             trace = run_fp(game, 20_000, seed)
-            err_p_final = abs(trace.p_star[-1] - p_ref)
-            err_q_final = abs(trace.q_star[-1] - q_ref)
+            p_final, q_final = trace.final_frequencies()
+            err_p_final = abs(p_final - p_ref)
+            err_q_final = abs(q_final - q_ref)
             if seed < 10 and err_p_final <= 0.03 and err_q_final <= 0.03:
                 close += 1
-            early = max(abs(trace.p_star[99] - p_ref), abs(trace.q_star[99] - q_ref))
+            # the first slice of 100 stages ends with the frequencies after stage 100
+            _lo, p_early, q_early = next(trace.running_frequencies(100))
+            early = max(abs(p_early[99] - p_ref), abs(q_early[99] - q_ref))
             late = max(err_p_final, err_q_final)
             decayed += late < early
         all_ok = all_ok and close >= 9 and decayed >= 48

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from crn_jamgame import cli
 from crn_jamgame.cli import main
-from crn_jamgame.games import Category
+from crn_jamgame.games import Category, NetworkConfig
 from crn_jamgame.simulate import FictitiousPlayPolicy, FixedPolicy, NashPolicy
 
 REFERENCE_DEFAULTS = {
@@ -195,6 +195,16 @@ sweep_specs = st.one_of(
     ),
     st.builds(lambda name, value: f"{name}={value}", st.sampled_from(list(REFERENCE_DEFAULTS)), range_ends),
     st.text(max_size=6),
+)
+
+# ranges that a grid accepts more often than not: non-negative ends, a
+# positive step, and counts around the default ten bands and five users
+grid_specs = st.builds(
+    lambda name, lo, span, step: f"{name}={lo}..{lo + span}:{step}",
+    st.sampled_from(list(REFERENCE_DEFAULTS)),
+    st.integers(0, 10),
+    st.integers(0, 10),
+    st.sampled_from([1, 2, 3]),
 )
 
 
@@ -523,6 +533,42 @@ class TestCmdSweep:
         flagged = sum(int(row[f"degenerate_{cat}"]) for row in rows for cat in "AB")
         assert 0 < calls["degenerate"] == flagged
 
+    @given(
+        st.lists(grid_specs, min_size=1, max_size=2)
+        | st.lists(grid_specs | sweep_specs, min_size=1, max_size=2)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_each_cell_is_the_config_that_a_checked_build_gives(self, specs):
+        # cmd_sweep builds its cells unchecked, since _check_grid has checked
+        # the whole grid: each must be what NetworkConfig would have built
+        argv = ["sweep", *(f"--sweep={spec}" for spec in specs), "--out", os.devnull]
+        try:
+            cfg = cli.parse_config(cli._build_parser().parse_args(argv))
+            cli._check_grid(cfg.network, cfg.sweeps)
+        except cli.ConfigError:
+            return
+        names = [name for name, _values in cfg.sweeps]
+        grid = list(itertools.product(*(values for _name, values in cfg.sweeps)))
+        if len(grid) > 2_000:
+            return
+        build_game = cli.build_game
+        built = []
+
+        def recording_build_game(network, category):
+            built.append(network)
+            return build_game(network, category)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "build_game", recording_build_game)
+            try:
+                cli.cmd_sweep(cfg)
+            except cli.ConfigError:  # a payoff entry overflows; the cells before it stand
+                pass
+        assert built
+        for network, combo in zip(built[::2], grid):
+            assert type(network) is NetworkConfig
+            assert network == NetworkConfig(*network) == cfg.network._replace(**dict(zip(names, combo)))
+
     def test_missing_sweep_flag_is_a_config_error(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -568,6 +614,11 @@ class TestExitCodes:
         assert "config error: category A game: payoff entry a must be finite" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_device_is_an_io_error(self, capsys):
+        assert main(["fp", "--iterations", "3000", "--out", "/dev/full"]) == 4
+        assert "i/o error" in capsys.readouterr().err
+
     def test_success_is_zero(self, tmp_path):
         assert main(["nash", "--out", str(tmp_path / "n.csv")]) == 0
 
@@ -592,17 +643,22 @@ class TestExitCodes:
         assert [path.name for path in tmp_path.iterdir()] == ["sweep.csv"]
 
 
-def run_cli(args, stdout):
+def cli_process(args, stdout, run=subprocess.run, **options):
     """Run the CLI in a fresh interpreter with ``stdout`` as its standard
-    output, block-buffered as it is by default for a file or a pipe."""
+    output, block-buffered as it is by default for a file or a pipe;
+    ``run`` is ``subprocess.run`` or ``subprocess.Popen``."""
     import crn_jamgame
 
     env = dict(os.environ, PYTHONPATH=str(Path(crn_jamgame.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run(
+    return run(
         [sys.executable, "-m", "crn_jamgame.cli", *args],
-        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, env=env, **options,
     )
+
+
+def run_cli(args, stdout):
+    return cli_process(args, stdout, timeout=60)
 
 
 class TestOutputPaths:
@@ -649,3 +705,32 @@ class TestOutputPaths:
             output = captured.read_text()
         assert done.returncode == 0, done.stderr
         assert output == (csv_text + printed if csv_first else printed + csv_text)
+
+
+class TestClosedPipe:
+    # a reader that stops early ends the run as a writer killed by SIGPIPE
+    # would: exit 141 (128 + SIGPIPE), with nothing on stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_a_reader_that_stops_after_the_first_line(self):
+        # `fp --out /dev/stdout | head -1`
+        args = ["fp", "--iterations", "300000", "--out", "/dev/stdout"]
+        process = cli_process(args, subprocess.PIPE, subprocess.Popen)
+        try:
+            assert process.stdout.readline().startswith(b"iteration,")
+            process.stdout.close()
+            _, err = process.communicate(timeout=60)
+        finally:
+            process.kill()
+        assert process.returncode == 141
+        assert err == b""
+
+    def test_a_pipe_closed_before_reading(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = cli_process(["nash"], write, timeout=60)
+        finally:
+            os.close(write)
+        assert done.returncode == 141
+        assert done.stderr == b""

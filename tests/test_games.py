@@ -114,6 +114,47 @@ class TestConfigValidation:
             NetworkConfig(**{field: 10**400})  # an int too large for a float
 
 
+class TestNetworkConfigTuple:
+    def test_positional_and_keyword_construction_agree(self):
+        values = (12, 3, 1.5, 2.5, 40.0, 60.0, 80.0)
+        assert NetworkConfig(*values) == NetworkConfig(**dict(zip(NetworkConfig._fields, values)))
+        assert NetworkConfig(*values) == values  # a plain 7-tuple
+        assert NetworkConfig(12, gain_secondary=40.0) == NetworkConfig(n_bands=12, gain_secondary=40.0)
+        assert REF == NetworkConfig(*NetworkConfig._field_defaults.values()) == (10, 5, 5, 2, 50, 75, 100)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n_bands": 1},
+            {"n_bands": 10**400, "n_primary": 0},
+            {"n_primary": 11},
+            {"n_primary": -1},
+            {"n_primary": 2.0},
+            {"cost_secondary_switch": -1.0},
+            {"cost_malicious_switch": True},
+            {"gain_secondary": float("nan")},
+            {"gain_malicious": 10**400},
+            {"loss_secondary": "100"},
+        ],
+    )
+    def test_replace_and_make_reject_what_the_constructor_rejects(self, change):
+        with pytest.raises(ValueError) as built:
+            NetworkConfig(**change)
+        values = {**REF._asdict(), **change}.values()
+        for make in (lambda: REF._replace(**change), lambda: NetworkConfig._make(values)):
+            with pytest.raises(ValueError) as made:
+                make()
+            assert str(made.value) == str(built.value)
+
+    def test_fields_cannot_be_assigned(self):
+        config = NetworkConfig()
+        with pytest.raises(AttributeError):
+            config.n_bands = 3
+        with pytest.raises(AttributeError):
+            config.extra = 3  # no instance dict either
+        assert config == REF
+
+
 class TestCategory:
     def test_values_are_the_simulator_codes(self):
         assert [(c.name, c.value) for c in Category] == [("A", 0), ("B", 1), ("C", 2)]

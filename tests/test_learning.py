@@ -55,6 +55,12 @@ def histories(draw, max_count=50):
     return tuple(draw(counts) for _ in range(4))
 
 
+def running(trace):
+    """Each player's running strategy-1 frequency after every stage of ``trace``."""
+    ((_lo, p_star, q_star),) = trace.running_frequencies(len(trace))
+    return p_star, q_star
+
+
 def secondary_utilities(game, history):
     """The secondary's two rows weighted by the jammer's observed counts."""
     _, _, h_m1, h_m2 = history
@@ -168,7 +174,8 @@ class TestFpStep:
         trace = run_fp(GAME_A, 1, seed=42)
         assert len(trace) == 1
         assert trace.actions_secondary[0] in (1, 2) and trace.actions_malicious[0] in (1, 2)
-        assert trace.p_star[0] in (0.0, 1.0) and trace.q_star[0] in (0.0, 1.0)
+        p_star, q_star = trace.final_frequencies()
+        assert p_star in (0.0, 1.0) and q_star in (0.0, 1.0)
 
     def test_near_equilibrium_history_is_an_exact_tie(self):
         # counts matching the equilibrium frequencies make both rows equal
@@ -198,8 +205,8 @@ class TestFpStep:
         # strategy-1 count after each stage: whole, starting at 0 or 1, and
         # growing by 0 or 1 (the strategy-2 count takes the rest of each stage)
         stage = np.arange(1, len(trace) + 1)
-        for running in (trace.p_star, trace.q_star):
-            counts = running * stage
+        for frequencies in running(trace):
+            counts = frequencies * stage
             first = np.rint(counts)
             assert np.allclose(counts, first, rtol=0, atol=1e-9)
             assert first[0] in (0, 1)
@@ -223,7 +230,8 @@ class TestEmpiricalFrequencies:
     def test_counts_give_the_last_running_frequency_exactly(self, stages):
         secondary, jammer = (np.array(column, np.uint8) for column in zip(*stages))
         trace = FpTrace(GAME_A, secondary, jammer)
-        assert trace.final_frequencies() == (float(trace.p_star[-1]), float(trace.q_star[-1]))
+        p_star, q_star = running(trace)
+        assert trace.final_frequencies() == (float(p_star[-1]), float(q_star[-1]))
 
     @given(
         st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=1, max_size=3000),
@@ -244,7 +252,6 @@ class TestEmpiricalFrequencies:
         empty = np.array([], np.uint8)
         trace = FpTrace(GAME_A, empty, empty)
         assert list(trace.running_frequencies(16)) == []
-        assert trace.p_star.shape == trace.q_star.shape == (0,)
 
     def test_rejects_empty_side(self):
         empty = np.array([], np.uint8)
@@ -278,17 +285,19 @@ class TestRunFp:
         trace = run_fp(GAME_A, 257, seed=3)
         assert len(trace) == 257
         stage = np.arange(1, len(trace) + 1)
-        for running, actions in (
-            (trace.p_star, trace.actions_secondary),
-            (trace.q_star, trace.actions_malicious),
+        p_star, q_star = running(trace)
+        for frequencies, actions in (
+            (p_star, trace.actions_secondary),
+            (q_star, trace.actions_malicious),
         ):
-            counts = running * stage
+            counts = frequencies * stage
             assert np.allclose(counts, np.rint(counts), rtol=0, atol=1e-9)
             assert np.array_equal(np.rint(counts), np.cumsum(actions == 1))
-            assert running[-1] * len(trace) == pytest.approx(round(running[-1] * len(trace)), abs=1e-9)
+            last = frequencies[-1] * len(trace)
+            assert last == pytest.approx(round(last), abs=1e-9)
         # entry 100 is the frequency after 101 stages
         ones = np.count_nonzero(trace.actions_secondary[:101] == 1)
-        assert trace.p_star[100] * 101 == pytest.approx(ones)
+        assert p_star[100] * 101 == pytest.approx(ones)
 
     def test_bitwise_deterministic(self):
         first = run_fp(GAME_B, 5_000, seed=11)
@@ -390,9 +399,10 @@ class TestRunFp:
 class TestConvergenceError:
     def test_self_reference_gives_zero_final_error(self):
         trace = run_fp(GAME_A, 500, seed=4)
-        p_star, q_star = trace.final_frequencies()
-        assert np.abs(trace.p_star - p_star)[-1] == 0.0
-        assert np.abs(trace.q_star - q_star)[-1] == 0.0
+        p_final, q_final = trace.final_frequencies()
+        p_star, q_star = running(trace)
+        assert np.abs(p_star - p_final)[-1] == 0.0
+        assert np.abs(q_star - q_final)[-1] == 0.0
 
     def test_error_shrinks_between_early_and_late_iterations(self):
         # light check here; the 50-seed statistical version runs in the
@@ -400,8 +410,9 @@ class TestConvergenceError:
         improved = 0
         for seed in range(10):
             trace = run_fp(GAME_A, 20_000, seed)
-            err_p = np.abs(trace.p_star - EQ_A.p)
-            err_q = np.abs(trace.q_star - EQ_A.q)
+            p_star, q_star = running(trace)
+            err_p = np.abs(p_star - EQ_A.p)
+            err_q = np.abs(q_star - EQ_A.q)
             early = max(err_p[99], err_q[99])
             late = max(err_p[-1], err_q[-1])
             improved += late < early

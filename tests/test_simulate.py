@@ -436,9 +436,9 @@ class TestRunSimulation:
         huge = NetworkConfig(gain_malicious=1e308, loss_secondary=1e308, gain_secondary=1e308)
         scaled = NetworkConfig(
             **{
-                field.name: math.ldexp(getattr(huge, field.name), -1000)
-                for field in dataclasses.fields(NetworkConfig)
-                if field.name not in ("n_bands", "n_primary")
+                name: math.ldexp(getattr(huge, name), -1000)
+                for name in NetworkConfig._fields
+                if name not in ("n_bands", "n_primary")
             }
         )
         first = run_simulation(huge, FP_BOTH, 5_000, seed=5)
