@@ -185,6 +185,9 @@ def parse_config(args: argparse.Namespace) -> argparse.Namespace:
         except ValueError:
             raise ConfigError(f"seed: {SEED_ENV_VAR} must be an integer (got {text!r})") from None
     sweeps = tuple(_parse_sweep(spec) for spec in (args.sweep or []))
+    for i, (name, _values) in enumerate(sweeps):
+        if name in dict(sweeps[:i]):
+            raise ConfigError(f"sweep: {name} is swept more than once")
     network_values = {name: values.pop(name) for name in _NETWORK_TYPES}
     if args.cmd == "sweep":
         network_values.update((name, swept[0]) for name, swept in sweeps)
@@ -342,34 +345,17 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
 
     def blocks():
         labels = tuple(category.name for category in Category)
-        columns = (
-            result.secondary_band,
-            result.malicious_band,
-            result.jam,
-            result.secondary_payoff,
-            result.malicious_payoff,
-            *result.frequencies(Category.A),
-            *result.frequencies(Category.B),
-        )
-        for lo in range(0, len(result), _CHUNK):
+        in_a, in_b = (result.running_frequencies(code, _CHUNK) for code in (Category.A, Category.B))
+        for (lo, p_a, q_a), (_lo, p_b, q_b) in zip(in_a, in_b):
             part = slice(lo, lo + _CHUNK)
             category = result.category[part]
-            sec, mal, jam, pay_s, pay_m, p_a, q_a, p_b, q_b = (column[part] for column in columns)
             yield (
-                np.arange(lo, lo + len(category)),
-                Labels(category, labels),
-                sec,
-                mal,
-                category == Category.C,
+                np.arange(lo, lo + len(category)), Labels(category, labels),
+                result.secondary_band[part], result.malicious_band[part], category == Category.C,
                 Labels(result.secondary_switch[part].view(np.uint8), _MOVES),
                 Labels(result.malicious_switch[part].view(np.uint8), _MOVES),
-                jam,
-                pay_s,
-                pay_m,
-                p_a,
-                q_a,
-                p_b,
-                q_b,
+                result.jam[part], result.secondary_payoff[part], result.malicious_payoff[part],
+                p_a, q_a, p_b, q_b,
             )
 
     write_csv(cfg.out, SIMULATE_COLUMNS, blocks())

@@ -4,7 +4,8 @@ Each player tallies how often the rival has picked each strategy and,
 every stage, plays the strategy with the higher count-weighted expected
 payoff; exact-enough ties are broken uniformly at random. The running
 action frequencies (p*, q*) approach the game's mixed equilibrium as the
-history grows.
+history grows. ``running_share`` and ``final_share`` are the one rule
+for them, which ``FpTrace`` and the simulator's record both read.
 
 ``run_fp`` works in runs, stretches of stages in which both players keep
 their actions. Within a run the counts grow by one per stage, so a NumPy
@@ -28,7 +29,7 @@ import numpy as np
 
 from .games import BimatrixGame
 
-__all__ = ["FpTrace", "best_response", "fit_to_counts", "run_fp"]
+__all__ = ["FpTrace", "best_response", "final_share", "fit_to_counts", "run_fp", "running_share"]
 
 #: Relative tie tolerance for best responses: utilities closer than this
 #: fraction of ``max(1, |u1|, |u2|)`` count as equal.
@@ -37,13 +38,13 @@ TIE_REL_TOL = 1e-9
 #: Stages in a row with unchanged actions after which ``run_fp`` screens
 #: the stages ahead; the threshold doubles after a screen that skips none.
 RUN_MIN = 16
-#: Stages in the first window of a screen; each full window doubles the
-#: next, up to ``WINDOW_MAX``.
-WINDOW_MIN = 64
-WINDOW_MAX = 1024
+#: Stages in each window of a screen.
+WINDOW = 1024
 #: The screen skips a stage only when the kept strategy leads by more
 #: than this share of ``max(1, |u1|, |u2|)``, twice the tie window.
 SCREEN_REL_MARGIN = 2 * TIE_REL_TOL
+#: Moves that :func:`final_share` counts at a time.
+COUNT_SLICE = 1 << 14
 
 
 def best_response(u1: float, u2: float, rand: Callable[[], float]) -> int:
@@ -72,17 +73,52 @@ def fit_to_counts(game: BimatrixGame, stages: int) -> BimatrixGame:
     return BimatrixGame(*(math.ldexp(x, -shift) for x in game))
 
 
+def _tallies(moves: np.ndarray, first, recorded: np.ndarray | None, size: int):
+    """Yield, for consecutive slices of at most ``size`` moves, where a
+    recorded move is ``first`` and where a move is recorded (None when
+    ``recorded`` is None: every move is)."""
+    for lo in range(0, len(moves), size):
+        seen = None if recorded is None else recorded[lo : lo + size]
+        hit = moves[lo : lo + size] == first
+        yield (hit if seen is None else hit & seen), seen
+
+
+def running_share(moves: np.ndarray, first, recorded: np.ndarray | None, size: int):
+    """Yield, for consecutive slices of at most ``size`` moves, the share
+    of ``first`` among the recorded moves so far after each move of the
+    slice; nan before the first record. ``recorded`` marks the moves that
+    count (None: every move). The counts are carried from slice to slice,
+    so the values equal those of one pass over the column."""
+    hits = seen = 0
+    for hit, mask in _tallies(moves, first, recorded, size):
+        hit_count = hits + np.cumsum(hit)
+        seen_count = np.arange(seen + 1, seen + len(hit) + 1) if mask is None else seen + np.cumsum(mask)
+        hits, seen = int(hit_count[-1]), int(seen_count[-1])
+        with np.errstate(invalid="ignore"):  # 0/0 before the first record
+            share = hit_count / seen_count
+        yield share
+
+
+def final_share(moves: np.ndarray, first, recorded: np.ndarray | None) -> float:
+    """The last value of :func:`running_share`, from the counts of
+    :data:`COUNT_SLICE` moves at a time; nan when no move is recorded."""
+    hits = seen = 0
+    for hit, mask in _tallies(moves, first, recorded, COUNT_SLICE):
+        hits += int(np.count_nonzero(hit))
+        seen += len(hit) if mask is None else int(np.count_nonzero(mask))
+    return hits / seen if seen else math.nan
+
+
 class FpTrace:
     """Column-oriented record of a learning run.
 
     Stores the two action streams (strategy indices 1 and 2); running
-    frequencies are derived on demand.
+    frequencies are derived on demand by :func:`running_share`.
     """
 
-    def __init__(self, game: BimatrixGame, actions_secondary: np.ndarray, actions_malicious: np.ndarray):
+    def __init__(self, actions_secondary: np.ndarray, actions_malicious: np.ndarray):
         if actions_secondary.shape != actions_malicious.shape:
             raise ValueError("action streams must have equal length")
-        self.game = game
         self.actions_secondary = actions_secondary
         self.actions_malicious = actions_malicious
 
@@ -92,26 +128,16 @@ class FpTrace:
     def running_frequencies(self, size: int):
         """Yield ``(lo, p_star, q_star)`` for consecutive slices of at most
         ``size`` iterations: each player's running strategy-1 frequency
-        after iterations lo+1, lo+2, ... The counts are carried from slice
-        to slice, so the values equal those of one pass over the run."""
-        count_s = count_m = 0
-        for lo in range(0, len(self), size):
-            run_s = count_s + np.cumsum(self.actions_secondary[lo : lo + size] == 1)
-            run_m = count_m + np.cumsum(self.actions_malicious[lo : lo + size] == 1)
-            count_s, count_m = int(run_s[-1]), int(run_m[-1])
-            stage = np.arange(lo + 1, lo + len(run_s) + 1)
-            yield lo, run_s / stage, run_m / stage
+        after iterations lo+1, lo+2, ..., equal to those of one pass."""
+        streams = (self.actions_secondary, self.actions_malicious)
+        p_star, q_star = (running_share(actions, 1, None, size) for actions in streams)
+        return zip(range(0, len(self), size), p_star, q_star)
 
     def final_frequencies(self) -> tuple[float, float]:
         """(p*, q*) after the last iteration, from the strategy-1 counts."""
-        n = len(self)
-        if n == 0:
+        if len(self) == 0:
             raise ValueError("empty trace has no frequencies")
-        # actions are 1 or 2, so a stream of n sums to 2n minus its 1s
-        return (
-            (2 * n - int(self.actions_secondary.sum(dtype=np.int64))) / n,
-            (2 * n - int(self.actions_malicious.sum(dtype=np.int64))) / n,
-        )
+        return final_share(self.actions_secondary, 1, None), final_share(self.actions_malicious, 1, None)
 
 
 def _leads(u1: np.ndarray, u2: np.ndarray, keep: int) -> np.ndarray:
@@ -193,9 +219,8 @@ def run_fp(game: BimatrixGame, iterations: int, seed: int) -> FpTrace:
                 break  # every stage is done
             t += 1  # past the stage that ended the scalar loop
             skipped = 0
-            window = WINDOW_MIN
             while t < iterations:
-                span = min(window, iterations - t)
+                span = min(WINDOW, iterations - t)
                 n = _screen(weights, s, m, (hs1, hs2, hm1, hm2), span)
                 act_s[t : t + n] = bytes((s,)) * n
                 act_m[t : t + n] = bytes((m,)) * n
@@ -211,8 +236,7 @@ def run_fp(game: BimatrixGame, iterations: int, seed: int) -> FpTrace:
                     hm2 += n
                 if n < span:
                     break
-                window = min(2 * window, WINDOW_MAX)
             # a screen that skips nothing (nan utilities, a lasting
             # near-tie) makes the next one wait twice as long
             patience = RUN_MIN if skipped else 2 * patience
-    return FpTrace(game, np.frombuffer(act_s, np.uint8), np.frombuffer(act_m, np.uint8))
+    return FpTrace(np.frombuffer(act_s, np.uint8), np.frombuffer(act_m, np.uint8))

@@ -80,7 +80,10 @@ def write_csv(path: str, columns, blocks) -> None:
         write(path)
         return
     directory, name = os.path.split(os.path.abspath(path))
-    fd, temp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    try:
+        fd, temp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    except OSError as exc:  # name the path, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         os.fchmod(fd, stat.S_IMODE(mode))  # mkstemp creates the file 0600
         write(fd)

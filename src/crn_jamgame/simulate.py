@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .games import FIRST_IS_SWITCH, BimatrixGame, Category, NetworkConfig, build_game
-from .learning import best_response, fit_to_counts
+from .learning import best_response, final_share, fit_to_counts, running_share
 from .nash import EquilibriumReport, mixed_equilibrium
 
 __all__ = [
@@ -293,18 +293,6 @@ def update_histories(
     return (True, True)
 
 
-def _running_frequency(hits: np.ndarray, seen: np.ndarray) -> np.ndarray:
-    """Share of hits among the observations so far; nan before the first."""
-    with np.errstate(invalid="ignore"):
-        return np.cumsum(hits) / np.cumsum(seen)
-
-
-def _final_frequency(hits: np.ndarray, seen: np.ndarray) -> float:
-    """The last value of ``_running_frequency``, from the two counts."""
-    n = int(np.count_nonzero(seen))
-    return int(np.count_nonzero(hits)) / n if n else float("nan")
-
-
 def _total(payoffs: np.ndarray) -> float:
     """Left-to-right sum from 0.0, the same float a running total gives."""
     return 0.0 + float(np.cumsum(payoffs)[-1])
@@ -337,8 +325,7 @@ class SimulationResult:
     ``jam`` and the payoffs are the settled outcome.
     ``seen_by_malicious`` marks the slots whose secondary move the jammer
     recorded, ``seen_by_secondary`` those whose jammer move the secondary
-    recorded. Observation totals, running frequencies and the
-    summary are derived on demand.
+    recorded. Running frequencies and the summary are derived on demand.
     """
 
     category: np.ndarray
@@ -355,38 +342,34 @@ class SimulationResult:
     def __len__(self) -> int:
         return int(self.category.shape[0])
 
-    def observation_totals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Moves recorded so far, both categories: (by the jammer, by the secondary)."""
-        return np.cumsum(self.seen_by_malicious), np.cumsum(self.seen_by_secondary)
-
     def _observed(self, category: int):
-        """Yield ``(hits, seen)`` masks of the secondary's, then the
-        jammer's, recorded moves in category code A or B: ``seen`` marks
-        the moves the rival recorded there, ``hits`` those of them that
-        are strategy 1 (:data:`games.FIRST_IS_SWITCH`)."""
+        """``(moves, first, recorded)`` of the secondary's, then the
+        jammer's, moves in category code A or B, for :func:`running_share`:
+        the switch flags, the flag of strategy 1
+        (:data:`games.FIRST_IS_SWITCH`) and the moves the rival recorded
+        there."""
         here = self.category == category
         first_s, first_m = FIRST_IS_SWITCH[category]
-        for seen_by_rival, switch, first_is_switch in (
-            (self.seen_by_malicious, self.secondary_switch, first_s),
-            (self.seen_by_secondary, self.malicious_switch, first_m),
-        ):
-            seen = seen_by_rival & here
-            yield seen & (switch == first_is_switch), seen
+        return (
+            (self.secondary_switch, first_s, self.seen_by_malicious & here),
+            (self.malicious_switch, first_m, self.seen_by_secondary & here),
+        )
 
-    def frequencies(self, category: int) -> tuple[np.ndarray, np.ndarray]:
-        """Running (p*, q*) of category code A or B after each slot.
+    def running_frequencies(self, category: int, size: int):
+        """Yield ``(lo, p_star, q_star)`` for consecutive slices of at most
+        ``size`` slots: the running (p*, q*) of category code A or B after
+        slots lo, lo+1, ..., equal to those of one pass.
 
         p* is the secondary's strategy-1 share among its moves the jammer
         recorded in that category, q* the jammer's among its moves the
         secondary recorded; nan until the first such record.
         """
-        p_star, q_star = (_running_frequency(*masks) for masks in self._observed(category))
-        return p_star, q_star
+        p_star, q_star = (running_share(*read, size) for read in self._observed(category))
+        return zip(range(0, len(self), size), p_star, q_star)
 
     @cached_property
     def summary(self) -> SimulationSummary:
-        p_a, q_a = (_final_frequency(*masks) for masks in self._observed(A))
-        p_b, q_b = (_final_frequency(*masks) for masks in self._observed(B))
+        p_a, q_a, p_b, q_b = (final_share(*read) for code in (A, B) for read in self._observed(code))
         dwell = np.bincount(self.category, minlength=len(Category))
         return SimulationSummary(
             slots=len(self),

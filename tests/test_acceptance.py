@@ -281,7 +281,8 @@ def test_criterion_8_observation_asymmetry():
     for config in configs:
         for seed in range(4):
             result = run_simulation(config, FP_BOTH, 10_000, seed=seed)
-            malicious_total, secondary_total = result.observation_totals()
+            malicious_total = np.cumsum(result.seen_by_malicious)
+            secondary_total = np.cumsum(result.seen_by_secondary)
             all_ok = all_ok and bool((malicious_total >= secondary_total).all())
     elapsed = time.perf_counter() - start
     check(

@@ -475,6 +475,19 @@ class TestCmdSweep:
         assert "config error: sweep: loss_secondary=1e+308: category A game: payoff entry a" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "first,second",
+        [("gain_secondary=1..2", "gain_secondary=30..31"), ("n_bands=2..3", "n_bands=4..5")],
+        ids=["float", "int"],
+    )
+    def test_a_field_swept_twice_is_a_config_error_naming_it(self, tmp_path, capsys, first, second):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--n-primary", "0", "--sweep", first, "--sweep", second, "--out", str(out)]
+        assert main(argv) == 2
+        name = first.partition("=")[0]
+        assert capsys.readouterr().err == f"config error: sweep: {name} is swept more than once\n"
+        assert not out.exists()
+
     def test_invalid_grid_cell_leaves_the_output_untouched(self, tmp_path, capsys):
         # n_primary 11 and 12 exceed the 10 bands; the grid is rejected before
         # anything is opened, so no file appears and an existing one survives
@@ -641,6 +654,59 @@ class TestExitCodes:
         assert "device lost" in capsys.readouterr().err
         assert out.read_bytes() == b"earlier results\n"
         assert [path.name for path in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+#: A short run of each command.
+SHORT_RUNS = {
+    "nash": ["nash"],
+    "fp": ["fp", "--iterations", "3000"],
+    "simulate": ["simulate", "--slots", "3000"],
+    "sweep": ["sweep", "--sweep", "gain_malicious=75..78"],
+}
+
+
+class TestFailurePaths:
+    """Every command fails alike: its exit code, one line on stderr and no
+    traceback, and an existing ``--out`` file left as it was."""
+
+    @staticmethod
+    def error_line(capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        return err.rstrip("\n")
+
+    @pytest.mark.parametrize("command", list(SHORT_RUNS))
+    def test_a_missing_directory_is_an_io_error_naming_the_out_path(self, tmp_path, capsys, command):
+        earlier = tmp_path / "earlier.csv"
+        earlier.write_bytes(b"earlier results\n")
+        out = tmp_path / "missing" / "out.csv"
+        assert main([*SHORT_RUNS[command], "--out", str(out)]) == 4
+        assert self.error_line(capsys) == f"i/o error: [Errno 2] No such file or directory: {str(out)!r}"
+        assert [path.name for path in tmp_path.iterdir()] == ["earlier.csv"]
+        assert earlier.read_bytes() == b"earlier results\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", list(SHORT_RUNS))
+    def test_a_full_device_is_an_io_error(self, capsys, command):
+        assert main([*SHORT_RUNS[command], "--out", "/dev/full"]) == 4
+        assert self.error_line(capsys) == "i/o error: [Errno 28] No space left on device"
+
+    @pytest.mark.parametrize("command", list(SHORT_RUNS))
+    def test_an_overflowing_payoff_entry_is_a_config_error(self, tmp_path, capsys, command):
+        # every field is finite, but category A's entry a = -cost + roam
+        # overflows to -inf
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier results\n")
+        assert main([
+            *SHORT_RUNS[command], "--n-primary", "0", "--cost-secondary-switch", "1.7e308",
+            "--loss-secondary", "1.7e308", "--out", str(out),
+        ]) == 2
+        cell = "sweep: gain_malicious=75.0: " if command == "sweep" else ""
+        message = f"config error: {cell}category A game: payoff entry a must be finite"
+        assert self.error_line(capsys) == message
+        assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
+        assert out.read_bytes() == b"earlier results\n"
 
 
 def cli_process(args, stdout, run=subprocess.run, **options):

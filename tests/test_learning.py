@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -215,23 +216,28 @@ class TestFpStep:
 
 class TestEmpiricalFrequencies:
     def test_direct_ratio(self):
-        trace = FpTrace(GAME_A, np.array([1, 1, 2, 1], np.uint8), np.array([2, 1, 2, 2], np.uint8))
+        trace = FpTrace(np.array([1, 1, 2, 1], np.uint8), np.array([2, 1, 2, 2], np.uint8))
         assert trace.final_frequencies() == (0.75, 0.25)
 
     def test_equilibrium_counts(self):
         secondary = np.array([1] * 94 + [2] * 6, np.uint8)
         jammer = np.array([1] * 84 + [2] * 16, np.uint8)
-        p_star, q_star = FpTrace(GAME_A, secondary, jammer).final_frequencies()
+        p_star, q_star = FpTrace(secondary, jammer).final_frequencies()
         assert p_star == pytest.approx(0.94, abs=1e-12)
         assert q_star == pytest.approx(0.84, abs=1e-12)
 
-    @given(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=1, max_size=3000))
+    @given(
+        st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=1, max_size=3000),
+        st.integers(1, 4000),
+    )
     @settings(max_examples=200, deadline=None)
-    def test_counts_give_the_last_running_frequency_exactly(self, stages):
+    def test_counts_give_the_last_running_frequency_exactly(self, stages, count_slice):
+        # the final counts, taken count_slice moves at a time, are those of one pass
         secondary, jammer = (np.array(column, np.uint8) for column in zip(*stages))
-        trace = FpTrace(GAME_A, secondary, jammer)
+        trace = FpTrace(secondary, jammer)
         p_star, q_star = running(trace)
-        assert trace.final_frequencies() == (float(p_star[-1]), float(q_star[-1]))
+        with mock.patch.object(learning, "COUNT_SLICE", count_slice):
+            assert trace.final_frequencies() == (float(p_star[-1]), float(q_star[-1]))
 
     @given(
         st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=1, max_size=3000),
@@ -240,7 +246,7 @@ class TestEmpiricalFrequencies:
     @settings(max_examples=200, deadline=None)
     def test_slices_give_the_same_running_frequencies_as_one_pass(self, stages, size):
         secondary, jammer = (np.array(column, np.uint8) for column in zip(*stages))
-        trace = FpTrace(GAME_A, secondary, jammer)
+        trace = FpTrace(secondary, jammer)
         slices = list(trace.running_frequencies(size))
         assert [lo for lo, _p, _q in slices] == list(range(0, len(stages), size))
         stage = np.arange(1, len(stages) + 1)
@@ -250,15 +256,15 @@ class TestEmpiricalFrequencies:
 
     def test_empty_trace_has_empty_running_frequencies(self):
         empty = np.array([], np.uint8)
-        trace = FpTrace(GAME_A, empty, empty)
+        trace = FpTrace(empty, empty)
         assert list(trace.running_frequencies(16)) == []
 
     def test_rejects_empty_side(self):
         empty = np.array([], np.uint8)
         with pytest.raises(ValueError):
-            FpTrace(GAME_A, empty, empty).final_frequencies()
+            FpTrace(empty, empty).final_frequencies()
         with pytest.raises(ValueError):
-            FpTrace(GAME_A, np.array([1, 2], np.uint8), np.array([1], np.uint8))
+            FpTrace(np.array([1, 2], np.uint8), np.array([1], np.uint8))
 
 
 class TestRunFp:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from crn_jamgame import (
     mixed_equilibrium,
     run_simulation,
 )
+from crn_jamgame import learning
 from crn_jamgame.games import FIRST_IS_SWITCH, BimatrixGame
 from crn_jamgame.nash import strategy_utilities
 from crn_jamgame.simulate import (
@@ -301,6 +303,12 @@ class TestUpdateHistories:
         assert histories[B] == [0, 1, 0, 1]
 
 
+def running_frequencies(result, code):
+    """Running (p*, q*) of category ``code`` after every slot, as one slice."""
+    ((_lo, p_star, q_star),) = result.running_frequencies(code, len(result))
+    return p_star, q_star
+
+
 def c_run_lengths(category):
     """Lengths of the runs of category-C slots that end before the trace does."""
     runs = []
@@ -318,9 +326,8 @@ class TestRunSimulation:
     def test_single_slot_shape(self):
         result = run_simulation(REF, FP_BOTH, 1, seed=0)
         assert len(result) == 1
-        malicious_total, secondary_total = result.observation_totals()
-        assert malicious_total.tolist() in ([0], [1])
-        assert secondary_total.tolist() in ([0], [1])
+        assert result.seen_by_malicious.tolist() in ([False], [True])
+        assert result.seen_by_secondary.tolist() in ([False], [True])
 
     def test_saturated_spectrum_is_all_category_c(self):
         config = NetworkConfig(n_primary=10)
@@ -353,7 +360,8 @@ class TestRunSimulation:
         assert not result.secondary_switch[in_c].any()
         assert not result.malicious_switch[in_c].any()
         # histories are monotone and the jammer always knows at least as much
-        malicious_total, secondary_total = result.observation_totals()
+        malicious_total = np.cumsum(result.seen_by_malicious)
+        secondary_total = np.cumsum(result.seen_by_secondary)
         assert (np.diff(malicious_total) >= 0).all()
         assert (np.diff(secondary_total) >= 0).all()
         assert (malicious_total >= secondary_total).all()
@@ -379,7 +387,7 @@ class TestRunSimulation:
         assert result.secondary_switch[in_b].all()
         assert not result.malicious_switch[in_b].any()
         for code in (A, B):
-            for running in result.frequencies(code):
+            for running in running_frequencies(result, code):
                 defined = running[~np.isnan(running)]
                 assert defined.size > 0
                 assert (defined == 1.0).all()
@@ -390,22 +398,53 @@ class TestRunSimulation:
         st.sampled_from([FixedPolicy(0.7), NashPolicy(), FictitiousPlayPolicy()]),
         st.integers(1, 400),
         st.integers(0, 2**32),
+        st.integers(1, 500),
     )
     @settings(max_examples=100, deadline=None)
     def test_summary_frequencies_are_the_last_running_frequencies(
-        self, n_primary, secondary, malicious, slots, seed
+        self, n_primary, secondary, malicious, slots, seed, count_slice
     ):
         # nan when nothing was recorded in the category: always with ten
-        # primaries (every slot is C), often in short runs
+        # primaries (every slot is C), often in short runs; the final
+        # counts, taken count_slice slots at a time, are those of one pass
         config = NetworkConfig(n_primary=n_primary)
         result = run_simulation(config, PolicySpec(secondary, malicious), slots, seed)
-        s = result.summary
+        with mock.patch.object(learning, "COUNT_SLICE", count_slice):
+            s = result.summary
         for code, summary in ((A, (s.p_star_a, s.q_star_a)), (B, (s.p_star_b, s.q_star_b))):
-            for final, running in zip(summary, result.frequencies(code)):
+            for final, running in zip(summary, running_frequencies(result, code)):
                 last = float(running[-1])
                 assert final == last or (math.isnan(final) and math.isnan(last))
         if n_primary == 10:
             assert all(math.isnan(x) for x in (s.p_star_a, s.q_star_a, s.p_star_b, s.q_star_b))
+
+    @given(
+        st.sampled_from([0, 5, 9]),
+        st.sampled_from([FixedPolicy(0.3), NashPolicy(), FictitiousPlayPolicy()]),
+        st.sampled_from([FixedPolicy(0.7), NashPolicy(), FictitiousPlayPolicy()]),
+        st.integers(1, 3000),
+        st.integers(1, 4000),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_slices_give_the_same_running_frequencies_as_one_pass(
+        self, n_primary, secondary, malicious, slots, size, seed
+    ):
+        config = NetworkConfig(n_primary=n_primary)
+        result = run_simulation(config, PolicySpec(secondary, malicious), slots, seed)
+        for code in (A, B):
+            slices = list(result.running_frequencies(code, size))
+            assert [lo for lo, _p, _q in slices] == list(range(0, slots, size))
+            here = result.category == code
+            for column, switch, first, seen_by_rival in (
+                (1, result.secondary_switch, FIRST_IS_SWITCH[code][0], result.seen_by_malicious),
+                (2, result.malicious_switch, FIRST_IS_SWITCH[code][1], result.seen_by_secondary),
+            ):
+                seen = seen_by_rival & here
+                with np.errstate(invalid="ignore"):
+                    one_pass = np.cumsum(seen & (switch == first)) / np.cumsum(seen)
+                joined = np.concatenate([part[column] for part in slices])
+                assert np.array_equal(joined, one_pass, equal_nan=True)
 
     @pytest.mark.parametrize("code,z", [(A, 3), (B, 5)], ids=["A", "B"])
     def test_nash_play_realizes_equilibrium_payoffs(self, code, z):
