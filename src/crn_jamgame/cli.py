@@ -72,8 +72,8 @@ def _policy(text, key: str) -> Policy:
 
 
 def _path(value, key: str) -> str | None:
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"{key} must be a path string (got {value!r})")
+    if value is not None and not (isinstance(value, str) and value):
+        raise ConfigError(f"{key} must be a non-empty path string (got {value!r})")
     return value
 
 
@@ -206,15 +206,6 @@ def parse_config(args: argparse.Namespace) -> argparse.Namespace:
     )
 
 
-def _fmt(value) -> str:
-    """Stdout number: bools as 0/1, floats with 6 significant digits."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
-
-
 #: Rows per block that a command hands ``write_csv``. A block's arrays and
 #: line buffer are the writer's transient memory, which grows with it;
 #: blocks of 1024 rows encode as fast as larger ones.
@@ -233,17 +224,11 @@ def _game(network: NetworkConfig, category: Category, names=(), values=()) -> Bi
         where = f"sweep: {cell}: " if cell else ""
         raise ConfigError(f"{where}category {category.name} game: {exc}") from None
 
-# Each command's CSV columns, (header, %-format) pairs for ``write_csv``,
-# sit next to the function that builds its blocks in the same order.
+# Each command's CSV header sits next to the function that builds its
+# blocks in the same order; ``write_csv`` formats a column by its values' type.
 
 NASH_COLUMNS = (
-    ("category", "%s"),
-    ("p", "%.6g"),
-    ("q", "%.6g"),
-    ("residual_secondary", "%.6g"),
-    ("residual_malicious", "%.6g"),
-    ("degenerate", "%d"),
-    ("pure_equilibria", "%s"),
+    "category", "p", "q", "residual_secondary", "residual_malicious", "degenerate", "pure_equilibria",
 )
 
 
@@ -261,25 +246,17 @@ def cmd_nash(cfg: argparse.Namespace) -> int:
         rows.append((category.name, p, q, res_s, res_m, report.degenerate, pure_text))
         line = f"category {category.name}: "
         if not report.degenerate:
-            line += f"p={_fmt(p)} q={_fmt(q)} residuals=({_fmt(res_s)},{_fmt(res_m)})"
+            line += f"p={p:.6g} q={q:.6g} residuals=({res_s:.6g},{res_m:.6g})"
         else:
             line += "no mixed equilibrium"
-        line += f" pure=[{pure_text}] degenerate={_fmt(report.degenerate)}"
+        line += f" pure=[{pure_text}] degenerate={report.degenerate:d}"
         print(line)
     if cfg.out is not None:
         write_csv(cfg.out, NASH_COLUMNS, [list(zip(*rows))])
     return 0
 
 
-FP_COLUMNS = (
-    ("iteration", "%d"),
-    ("secondary_action", "%s"),
-    ("malicious_action", "%s"),
-    ("p_star", "%.6g"),
-    ("q_star", "%.6g"),
-    ("err_p", "%.6g"),
-    ("err_q", "%.6g"),
-)
+FP_COLUMNS = ("iteration", "secondary_action", "malicious_action", "p_star", "q_star", "err_p", "err_q")
 
 
 def cmd_fp(cfg: argparse.Namespace) -> int:
@@ -309,27 +286,16 @@ def cmd_fp(cfg: argparse.Namespace) -> int:
     p_star, q_star = trace.final_frequencies()
     print(
         f"category {cfg.category.name}: {len(trace)} iterations, "
-        f"final p*={_fmt(p_star)} q*={_fmt(q_star)} "
-        f"(equilibrium p={_fmt(reference.p)} q={_fmt(reference.q)}) -> {cfg.out}"
+        f"final p*={p_star:.6g} q*={q_star:.6g} "
+        f"(equilibrium p={reference.p:.6g} q={reference.q:.6g}) -> {cfg.out}"
     )
     return 0
 
 
 SIMULATE_COLUMNS = (
-    ("slot", "%d"),
-    ("category", "%s"),
-    ("secondary_band", "%d"),
-    ("malicious_band", "%d"),
-    ("n_primaries_on_secondary_band", "%d"),
-    ("secondary_action", "%s"),
-    ("malicious_action", "%s"),
-    ("jam", "%d"),
-    ("payoff_s", "%.6g"),
-    ("payoff_m", "%.6g"),
-    ("pstar_A", "%.6g"),
-    ("qstar_A", "%.6g"),
-    ("pstar_B", "%.6g"),
-    ("qstar_B", "%.6g"),
+    "slot", "category", "secondary_band", "malicious_band", "n_primaries_on_secondary_band",
+    "secondary_action", "malicious_action", "jam", "payoff_s", "payoff_m",
+    "pstar_A", "qstar_A", "pstar_B", "qstar_B",
 )
 
 
@@ -361,18 +327,18 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
     write_csv(cfg.out, SIMULATE_COLUMNS, blocks())
     s = result.summary
     print(f"slots: {s.slots}")
-    print(f"cumulative payoff secondary: {_fmt(s.cumulative_secondary_payoff)}")
-    print(f"cumulative payoff malicious: {_fmt(s.cumulative_malicious_payoff)}")
+    print(f"cumulative payoff secondary: {s.cumulative_secondary_payoff:.6g}")
+    print(f"cumulative payoff malicious: {s.cumulative_malicious_payoff:.6g}")
     dwell = " ".join(
-        f"{cat.name}={s.category_counts[cat]} ({_fmt(s.category_counts[cat] / s.slots)})"
+        f"{cat.name}={s.category_counts[cat]} ({s.category_counts[cat] / s.slots:.6g})"
         for cat in Category
     )
     print(f"category dwell: {dwell}")
     print(f"jams: {s.jam_count}")
     print(f"history totals: malicious={s.malicious_observations} secondary={s.secondary_observations}")
     print(
-        f"final frequencies: A p*={_fmt(s.p_star_a)} q*={_fmt(s.q_star_a)}; "
-        f"B p*={_fmt(s.p_star_b)} q*={_fmt(s.q_star_b)}"
+        f"final frequencies: A p*={s.p_star_a:.6g} q*={s.q_star_a:.6g}; "
+        f"B p*={s.p_star_b:.6g} q*={s.q_star_b:.6g}"
     )
     print(f"trace -> {cfg.out}")
     return 0
@@ -395,14 +361,13 @@ def _check_grid(network: NetworkConfig, sweeps) -> None:
             raise ConfigError(f"sweep: {exc}") from None
 
 
-def sweep_columns(sweeps, with_fp: bool) -> tuple[tuple[str, str], ...]:
-    """Columns of ``sweep``: each swept field (``%d`` when its values are
-    ints), then the solved and, with ``with_fp``, the learned values."""
-    columns = [(name, "%d" if isinstance(values[0], int) else "%.6g") for name, values in sweeps]
-    for cat in ("A", "B"):
-        columns += [(f"p_{cat}", "%.6g"), (f"q_{cat}", "%.6g"), (f"degenerate_{cat}", "%d")]
+def sweep_columns(sweeps, with_fp: bool) -> tuple[str, ...]:
+    """Header of ``sweep``: each swept field, then the solved and, with
+    ``with_fp``, the learned values."""
+    columns = [name for name, _values in sweeps]
+    columns += [f"{x}_{cat}" for cat in ("A", "B") for x in ("p", "q", "degenerate")]
     if with_fp:
-        columns += [(f"fp_err_{x}_{cat}", "%.6g") for cat in ("A", "B") for x in ("p", "q")]
+        columns += [f"fp_err_{x}_{cat}" for cat in ("A", "B") for x in ("p", "q")]
     return tuple(columns)
 
 

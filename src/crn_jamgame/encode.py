@@ -4,23 +4,25 @@ Each column is encoded at once into fixed-width cells of little-endian
 64-bit words: the cell's bytes, 0xFF in every byte it does not use, and
 its separator in the last byte. The cells fill one line matrix per
 block, and ``bytes.translate`` deletes the 0xFF bytes, which UTF-8 never
-contains. Every cell is the bytes that ``%`` formatting gives its value:
+contains. A column's values choose its cells by their type, each cell
+the bytes that ``%`` formatting gives its value:
 
-- ``%.6g``: the decimal exponent e of |x| (a lower bound from its binary
-  exponent, one more where |x| reaches the next power of ten) picks the
-  power of ten that scales |x| into [1e5, 1e6), ``rint`` gives the six
-  significant digits (1,000,000 carries into the exponent), and their
-  values are added to a template cell of the value's notation, sign and
-  number of significant digits. The scaled value is off by a few ulp, so
-  a value whose fraction lies within 1e-6 of one half (Python rounds an
-  exact tie half to even) or whose magnitude lies outside [1e-300, 1e300]
-  is formatted on its own with ``format(x, '.6g')``; ±0, ±inf and nan
-  have template cells of their own.
-- ``%d``: int and bool arrays by three-digit groups; Python ints that
-  NumPy holds as objects or floats (outside int64) one by one with ``%d``.
-- ``%s``: each label of the table is encoded once in UTF-8 and gathered
-  by its code (:class:`output.Labels`), or plain strings, each distinct
-  one encoded once.
+- floats, ``%.6g``: the decimal exponent e of |x| (a lower bound from its
+  binary exponent, one more where |x| reaches the next power of ten)
+  picks the power of ten that scales |x| into [1e5, 1e6), ``rint`` gives
+  the six significant digits (1,000,000 carries into the exponent), and
+  their values are added to a template cell of the value's notation,
+  sign and number of significant digits. The scaled value is off by a
+  few ulp, so a value whose fraction lies within 1e-6 of one half (Python
+  rounds an exact tie half to even) or whose magnitude lies outside
+  [1e-300, 1e300] is formatted on its own with ``format(x, '.6g')``; ±0,
+  ±inf and nan have template cells of their own.
+- ints and bools, ``%d``: int and bool arrays by three-digit groups;
+  Python ints that NumPy would hold as objects or floats (outside int64)
+  one by one with ``%d``.
+- :class:`output.Labels` and strings, ``%s``: each label of the table is
+  encoded once in UTF-8 and gathered by its code, or plain strings, each
+  distinct one encoded once.
 
 The tables are built from Python values when the module is imported:
 NumPy arithmetic there would page in ufunc loops that the encoders
@@ -38,10 +40,10 @@ from .output import Labels
 __all__ = ["encode_block"]
 
 
-def encode_block(formats, block) -> bytearray:
+def encode_block(block) -> bytearray:
     """The CSV lines of one block: ``block`` holds one sequence of values
-    per format, all of the same length."""
-    columns = [_ENCODERS[fmt](values) for fmt, values in zip(formats, block, strict=True)]
+    per column, all of the same length, each written as its type says."""
+    columns = [_encoder(values)(values) for values in block]
     lengths = {rows for rows, _words, _cells in columns}
     if len(lengths) != 1:
         raise ValueError(f"the columns of a block differ in length: {sorted(lengths)}")
@@ -272,4 +274,17 @@ def _labels(values):
     return len(codes), cells.shape[1], lambda: cells.take(codes, axis=0).T
 
 
-_ENCODERS = {"%.6g": _floats, "%d": _ints, "%s": _labels}
+def _encoder(values):
+    """The encoder of a column: floats ``%.6g``, ints and bools ``%d``,
+    labels and strings as text. A column that is not an array goes by its
+    Python values, which NumPy may hold otherwise: [-1, 2**63 + 1] as
+    float64. An empty column is an int column of no cells."""
+    if isinstance(values, Labels):
+        return _labels
+    if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
+        return _floats if kind == "f" else _ints if kind in "biu" else _labels
+    types = set(map(type, values))
+    if all(issubclass(t, int) for t in types):
+        return _ints
+    return _floats if all(issubclass(t, float) for t in types) else _labels

@@ -1,14 +1,14 @@
 """The CSV writer that every command shares.
 
-A command passes its columns as (header, %-format) pairs: ``%d`` for ints
-and bools (written 0/1), ``%s`` for labels, ``%.6g`` for floats. The rows
-arrive in blocks: a block holds one sequence of values per column (a
-NumPy array or a plain sequence), and a ``%s`` column may be
-:class:`Labels`, codes into a table of labels. :mod:`.encode` turns each
-block into its lines, byte for byte what ``%`` formatting gives: every
-column at once in NumPy, floats by a vectorized ``%.6g`` that hands a
-value to ``format`` only within 1e-6 of a rounding tie of its sixth digit
-or outside [1e-300, 1e300].
+A command passes its header and its rows in blocks: a block holds one
+sequence of values per column (a NumPy array or a plain sequence), and
+a label column may be :class:`Labels`, codes into a table of labels.
+Each column is written as its values' type says: ints and bools ``%d``
+(bools 0/1), floats ``%.6g``, labels and strings as text. :mod:`.encode`
+turns each block into its lines, byte for byte what ``%`` formatting
+gives: every column at once in NumPy, floats by a vectorized ``%.6g``
+that hands a value to ``format`` only within 1e-6 of a rounding tie of
+its sixth digit or outside [1e-300, 1e300].
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import stat
 import sys
 import tempfile
 from collections.abc import Sequence
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -27,17 +26,17 @@ __all__ = ["Labels", "write_csv"]
 
 
 class Labels(NamedTuple):
-    """A ``%s`` column as codes into a table: row ``i`` reads ``table[codes[i]]``."""
+    """A label column as codes into a table: row ``i`` reads ``table[codes[i]]``."""
 
     codes: np.ndarray
     table: Sequence[str]
 
 
-def write_csv(path: str, columns, blocks) -> None:
-    """Write the header and the lines of every block, atomically.
+def write_csv(path: str, header, blocks) -> None:
+    """Write the ``header`` names and the lines of every block, atomically.
 
     ``blocks`` yields, per block of rows, one sequence of values per
-    column (see :func:`.encode.encode_block`).
+    column, which its values' type formats (see :func:`.encode.encode_block`).
 
     When ``path`` is the file open as stdout (``/dev/stdout``, or the
     file stdout is redirected to), the lines go through ``sys.stdout``'s
@@ -53,13 +52,10 @@ def write_csv(path: str, columns, blocks) -> None:
     # writing no CSV does without
     from .encode import encode_block
 
-    names, formats = zip(*columns)
-    header = (",".join(names) + "\n").encode("utf-8")
-
     def emit(handle) -> None:
-        handle.write(header)
+        handle.write((",".join(header) + "\n").encode("utf-8"))
         # map holds no block once it is written
-        handle.writelines(map(partial(encode_block, formats), blocks))
+        handle.writelines(map(encode_block, blocks))
 
     def write(file) -> None:
         with open(file, "wb") as handle:

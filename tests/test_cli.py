@@ -151,9 +151,12 @@ class TestParseConfig:
             (b'{"seed": 1' + b"0" * 5000 + b"}", "not valid JSON"),
             (b"[" * 100_000, "not valid JSON"),
             (b'{"out": "\xff"}', "cannot read"),
+            (b'[{"seed": 1}]', "top-level JSON value must be an object"),
+            (b'{"policy_secondary": "fixed:x"}', "policy_secondary: fixed policy needs a number"),
+            (b'{"policy_malicious": "fixed:2"}', "policy_malicious: fixed probability must lie in [0, 1]"),
         ],
         ids=["int-over-float-range", "bands-over-float-range", "int-over-digit-limit",
-             "deep-nesting", "not-utf8"],
+             "deep-nesting", "not-utf8", "not-an-object", "fixed-not-a-number", "fixed-out-of-range"],
     )
     def test_unusable_config_file_exits_two_and_writes_nothing(self, tmp_path, capsys, content, named):
         config = tmp_path / "config.json"
@@ -162,6 +165,32 @@ class TestParseConfig:
         assert main(["nash", "--config", str(config), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize(
+        "file_out, flag_out",
+        [(None, ""), ("", None), (3, None)],
+        ids=["empty-flag", "empty-key", "number-key"],
+    )
+    def test_an_unusable_out_exits_two_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, file_out, flag_out
+    ):
+        # an empty path's directory is the working directory's parent
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        args = [command, "--iterations", "10", "--slots", "10", "--sweep", "n_primary=0..1"]
+        if file_out is not None:
+            args += ["--config", write_config(tmp_path, out=file_out)]
+        if flag_out is not None:
+            args += ["--out", flag_out]
+        assert main(args) == 2
+        got = file_out if flag_out is None else flag_out
+        message = f"config error: out must be a non-empty path string (got {got!r})\n"
+        assert capsys.readouterr() == ("", message)
+        expected = ["work"] if file_out is None else ["config.json", "work"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == expected
+        assert not any(work.iterdir())
 
 
 # JSON values of every type, with ints past 2**64 and past a float's range
@@ -746,12 +775,19 @@ class TestOutputPaths:
     @pytest.mark.parametrize("into", ["link-to-file", "link-to-pipe", "the-file-itself"])
     @pytest.mark.parametrize(
         "args, csv_first",
-        [(["nash"], False), (["fp", "--iterations", "3"], True), (["fp", "--iterations", "5000"], True)],
+        [
+            (["nash"], False),
+            (["fp", "--iterations", "3"], True),
+            (["fp", "--iterations", "5000"], True),
+            (["simulate", "--slots", "3000"], True),
+            (["sweep", "--sweep", "n_primary=0..3"], True),
+        ],
     )
     def test_csv_and_printed_lines_keep_program_order_on_stdout(self, tmp_path, args, csv_first, into):
         # `--out /dev/stdout > file`, `--out /dev/stdout | ...` and
         # `--out file > file`: nash prints its summary before it writes
-        # the CSV, fp after, and both must come out whole and in that order
+        # the CSV, the other commands after, and both must come out whole
+        # and in that order
         regular = tmp_path / "regular.csv"
         done = run_cli([*args, "--out", str(regular)], subprocess.PIPE)
         assert done.returncode == 0, done.stderr

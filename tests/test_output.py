@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from crn_jamgame import cli, encode, output
 from oracles import csv_line
 
-COLUMNS = (("i", "%d"), ("action", "%s"), ("x", "%.6g"))
+COLUMNS = ("i", "action", "x")
 ONE_ROW = [([1], ["stay"], [0.5])]
 
 
@@ -82,58 +82,62 @@ class TestAtomicWrite:
         assert stat.S_ISFIFO(pipe.stat().st_mode)
 
 
-def _cells(fmt):
-    if fmt == "%d":
-        return st.one_of(st.booleans(), st.integers(-(2**70), 2**70))
-    if fmt == "%s":
-        return st.one_of(st.sampled_from(("A", "B", "C", "stay", "switch", "1-1;2-2", "")), st.text())
-    special = st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308, 1.7e308))
-    return st.one_of(special, st.floats(), st.floats(width=32))
-
-
-COMMAND_COLUMNS = {
-    "nash": cli.NASH_COLUMNS,
-    "fp": cli.FP_COLUMNS,
-    "simulate": cli.SIMULATE_COLUMNS,
-    "sweep": cli.sweep_columns((("n_bands", (3, 4)), ("gain_malicious", (50.0,))), with_fp=True),
-    "sweep-without-fp": cli.sweep_columns((("n_primary", (0, 1)),), with_fp=False),
+#: The values of each kind of column: ints and bools, text, floats.
+CELLS = {
+    "int": st.one_of(st.booleans(), st.integers(-(2**70), 2**70)),
+    "text": st.one_of(st.sampled_from(("A", "B", "C", "stay", "switch", "1-1;2-2", "")), st.text()),
+    "float": st.one_of(
+        st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308, 1.7e308)),
+        st.floats(),
+        st.floats(width=32),
+    ),
 }
 
 
 class TestCsvFormat:
-    @pytest.mark.parametrize("command", sorted(COMMAND_COLUMNS))
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_bytes_match_the_cell_by_cell_oracle(self, command, data, tmp_path):
-        columns = COMMAND_COLUMNS[command]
-        rows = data.draw(st.lists(st.tuples(*(_cells(fmt) for _name, fmt in columns)), max_size=30))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_match_the_cell_by_cell_oracle(self, data, tmp_path):
+        kinds = data.draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=14), label="columns")
+        header = [f"{kind}{i}" for i, kind in enumerate(kinds)]
+        rows = data.draw(st.lists(st.tuples(*(CELLS[kind] for kind in kinds)), max_size=30))
         size = data.draw(st.integers(1, 30), label="rows per block")
         out = tmp_path / "out.csv"
-        output.write_csv(str(out), columns, iter(blocks_of(rows, size)))
-        expected = ",".join(name for name, _fmt in columns) + "\n"
-        expected += "".join(csv_line(row) for row in rows)
+        output.write_csv(str(out), header, iter(blocks_of(rows, size)))
+        expected = ",".join(header) + "\n" + "".join(csv_line(row) for row in rows)
         assert out.read_bytes() == expected.encode("utf-8")
 
-    def test_sweep_columns_follow_the_documented_header(self):
-        assert [name for name, _fmt in COMMAND_COLUMNS["sweep"]] == [
+    def test_sweep_columns_follow_the_documented_header(self, tmp_path, capsys):
+        header = cli.sweep_columns((("n_bands", (3, 4)), ("gain_malicious", (50.0,))), with_fp=True)
+        assert header == (
             "n_bands", "gain_malicious", "p_A", "q_A", "degenerate_A", "p_B", "q_B",
             "degenerate_B", "fp_err_p_A", "fp_err_q_A", "fp_err_p_B", "fp_err_q_B",
+        )
+        # an int field's values are written %d, a float field's %.6g
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--sweep", "n_bands=6..7", "--sweep", "gain_malicious=1e6", "--out", str(out)]
+        assert cli.main(args) == 0
+        assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [
+            ["6", "1e+06"], ["7", "1e+06"],
         ]
-        assert [fmt for _name, fmt in COMMAND_COLUMNS["sweep"][:2]] == ["%d", "%.6g"]
 
     @given(
         codes=st.lists(st.integers(0, 3), max_size=40),
         table=st.lists(st.text(), min_size=4, max_size=4),
     )
     def test_a_label_column_may_be_codes_into_a_table(self, codes, table):
-        formats = ("%s", "%s")
-        given_as_codes = encode.encode_block(formats, (output.Labels(np.array(codes), table), codes))
-        expected = "".join(f"{table[code]},{code}\n" for code in codes).encode("utf-8")
-        assert given_as_codes == expected
+        block = (output.Labels(np.array(codes), table), [table[code] for code in codes], codes)
+        expected = "".join(f"{table[code]},{table[code]},{code}\n" for code in codes).encode("utf-8")
+        assert encode.encode_block(block) == expected
 
     def test_columns_of_different_lengths_are_an_error(self):
         with pytest.raises(ValueError, match="differ in length"):
-            encode.encode_block(("%d", "%.6g"), ([1, 2], [0.5]))
+            encode.encode_block(([1, 2], [0.5]))
+
+    def test_empty_columns_of_every_kind_encode_to_nothing(self):
+        labels = output.Labels(np.array([], int), ["A"])
+        empty = ([], (), np.array([]), np.array([], bool), np.array([], "U1"), labels)
+        assert encode.encode_block(empty) == b""
 
 
 def lines(values, spec):
@@ -172,7 +176,7 @@ class TestCellEncoders:
     @example(np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2e-308, 1.7e308]))
     @example(np.array([1e-300, 1e300, 9.999995e-5, 999_999.5, 0.5, 1e-5, 1e-4, 1e16, 1e22, 1e23]))
     def test_floats_match_format(self, values):
-        assert encode.encode_block(("%.6g",), (values,)) == lines(values.tolist(), ".6g")
+        assert encode.encode_block((values,)) == lines(values.tolist(), ".6g")
 
     def test_a_million_seeded_floats_match_format(self):
         rng = np.random.default_rng(20190906)
@@ -189,7 +193,7 @@ class TestCellEncoders:
         ]
         for values in families:
             got = b"".join(
-                encode.encode_block(("%.6g",), (values[lo : lo + 2048],))
+                encode.encode_block((values[lo : lo + 2048],))
                 for lo in range(0, len(values), 2048)
             )
             assert got == lines(values.tolist(), ".6g")
@@ -198,12 +202,14 @@ class TestCellEncoders:
     @example([-(2**63), 2**63 - 1, 2**63, 2**64, 0, -1])
     @example([-1, 2**63 + 1])  # NumPy would hold these as float64
     @example([999, 1000, 9, -99_999_999, 12_345_678])
+    @example([True, 2, False, -3])
+    @example([])
     def test_ints_and_bools_match_format(self, values):
-        assert encode.encode_block(("%d",), (values,)) == lines(values, "d")
+        assert encode.encode_block((values,)) == lines(values, "d")
 
     @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint8, np.int16, np.int64, np.uint64])
     def test_every_integer_dtype_matches_format(self, dtype):
         lo, hi = (0, 1) if dtype is bool else (np.iinfo(dtype).min, np.iinfo(dtype).max)
         drawn = np.random.default_rng(7).integers(lo, hi, 500, endpoint=True, dtype=np.uint64 if hi > 2**63 else np.int64)
         values = np.concatenate([np.array([lo, hi, 0], dtype), drawn.astype(dtype)])
-        assert encode.encode_block(("%d",), (values,)) == lines(values.tolist(), "d")
+        assert encode.encode_block((values,)) == lines(values.tolist(), "d")

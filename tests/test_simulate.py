@@ -322,6 +322,33 @@ def c_run_lengths(category):
     return runs
 
 
+def check_record(result):
+    """The invariants of a simulation's record, slot by slot."""
+    # slot t's settled state is slot t + 1's pre-action state
+    jam = result.jam[:-1]
+    after_sec = result.secondary_band[1:]
+    after_mal = result.malicious_band[1:]
+    silenced = result.category[1:] == C  # C exactly when the settled band is silenced
+    assert (after_sec[jam] == after_mal[jam]).all()
+    assert not silenced[jam].any()
+    assert np.array_equal(jam, (after_sec == after_mal) & ~silenced)
+    assert np.array_equal(jam, result.category[1:] == A)
+    in_c = result.category == C
+    assert not result.secondary_switch[in_c].any()
+    assert not result.malicious_switch[in_c].any()
+    # the observation rule of update_histories, for every slot with a
+    # recorded successor: nothing is seen from or into category C; else
+    # the jammer sees every move, the secondary unless it switched unjammed
+    silent = in_c[:-1] | silenced
+    seen_m = result.seen_by_malicious[:-1]
+    seen_s = result.seen_by_secondary[:-1]
+    assert not seen_m[silent].any() and not seen_s[silent].any()
+    assert seen_m[~silent].all()
+    informative = ~result.secondary_switch[:-1] | (result.category[1:] == A)
+    assert np.array_equal(seen_s[~silent], informative[~silent])
+    assert (np.cumsum(result.seen_by_malicious) >= np.cumsum(result.seen_by_secondary)).all()
+
+
 class TestRunSimulation:
     def test_single_slot_shape(self):
         result = run_simulation(REF, FP_BOTH, 1, seed=0)
@@ -346,25 +373,12 @@ class TestRunSimulation:
         assert first.summary == second.summary
 
     def test_record_invariants(self):
-        result = run_simulation(REF, FP_BOTH, 5_000, seed=8)
-        # slot t's settled state is slot t + 1's pre-action state
-        jam = result.jam[:-1]
-        after_sec = result.secondary_band[1:]
-        after_mal = result.malicious_band[1:]
-        silenced = result.category[1:] == C  # C exactly when the settled band is silenced
-        assert (after_sec[jam] == after_mal[jam]).all()
-        assert not silenced[jam].any()
-        assert np.array_equal(jam, (after_sec == after_mal) & ~silenced)
-        assert np.array_equal(jam, result.category[1:] == A)
-        in_c = result.category == C
-        assert not result.secondary_switch[in_c].any()
-        assert not result.malicious_switch[in_c].any()
-        # histories are monotone and the jammer always knows at least as much
-        malicious_total = np.cumsum(result.seen_by_malicious)
-        secondary_total = np.cumsum(result.seen_by_secondary)
-        assert (np.diff(malicious_total) >= 0).all()
-        assert (np.diff(secondary_total) >= 0).all()
-        assert (malicious_total >= secondary_total).all()
+        nash = PolicySpec(secondary=NashPolicy(), malicious=NashPolicy())
+        fixed = PolicySpec(secondary=FixedPolicy(0.3), malicious=FixedPolicy(0.6))
+        configs = (REF, NetworkConfig(n_bands=2, n_primary=1), NetworkConfig(n_bands=32, n_primary=24))
+        for config in configs:
+            for policies in (FP_BOTH, nash, fixed):
+                check_record(run_simulation(config, policies, 5_000, seed=8))
 
     def test_category_c_dwell_time_is_geometric(self):
         result = run_simulation(REF, FP_BOTH, 100_000, seed=21)
