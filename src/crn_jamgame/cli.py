@@ -9,9 +9,11 @@ game has no representable equilibrium, 4 I/O error, 141 a closed output pipe.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from collections.abc import Callable
@@ -215,14 +217,12 @@ _CHUNK = 1024
 _MOVES = ("stay", "switch")
 
 
-def _game(network: NetworkConfig, category: Category, names=(), values=()) -> BimatrixGame:
-    """``build_game``; a payoff entry that overflows is a ConfigError naming the sweep cell."""
+def _game(network: NetworkConfig, category: Category) -> BimatrixGame:
+    """``build_game``; a payoff entry that overflows is a ConfigError."""
     try:
         return build_game(network, category)
     except ValueError as exc:
-        cell = ", ".join(map("{}={!r}".format, names, values))
-        where = f"sweep: {cell}: " if cell else ""
-        raise ConfigError(f"{where}category {category.name} game: {exc}") from None
+        raise ConfigError(f"category {category.name} game: {exc}") from None
 
 # Each command's CSV header sits next to the function that builds its
 # blocks in the same order; ``write_csv`` formats a column by its values' type.
@@ -381,16 +381,22 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     _check_grid(cfg.network, cfg.sweeps)
 
     def rows():
-        # every cell is valid (_check_grid), so each is built without a check
-        cell = cfg.network._asdict()
+        # every cell is valid (_check_grid), so it is built unchecked: one itemgetter puts
+        # its swept, then its unswept values in field order, the tuple _replace would make
+        unswept = [name for name in NetworkConfig._fields if name not in names]
+        in_field_order = operator.itemgetter(*map([*names, *unswept].index, NetworkConfig._fields))
+        rest = tuple(getattr(cfg.network, name) for name in unswept)
         categories = (Category.A, Category.B)
         for index, combo in enumerate(itertools.product(*value_lists)):
-            cell.update(zip(names, combo))
-            network = tuple.__new__(NetworkConfig, cell.values())
+            network = tuple.__new__(NetworkConfig, in_field_order(combo + rest))
             row = combo
             fp_errors = ()
             for category in categories:
-                game = _game(network, category, names, combo)
+                try:
+                    game = build_game(network, category)
+                except ValueError as exc:  # _game's ConfigError, after the cell
+                    cell = ", ".join(map("{}={!r}".format, names, combo))
+                    raise ConfigError(f"sweep: {cell}: category {category.name} game: {exc}") from None
                 report = mixed_equilibrium(game)
                 row += (report.p, report.q, report.degenerate)
                 if with_fp:
@@ -440,7 +446,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.cmd](parse_config(args))
+        cfg = parse_config(args)
+        # a directory (or a last component "", "." or "..") would fail only after the run
+        out = cfg.out
+        if out is not None and (os.path.basename(out) in ("", ".", "..") or os.path.isdir(out)):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+        code = _COMMANDS[args.cmd](cfg)
         sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit
         return code
     except ConfigError as exc:

@@ -44,6 +44,9 @@ class Category(enum.IntEnum):
     C = 2  # secondary silenced by a licensed user; nobody knows anything
 
 
+# build_game tests identity against these, not the enum class's attributes
+_A, _B = Category.A, Category.B
+
 #: Whether strategy 1 is a switch (strategy 2 being the other move), by
 #: category code (A, B), then player (secondary, jammer). Only B's jammer
 #: lists staying first.
@@ -142,6 +145,10 @@ class BimatrixGame(namedtuple("BimatrixGame", "a b c d e f g h")):
     Which strategy is a switch is :data:`FIRST_IS_SWITCH`'s to say.
     Every entry must be finite. An immutable named tuple: a frozen
     dataclass would pay a guarded setattr per field on every build.
+
+    The check is one ``fsum``, finite exactly when every entry is, as a
+    float, and the sum does not overflow. Any other sum, or one that
+    raises, falls back to the per-entry test, which raises as it always has.
     """
 
     __slots__ = ()
@@ -150,7 +157,11 @@ class BimatrixGame(namedtuple("BimatrixGame", "a b c d e f g h")):
         cls, a: float, b: float, c: float, d: float, e: float, f: float, g: float, h: float
     ) -> BimatrixGame:
         entries = (a, b, c, d, e, f, g, h)
-        if not all(map(math.isfinite, entries)):
+        try:
+            total = math.fsum(entries)
+        except (ValueError, TypeError, OverflowError):  # inf - inf, a non-number, an overflow
+            total = math.nan
+        if total - total != 0.0 and not all(map(math.isfinite, entries)):  # inf or nan
             bad = "abcdefgh"[[math.isfinite(x) for x in entries].index(False)]
             raise ValueError(f"payoff entry {bad} must be finite")
         return tuple.__new__(cls, entries)
@@ -175,24 +186,23 @@ def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
     asymmetry is deliberate and load-bearing: the network simulator
     mirrors this exact cost structure so that simulated slot averages
     reproduce these entries.
+
+    Unpacking the config and calling the cached ``_occupancy`` directly
+    does the same float arithmetic on the same values as attribute reads.
     """
-    p_primary, p_just_secondary, p_secondary_and_malicious = derived_probabilities(config)
+    n_bands, n_primary, c_s, c_m, g_s, g_m, l_s = config
+    p_primary, p_just_secondary, p_secondary_and_malicious = _occupancy(n_bands, n_primary)
     clear = 1.0 - p_primary  # no licensed user on a given band
-    c_s = config.cost_secondary_switch
-    c_m = config.cost_malicious_switch
-    g_s = config.gain_secondary
-    g_m = config.gain_malicious
-    l_s = config.loss_secondary
     # expected outcome of a blind switch: clean band vs. landing on the jammer
     roam = g_s * p_just_secondary - l_s * p_secondary_and_malicious
 
     # entries in the order a, b, c, d (secondary), e, f, g, h (jammer)
-    if category is Category.A:
+    if category is _A:
         return BimatrixGame(
             -c_s + roam, -c_s + g_s * clear, g_s * clear, -l_s * clear,
             -c_m + g_m * p_secondary_and_malicious, 0.0, -c_m, g_m * clear,
         )
-    if category is Category.B:
+    if category is _B:
         return BimatrixGame(
             -c_s + roam, g_s * clear, g_s * clear, -l_s * clear,
             g_m * p_secondary_and_malicious, -c_m, 0.0, g_m * clear - c_m,

@@ -45,6 +45,10 @@ class EquilibriumReport(NamedTuple):
     degenerate: bool
 
 
+# the generated __new__ binds its arguments by name; _make is tuple.__new__ and a length check
+_make = EquilibriumReport._make
+
+
 def strategy_utilities(game: BimatrixGame, p: float, q: float) -> tuple[float, float, float, float]:
     """Each pure strategy's expected payoff when the secondary plays
     strategy 1 with probability ``p`` and the jammer with ``q``.
@@ -53,23 +57,23 @@ def strategy_utilities(game: BimatrixGame, p: float, q: float) -> tuple[float, f
     the jammer's mixture, then the jammer's two columns against the
     secondary's.
     """
-    return (
-        game.a * q + game.b * (1.0 - q),
-        game.c * q + game.d * (1.0 - q),
-        game.e * p + game.g * (1.0 - p),
-        game.f * p + game.h * (1.0 - p),
-    )
+    a, b, c, d, e, f, g, h = game
+    return (a * q + b * (1.0 - q), c * q + d * (1.0 - q), e * p + g * (1.0 - p), f * p + h * (1.0 - p))
 
 
 _PROFILES = ((1, 1), (1, 2), (2, 1), (2, 2))
+#: By bit mask of stable profiles (bit i: ``_PROFILES[i]``), the tuple ``compress`` would give.
+_PURE = tuple(tuple(compress(_PROFILES, (mask >> i & 1 for i in range(4)))) for mask in range(16))
 
 
 def pure_equilibria(game: BimatrixGame) -> tuple[tuple[int, int], ...]:
     """All pure profiles where neither player gains by a unilateral move,
     in (row, col) order."""
     a, b, c, d, e, f, g, h = game
-    stable = (a >= c and e >= f, b >= d and f >= e, c >= a and g >= h, d >= b and h >= g)
-    return tuple(compress(_PROFILES, stable))
+    return _PURE[
+        (a >= c and e >= f) | (b >= d and f >= e) << 1
+        | (c >= a and g >= h) << 2 | (d >= b and h >= g) << 3
+    ]
 
 
 def mixed_equilibrium(game: BimatrixGame) -> EquilibriumReport:
@@ -89,13 +93,13 @@ def mixed_equilibrium(game: BimatrixGame) -> EquilibriumReport:
     denom_p = e - f + h - g
     vanishing = abs(denom_q) < DEGENERATE_DENOMINATOR_TOL or abs(denom_p) < DEGENERATE_DENOMINATOR_TOL
     if vanishing and (pure or denom_q == 0.0 or denom_p == 0.0):
-        return EquilibriumReport(_NAN, _NAN, pure, _NAN, _NAN, True)
+        return _make((_NAN, _NAN, pure, _NAN, _NAN, True))
     q = (d - b) / denom_q
     p = (h - g) / denom_p
     if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        return EquilibriumReport(_NAN, _NAN, pure, _NAN, _NAN, True)
+        return _make((_NAN, _NAN, pure, _NAN, _NAN, True))
     u_s1, u_s2, u_m1, u_m2 = strategy_utilities(game, p, q)
-    return EquilibriumReport(p, q, pure, abs(u_s1 - u_s2), abs(u_m1 - u_m2), False)
+    return _make((p, q, pure, abs(u_s1 - u_s2), abs(u_m1 - u_m2), False))
 
 
 def verify_equilibrium(game: BimatrixGame, p: float, q: float, tolerance: float = 1e-6) -> bool:

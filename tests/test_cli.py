@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crn_jamgame import cli
@@ -576,13 +576,21 @@ class TestCmdSweep:
         assert 0 < calls["degenerate"] == flagged
 
     @given(
-        st.lists(grid_specs, min_size=1, max_size=2)
+        st.lists(grid_specs, min_size=1, max_size=3)
         | st.lists(grid_specs | sweep_specs, min_size=1, max_size=2)
     )
+    # fields swept out of NetworkConfig's field order, down to all seven reversed
+    @example(["loss_secondary=0..2", "n_primary=0..3"])
+    @example(["gain_malicious=1..3", "n_bands=6..7", "cost_secondary_switch=0..1:0.5"])
+    @example([
+        "loss_secondary=1..2", "gain_malicious=1..2", "gain_secondary=1..2",
+        "cost_malicious_switch=0..1", "cost_secondary_switch=0..1", "n_primary=0..2", "n_bands=2..3",
+    ])
     @settings(max_examples=200, deadline=None)
     def test_each_cell_is_the_config_that_a_checked_build_gives(self, specs):
         # cmd_sweep builds its cells unchecked, since _check_grid has checked
-        # the whole grid: each must be what NetworkConfig would have built
+        # the whole grid, by reordering each cell's values into field order:
+        # each must be what NetworkConfig would have built
         argv = ["sweep", *(f"--sweep={spec}" for spec in specs), "--out", os.devnull]
         try:
             cfg = cli.parse_config(cli._build_parser().parse_args(argv))
@@ -715,6 +723,23 @@ class TestFailurePaths:
         assert [path.name for path in tmp_path.iterdir()] == ["earlier.csv"]
         assert earlier.read_bytes() == b"earlier results\n"
 
+    @pytest.mark.parametrize(
+        "out",
+        ["existing", "missing" + os.sep, f"existing{os.sep}.", f"missing{os.sep}."],
+        ids=["existing", "trailing-separator", "existing-dot", "missing-dot"],
+    )
+    @pytest.mark.parametrize("command", list(SHORT_RUNS))
+    def test_a_directory_is_an_io_error_before_any_work(self, tmp_path, monkeypatch, capsys, command, out):
+        # it used to fail at the rename, after the whole run, naming a
+        # temporary file that a missing directory's spelling put in the
+        # working directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "existing").mkdir()
+        assert main([*SHORT_RUNS[command], "--out", out]) == 4
+        assert capsys.readouterr() == ("", f"i/o error: [Errno 21] Is a directory: {out!r}\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["existing"]
+        assert not any((tmp_path / "existing").iterdir())
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("command", list(SHORT_RUNS))
     def test_a_full_device_is_an_io_error(self, capsys, command):
@@ -836,3 +861,56 @@ class TestClosedPipe:
             os.close(write)
         assert done.returncode == 141
         assert done.stderr == b""
+
+
+#: Each failure's extra arguments and documented exit code, run in a
+#: directory that holds ``earlier.csv`` and an empty directory ``empty``.
+FAILURES = {
+    "config-error": (["--n-bands", "1", "--out", "earlier.csv"], 2),
+    "overflowing-payoff": (
+        ["--n-primary", "0", "--cost-secondary-switch", "1.7e308", "--loss-secondary", "1.7e308",
+         "--out", "earlier.csv"],
+        2,
+    ),
+    "unwritable-out": (["--out", os.path.join("missing", "out.csv")], 4),
+    "full-device": (["--out", "/dev/full"], 4),
+    "closed-pipe": (["--out", "/dev/stdout"], 141),
+    "directory-out": (["--out", "empty" + os.sep], 4),
+}
+
+
+def tree(root):
+    """Every path under ``root`` with its bytes (None for a directory)."""
+    return {
+        str(path.relative_to(root)): None if path.is_dir() else path.read_bytes() for path in root.rglob("*")
+    }
+
+
+class TestFailureTable:
+    """Each command against each failure, in a fresh interpreter: the
+    documented exit code, at most one line on stderr and no traceback,
+    and the working directory, an existing ``--out`` included, as it was."""
+
+    @pytest.mark.parametrize("failure", list(FAILURES))
+    @pytest.mark.parametrize("command", list(SHORT_RUNS))
+    def test_a_failing_run_exits_with_its_code_and_changes_nothing(self, tmp_path, command, failure):
+        args, code = FAILURES[failure]
+        device = {"full-device": "/dev/full", "closed-pipe": "/dev/stdout"}.get(failure)
+        if device is not None and not os.path.exists(device):
+            pytest.skip(f"needs {device}")
+        (tmp_path / "earlier.csv").write_bytes(b"earlier results\n")
+        (tmp_path / "empty").mkdir()
+        before = tree(tmp_path)
+        read, stdout = os.pipe() if failure == "closed-pipe" else (None, subprocess.DEVNULL)
+        if read is not None:
+            os.close(read)  # the reader is gone before the run starts
+        try:
+            done = cli_process([*SHORT_RUNS[command], *args], stdout, cwd=tmp_path, timeout=30)
+        finally:
+            if read is not None:
+                os.close(stdout)
+        err = done.stderr.decode()
+        assert done.returncode == code, err
+        assert "Traceback" not in err and len(err.splitlines()) <= 1
+        assert err == "" if code == 141 else err.endswith("\n")
+        assert tree(tmp_path) == before

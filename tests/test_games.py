@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crn_jamgame import Category, NetworkConfig, build_game, derived_probabilities, simulate
@@ -161,6 +162,34 @@ class TestCategory:
         assert (simulate.A, simulate.B, simulate.C) == tuple(Category)
 
 
+def per_entry_rule(*entries):
+    """The entries as a tuple, after the per-entry test that BimatrixGame's
+    one-sum check falls back to: the reference it must agree with."""
+    if not all(map(math.isfinite, entries)):
+        bad = "abcdefgh"[[math.isfinite(x) for x in entries].index(False)]
+        raise ValueError(f"payoff entry {bad} must be finite")
+    return entries
+
+
+def outcome(build, *args, **kwargs):
+    """What ``build`` returns, as its values and their types, or what it raises."""
+    try:
+        result = build(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return list(result), list(map(type, result))
+
+
+# finite and non-finite floats, ints and bools, and ints too large for a float
+any_entry = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 0.0, -0.0]),
+    st.integers(-(10**6), 10**6),
+    st.booleans(),
+    st.sampled_from([10**308, -(10**308), 2**1024, -(2**1024), 10**400]),
+)
+
+
 class TestBimatrixGame:
     def test_holds_its_eight_entries_only(self):
         game = build_game(REF, Category.B)
@@ -176,6 +205,38 @@ class TestBimatrixGame:
                     BimatrixGame(*entries)
                 with pytest.raises(ValueError, match=f"payoff entry {name} must be finite"):
                     BimatrixGame(*[1.0] * 8)._replace(**{name: bad})
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [1e308] * 8, [-1.7e308] * 8, [1.7e308, -1.7e308, -1.7e308, 1.7e308] * 2, [1e308, 2] * 4,
+            [np.float64(1e308)] * 8,
+        ],
+        ids=["eight-1e308", "eight-minus-1.7e308", "mixed-signs", "floats-and-ints", "numpy-scalars"],
+    )
+    def test_finite_entries_whose_sum_overflows_are_kept(self, entries):
+        # the one-sum check overflows here and falls back to the per-entry
+        # test, with no warning (NumPy would warn of an overflowing scalar add)
+        replaced = BimatrixGame(*[0.0] * 8)._replace(**dict(zip("abcdefgh", entries)))
+        for game in (BimatrixGame(*entries), replaced):
+            assert list(game) == entries
+            assert list(map(type, game)) == list(map(type, entries))
+
+    @given(st.lists(any_entry, min_size=8, max_size=8), st.lists(st.booleans(), min_size=8, max_size=8))
+    @example([0.0] * 7 + [10**400], [True] * 8)
+    @example([10**400, -(10**400)] + [1.0] * 6, [True] * 8)  # ints that cancel
+    @example([float("nan"), 10**400] + [1.0] * 6, [True] * 8)  # nan before a huge int
+    @example([float("inf"), float("-inf")] + [1.0] * 6, [True] * 8)  # a sum of nan
+    @example([True, False, 3, -4, 10**308, 10**308, 0.5, 1.0], [True] * 8)
+    @settings(max_examples=500, deadline=None)
+    def test_construction_and_replace_follow_the_per_entry_rule(self, entries, replaced):
+        # the fast check must accept exactly what the per-entry test accepts
+        # and raise the same exception, naming the same entry
+        merged = [value if take else 1.0 for value, take in zip(entries, replaced)]
+        changes = {name: value for name, value, take in zip("abcdefgh", entries, replaced) if take}
+        expected = outcome(per_entry_rule, *merged)
+        assert outcome(BimatrixGame, *merged) == expected
+        assert outcome(BimatrixGame(*[1.0] * 8)._replace, **changes) == expected
 
     def test_an_overflowing_config_entry_is_rejected(self):
         # -cost + roam passes -1.8e308 although every field is finite

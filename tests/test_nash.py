@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from crn_jamgame import Category, NetworkConfig, build_game, mixed_equilibrium, verify_equilibrium
 from crn_jamgame.games import BimatrixGame
-from crn_jamgame.nash import pure_equilibria, strategy_utilities
+from crn_jamgame.nash import EquilibriumReport, pure_equilibria, strategy_utilities
 from oracles import (
     brute_force_pure_equilibria,
     col_payoff,
@@ -110,6 +111,14 @@ class TestMixedEquilibrium:
         assert report.degenerate
         assert math.isnan(report.p) and math.isnan(report.q)
         assert (2, 1) in report.pure
+
+    @pytest.mark.parametrize("game", [GAME_A, DOMINANCE_GAME, ZERO_GAME], ids=["mixed", "pure", "zero"])
+    def test_the_report_is_exactly_an_equilibrium_report(self, game):
+        report = mixed_equilibrium(game)
+        assert type(report) is EquilibriumReport
+        # repr, as nan != nan: the same values as the generated constructor gives
+        assert repr(report) == repr(EquilibriumReport(*report))
+        assert type(report.degenerate) is bool and type(report.pure) is tuple
 
     def test_tiny_payoffs_without_a_pure_equilibrium_keep_the_mixed_one(self):
         # the secondary's denominator is -5.5e-229, under the absolute
@@ -257,3 +266,14 @@ class TestPureEquilibriaCompleteness:
     @settings(max_examples=300)
     def test_built_games(self, game):
         assert pure_equilibria(game) == brute_force_pure_equilibria(payoff_entries(game))
+
+    def test_every_set_of_stable_profiles(self):
+        # pure_equilibria reads a table by the bit mask of stable profiles;
+        # the 3**8 games over {-1, 0, 1} reach each of the 16 masks
+        profiles = ((1, 1), (1, 2), (2, 1), (2, 2))
+        masks = set()
+        for entries in itertools.product((-1.0, 0.0, 1.0), repeat=8):
+            expected = brute_force_pure_equilibria(entries)
+            assert pure_equilibria(BimatrixGame(*entries)) == expected
+            masks.add(sum(1 << profiles.index(profile) for profile in expected))
+        assert masks == set(range(16))
