@@ -9,7 +9,6 @@ game has no representable equilibrium, 4 I/O error, 141 a closed output pipe.
 from __future__ import annotations
 
 import argparse
-import errno
 import itertools
 import json
 import math
@@ -22,10 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .games import FIRST_IS_SWITCH, BimatrixGame, Category, NetworkConfig, build_game
+from .games import FIRST_IS_SWITCH, Category, ConfigError, NetworkConfig, build_game
 from .learning import run_fp
 from .nash import mixed_equilibrium
-from .output import Labels, write_csv
+from .output import Labels, reject_directory, write_csv
 from .simulate import (
     FictitiousPlayPolicy, FixedPolicy, NashPolicy, Policy, PolicySpec, run_simulation,
 )
@@ -34,10 +33,6 @@ MAX_SEED = 2**64 - 1
 SEED_ENV_VAR = "CRN_JAMGAME_SEED"
 
 _DEFAULT_OUT = {"fp": "fp_trace.csv", "simulate": "sim_trace.csv", "sweep": "sweep.csv"}
-
-
-class ConfigError(Exception):
-    """Invalid configuration; the message names the offending field."""
 
 
 def _integer(minimum: int, maximum: int | None, value, key: str) -> int:
@@ -186,17 +181,13 @@ def parse_config(args: argparse.Namespace) -> argparse.Namespace:
             values["seed"] = int(text) if text else 1
         except ValueError:
             raise ConfigError(f"seed: {SEED_ENV_VAR} must be an integer (got {text!r})") from None
-    sweeps = tuple(_parse_sweep(spec) for spec in (args.sweep or []))
+    sweeps = tuple(_parse_sweep(spec) for spec in getattr(args, "sweep", None) or ())
     for i, (name, _values) in enumerate(sweeps):
         if name in dict(sweeps[:i]):
             raise ConfigError(f"sweep: {name} is swept more than once")
     network_values = {name: values.pop(name) for name in _NETWORK_TYPES}
-    if args.cmd == "sweep":
-        network_values.update((name, swept[0]) for name, swept in sweeps)
-    try:
-        network = NetworkConfig(**network_values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    network_values.update((name, swept[0]) for name, swept in sweeps)
+    network = NetworkConfig(**network_values)
     for row in SETTINGS:
         if row.check is not None:
             values[row.key] = row.check(values[row.key], row.key)
@@ -217,13 +208,6 @@ _CHUNK = 1024
 _MOVES = ("stay", "switch")
 
 
-def _game(network: NetworkConfig, category: Category) -> BimatrixGame:
-    """``build_game``; a payoff entry that overflows is a ConfigError."""
-    try:
-        return build_game(network, category)
-    except ValueError as exc:
-        raise ConfigError(f"category {category.name} game: {exc}") from None
-
 # Each command's CSV header sits next to the function that builds its
 # blocks in the same order; ``write_csv`` formats a column by its values' type.
 
@@ -236,7 +220,7 @@ def cmd_nash(cfg: argparse.Namespace) -> int:
     """Solve both category games and report (p, q) plus pure equilibria."""
     rows = []
     for category in (Category.A, Category.B):
-        report = mixed_equilibrium(_game(cfg.network, category))
+        report = mixed_equilibrium(build_game(cfg.network, category))
         if report.degenerate and not report.pure:
             message = f"error: category {category.name} game has no representable equilibrium"
             print(message, file=sys.stderr)
@@ -261,7 +245,7 @@ FP_COLUMNS = ("iteration", "secondary_action", "malicious_action", "p_star", "q_
 
 def cmd_fp(cfg: argparse.Namespace) -> int:
     """Run learning on the chosen category's game; one CSV row per stage."""
-    game = _game(cfg.network, cfg.category)
+    game = build_game(cfg.network, cfg.category)
     reference = mixed_equilibrium(game)
     trace = run_fp(game, cfg.iterations, cfg.seed)
     first_s, first_m = FIRST_IS_SWITCH[cfg.category]
@@ -302,12 +286,7 @@ SIMULATE_COLUMNS = (
 def cmd_simulate(cfg: argparse.Namespace) -> int:
     """Full network run; per-slot trace CSV plus a printed summary."""
     policies = PolicySpec(secondary=cfg.policy_secondary, malicious=cfg.policy_malicious)
-    try:
-        result = run_simulation(cfg.network, policies, cfg.slots, cfg.seed)
-    except ValueError:
-        for category in (Category.A, Category.B):
-            _game(cfg.network, category)  # a ConfigError if a payoff entry overflows
-        raise
+    result = run_simulation(cfg.network, policies, cfg.slots, cfg.seed)
 
     def blocks():
         labels = tuple(category.name for category in Category)
@@ -357,7 +336,7 @@ def _check_grid(network: NetworkConfig, sweeps) -> None:
     for change in changes:
         try:
             network._replace(**change)
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"sweep: {exc}") from None
 
 
@@ -394,9 +373,9 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
             for category in categories:
                 try:
                     game = build_game(network, category)
-                except ValueError as exc:  # _game's ConfigError, after the cell
+                except ConfigError as exc:
                     cell = ", ".join(map("{}={!r}".format, names, combo))
-                    raise ConfigError(f"sweep: {cell}: category {category.name} game: {exc}") from None
+                    raise ConfigError(f"sweep: {cell}: {exc}") from None
                 report = mixed_equilibrium(game)
                 row += (report.p, report.q, report.degenerate)
                 if with_fp:
@@ -426,12 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat JSON config file; flags override its values")
-    common.add_argument(
-        "--sweep",
-        action="append",
-        metavar="FIELD=LO..HI[:STEP]",
-        help="parameter range (sweep); repeat for a Cartesian product",
-    )
     for row in SETTINGS:
         flag = f"--{row.key.replace('_', '-')}"
         common.add_argument(flag, dest=row.key, type=row.type, choices=row.choices, help=row.help)
@@ -439,7 +412,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("nash", parents=[common], help="solve both category games")
     sub.add_parser("fp", parents=[common], help="learning run on one category's game")
     sub.add_parser("simulate", parents=[common], help="full network slot simulation")
-    sub.add_parser("sweep", parents=[common], help="equilibria over parameter ranges")
+    sweep = sub.add_parser("sweep", parents=[common], help="equilibria over parameter ranges")
+    sweep.add_argument(
+        "--sweep",
+        action="append",
+        metavar="FIELD=LO..HI[:STEP]",
+        help="parameter range; repeat for a Cartesian product",
+    )
     return parser
 
 
@@ -447,10 +426,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args)
-        # a directory (or a last component "", "." or "..") would fail only after the run
-        out = cfg.out
-        if out is not None and (os.path.basename(out) in ("", ".", "..") or os.path.isdir(out)):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+        if cfg.out is not None:  # a directory would fail only after the run
+            reject_directory(cfg.out)
         code = _COMMANDS[args.cmd](cfg)
         sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit
         return code

@@ -43,20 +43,16 @@ __all__ = ["encode_block"]
 def encode_block(block) -> bytearray:
     """The CSV lines of one block: ``block`` holds one sequence of values
     per column, all of the same length, each written as its type says."""
-    columns = [_encoder(values)(values) for values in block]
-    lengths = {rows for rows, _words, _cells in columns}
+    cells = [_encode(values) for values in block]
+    lengths = {column.shape[1] for column in cells}
     if len(lengths) != 1:
         raise ValueError(f"the columns of a block differ in length: {sorted(lengths)}")
     rows = lengths.pop()
     if rows == 0:
         return bytearray()
-    buffer = bytearray(8 * rows * sum(words for _rows, words, _cells in columns))
+    buffer = bytearray(8 * rows * sum(len(column) for column in cells))
     line = np.frombuffer(buffer, _WORD).reshape(rows, -1)
-    start = 0
-    for _rows, _words, cells in columns:  # one column's cells at a time
-        for word in cells():
-            line[:, start] = word
-            start += 1
+    np.concatenate(cells, out=line.T)
     line.view(np.uint8)[:, -1] = ord("\n")
     return buffer.translate(None, _PAD_BYTE)
 
@@ -169,9 +165,10 @@ _SIG2_LOW = np.array([2 * len(_DIGITS[i : i + 3].rstrip(b"0")) + 6 for i in rang
 del _DIGITS, _VALUES
 
 
-def _float_words(x: np.ndarray) -> np.ndarray:
-    """The cells of ``format(v, '.6g')`` for each v in ``x``: word j of
-    every cell in row j."""
+def _floats(values) -> np.ndarray:
+    """The cells of ``format(v, '.6g')`` for each v in ``values``: word j
+    of every cell in row j."""
+    x = np.asarray(values, np.float64)
     mag = np.abs(x)
     normal = (mag >= 1e-300) & (mag <= 1e300)
     every_normal = normal.all()
@@ -221,21 +218,15 @@ def _float_words(x: np.ndarray) -> np.ndarray:
 #: The cells of False and True.
 _BOOLS = _cells([b"0", b"1"])
 
-# Each encoder returns a column's rows, its words per cell, and a function
-# that makes its cells: word j of every cell in row j.
-
-
-def _floats(values):
-    return len(values), 3, lambda: _float_words(np.asarray(values, np.float64))
+# Each encoder returns a column's cells: word j of every cell in row j.
 
 
 def _ints(values):
     v = np.asarray(values)
     if v.dtype == bool:
-        return len(v), 1, lambda: _BOOLS.take(v.view(np.uint8), axis=0).T
+        return _BOOLS.take(v.view(np.uint8), axis=0).T
     if v.dtype.kind not in "iu" or len(v) == 0:  # Python ints NumPy holds as objects or floats
-        cells = _cells([b"%d" % value for value in values])
-        return len(cells), cells.shape[1], lambda: cells.T
+        return _cells([b"%d" % value for value in values]).T
     sign = int(v.min() < 0)
     mag = v.astype(np.uint64)
     if sign:
@@ -243,23 +234,19 @@ def _ints(values):
         mag = np.where(negative, np.negative(mag), mag)  # |int64 min| is 2**63
     ndigits = len(str(int(mag.max())))
     words = (sign + ndigits) // 8 + 1
-
-    def cells():
-        chars = np.full((len(mag), 8 * words), _PAD, np.uint8)
-        chars[:, -1] = ord(",")
-        if sign:
-            chars[:, 0] = np.where(negative, ord("-"), _PAD)
-        rest = mag
-        for end in range(sign + ndigits, sign, -3):  # three digits at a time, from the last
-            rest, group = np.divmod(rest, np.uint64(1000))
-            begin = max(end - 3, sign)
-            chars[:, begin:end] = _ASCII.take(group.astype(np.intp), axis=0)[:, 3 - (end - begin) :]
-        if len(str(int(mag.min()))) < ndigits:  # leading zeros become pad bytes
-            lead = ndigits - np.searchsorted(_POW10_INT, mag, side="right").clip(1)
-            np.copyto(chars[:, sign : sign + ndigits], _PAD, where=np.arange(ndigits) < lead[:, None])
-        return chars.view(_WORD).T
-
-    return len(mag), words, cells
+    chars = np.full((len(mag), 8 * words), _PAD, np.uint8)
+    chars[:, -1] = ord(",")
+    if sign:
+        chars[:, 0] = np.where(negative, ord("-"), _PAD)
+    rest = mag
+    for end in range(sign + ndigits, sign, -3):  # three digits at a time, from the last
+        rest, group = np.divmod(rest, np.uint64(1000))
+        begin = max(end - 3, sign)
+        chars[:, begin:end] = _ASCII.take(group.astype(np.intp), axis=0)[:, 3 - (end - begin) :]
+    if len(str(int(mag.min()))) < ndigits:  # leading zeros become pad bytes
+        lead = ndigits - np.searchsorted(_POW10_INT, mag, side="right").clip(1)
+        np.copyto(chars[:, sign : sign + ndigits], _PAD, where=np.arange(ndigits) < lead[:, None])
+    return chars.view(_WORD).T
 
 
 def _labels(values):
@@ -270,21 +257,20 @@ def _labels(values):
         codes = [index.setdefault(str(value), len(index)) for value in values]
         table = list(index)
     cells = _cells([str(label).encode("utf-8") for label in table])
-    codes = np.asarray(codes, dtype=np.intp)
-    return len(codes), cells.shape[1], lambda: cells.take(codes, axis=0).T
+    return cells.take(np.asarray(codes, dtype=np.intp), axis=0).T
 
 
-def _encoder(values):
-    """The encoder of a column: floats ``%.6g``, ints and bools ``%d``,
+def _encode(values) -> np.ndarray:
+    """The cells of a column: floats ``%.6g``, ints and bools ``%d``,
     labels and strings as text. A column that is not an array goes by its
     Python values, which NumPy may hold otherwise: [-1, 2**63 + 1] as
     float64. An empty column is an int column of no cells."""
     if isinstance(values, Labels):
-        return _labels
+        return _labels(values)
     if isinstance(values, np.ndarray):
         kind = values.dtype.kind
-        return _floats if kind == "f" else _ints if kind in "biu" else _labels
+        return (_floats if kind == "f" else _ints if kind in "biu" else _labels)(values)
     types = set(map(type, values))
     if all(issubclass(t, int) for t in types):
-        return _ints
-    return _floats if all(issubclass(t, float) for t in types) else _labels
+        return _ints(values)
+    return _floats(values) if all(issubclass(t, float) for t in types) else _labels(values)

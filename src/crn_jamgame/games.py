@@ -13,6 +13,8 @@ information regimes:
 Categories A and B each induce a 2x2 bimatrix game over {switch, stay}
 decisions; :func:`build_game` assembles their payoff entries from the
 switching costs, the transmission gain, and the jamming gain/loss.
+
+An invalid config, or one whose payoff entry overflows, raises :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import NamedTuple
 
 __all__ = [
     "Category",
+    "ConfigError",
     "FIRST_IS_SWITCH",
     "NetworkConfig",
     "DerivedProbabilities",
@@ -56,6 +59,11 @@ FIRST_IS_SWITCH = ((True, True), (True, False))
 _FLOAT_MAX = sys.float_info.max
 
 
+class ConfigError(ValueError):
+    """Invalid configuration; the message names the offending field or game,
+    and is what the CLI reports."""
+
+
 class NetworkConfig(
     namedtuple(
         "NetworkConfig",
@@ -67,7 +75,7 @@ class NetworkConfig(
     """Static network parameters. Defaults are the reference scenario.
 
     A checked named tuple: the constructor, ``_make`` and ``_replace``
-    raise ValueError, naming the field, for an invalid value.
+    raise ConfigError, naming the field, for an invalid value.
     """
 
     __slots__ = ()
@@ -76,20 +84,20 @@ class NetworkConfig(
         self = super().__new__(cls, *args, **kwargs)
         n_bands, n_primary = self[:2]
         if not isinstance(n_bands, int) or n_bands < 2:
-            raise ValueError(
+            raise ConfigError(
                 f"n_bands must be an integer >= 2 (got {n_bands!r}); "
                 "switching needs at least one other band"
             )
         if n_bands > _FLOAT_MAX:  # the games divide by n_bands - 1 as a float
-            raise ValueError(f"n_bands must be finite as a float (got {n_bands!r})")
+            raise ConfigError(f"n_bands must be finite as a float (got {n_bands!r})")
         if not isinstance(n_primary, int) or not 0 <= n_primary <= n_bands:
-            raise ValueError(f"n_primary must be an integer in [0, n_bands] (got {n_primary!r})")
+            raise ConfigError(f"n_primary must be an integer in [0, n_bands] (got {n_primary!r})")
         for name, value in zip(self._fields[2:], self[2:]):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number (got {value!r})")
+                raise ConfigError(f"{name} must be a number (got {value!r})")
             # false for NaN, infinities and an int too large for a float alike
             if not 0 <= value <= _FLOAT_MAX:
-                raise ValueError(f"{name} must be finite and >= 0 (got {value!r})")
+                raise ConfigError(f"{name} must be finite and >= 0 (got {value!r})")
         return self
 
     @classmethod
@@ -143,12 +151,12 @@ class BimatrixGame(namedtuple("BimatrixGame", "a b c d e f g h")):
     (1,2) -> (b, f), (2,1) -> (c, g), (2,2) -> (d, h), with the first
     component paid to the secondary and the second to the jammer.
     Which strategy is a switch is :data:`FIRST_IS_SWITCH`'s to say.
-    Every entry must be finite. An immutable named tuple: a frozen
-    dataclass would pay a guarded setattr per field on every build.
+    Every entry must be finite (else ConfigError). An immutable named tuple:
+    a frozen dataclass would pay a guarded setattr per field on every build.
 
     The check is one ``fsum``, finite exactly when every entry is, as a
     float, and the sum does not overflow. Any other sum, or one that
-    raises, falls back to the per-entry test, which raises as it always has.
+    raises, falls back to the per-entry test.
     """
 
     __slots__ = ()
@@ -163,7 +171,7 @@ class BimatrixGame(namedtuple("BimatrixGame", "a b c d e f g h")):
             total = math.nan
         if total - total != 0.0 and not all(map(math.isfinite, entries)):  # inf or nan
             bad = "abcdefgh"[[math.isfinite(x) for x in entries].index(False)]
-            raise ValueError(f"payoff entry {bad} must be finite")
+            raise ConfigError(f"payoff entry {bad} must be finite")
         return tuple.__new__(cls, entries)
 
     @classmethod
@@ -189,6 +197,7 @@ def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
 
     Unpacking the config and calling the cached ``_occupancy`` directly
     does the same float arithmetic on the same values as attribute reads.
+    A payoff entry that overflows raises ConfigError naming the category.
     """
     n_bands, n_primary, c_s, c_m, g_s, g_m, l_s = config
     p_primary, p_just_secondary, p_secondary_and_malicious = _occupancy(n_bands, n_primary)
@@ -197,14 +206,17 @@ def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
     roam = g_s * p_just_secondary - l_s * p_secondary_and_malicious
 
     # entries in the order a, b, c, d (secondary), e, f, g, h (jammer)
-    if category is _A:
-        return BimatrixGame(
-            -c_s + roam, -c_s + g_s * clear, g_s * clear, -l_s * clear,
-            -c_m + g_m * p_secondary_and_malicious, 0.0, -c_m, g_m * clear,
-        )
-    if category is _B:
-        return BimatrixGame(
-            -c_s + roam, g_s * clear, g_s * clear, -l_s * clear,
-            g_m * p_secondary_and_malicious, -c_m, 0.0, g_m * clear - c_m,
-        )
+    try:
+        if category is _A:
+            return BimatrixGame(
+                -c_s + roam, -c_s + g_s * clear, g_s * clear, -l_s * clear,
+                -c_m + g_m * p_secondary_and_malicious, 0.0, -c_m, g_m * clear,
+            )
+        if category is _B:
+            return BimatrixGame(
+                -c_s + roam, g_s * clear, g_s * clear, -l_s * clear,
+                g_m * p_secondary_and_malicious, -c_m, 0.0, g_m * clear - c_m,
+            )
+    except ConfigError as exc:  # finite fields whose payoff entry overflows
+        raise ConfigError(f"category {category.name} game: {exc}") from None
     raise ValueError("category C has no game: both players stay")

@@ -13,6 +13,7 @@ its sixth digit or outside [1e-300, 1e300].
 
 from __future__ import annotations
 
+import errno
 import os
 import stat
 import sys
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Labels", "write_csv"]
+__all__ = ["Labels", "reject_directory", "write_csv"]
 
 
 class Labels(NamedTuple):
@@ -46,8 +47,10 @@ def write_csv(path: str, header, blocks) -> None:
     an existing file's permission bits), so a failure (an ``OSError`` or
     any exception raised by ``blocks``) leaves ``path`` as it was and no
     temporary file behind. Anything else (a symlink, a device, a pipe)
-    is written in place, through the link.
+    is written in place, through the link. A directory ``path`` raises
+    before any block is pulled (see :func:`reject_directory`).
     """
+    reject_directory(path)
     # imported on first use: its tables are start-up work that a command
     # writing no CSV does without
     from .encode import encode_block
@@ -87,6 +90,13 @@ def write_csv(path: str, header, blocks) -> None:
     except BaseException:
         os.unlink(temp)
         raise
+
+
+def reject_directory(path: str) -> None:
+    """Raise IsADirectoryError naming ``path`` if it is an existing
+    directory or its last component is ``""``, ``.`` or ``..``."""
+    if os.path.basename(path) in ("", ".", "..") or os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _is_stdout(path: str) -> bool:

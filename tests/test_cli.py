@@ -179,7 +179,9 @@ class TestParseConfig:
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
-        args = [command, "--iterations", "10", "--slots", "10", "--sweep", "n_primary=0..1"]
+        args = [command, "--iterations", "10", "--slots", "10"]
+        if command == "sweep":  # the one command that takes --sweep
+            args += ["--sweep", "n_primary=0..1"]
         if file_out is not None:
             args += ["--config", write_config(tmp_path, out=file_out)]
         if flag_out is not None:
@@ -248,6 +250,11 @@ class TestParseConfigFuzz:
     @settings(max_examples=300, deadline=None)
     def test_every_input_parses_or_is_a_config_error(self, command, file_values, specs):
         with tempfile.TemporaryDirectory() as directory:
+            if command != "sweep" and specs:  # --sweep is the sweep command's flag only
+                with pytest.raises(SystemExit) as exit_info:
+                    cli._build_parser().parse_args(config_argv(directory, command, file_values, specs))
+                assert exit_info.value.code == 2
+                specs = []
             argv = config_argv(directory, command, file_values, specs)
             try:
                 cli.parse_config(cli._build_parser().parse_args(argv))
@@ -259,7 +266,12 @@ class TestParseConfigFuzz:
     def test_nash_exits_two_and_writes_nothing_when_parsing_fails(self, file_values, specs):
         with tempfile.TemporaryDirectory() as directory:
             out = Path(directory) / "nash.csv"
-            argv = [*config_argv(directory, "nash", file_values, specs), "--out", str(out)]
+            if specs:  # --sweep is the sweep command's flag only: argparse exits 2
+                with pytest.raises(SystemExit) as exit_info:
+                    main([*config_argv(directory, "nash", file_values, specs), "--out", str(out)])
+                assert exit_info.value.code == 2
+                assert not out.exists()
+            argv = [*config_argv(directory, "nash", file_values, []), "--out", str(out)]
             try:
                 cli.parse_config(cli._build_parser().parse_args(argv))
             except cli.ConfigError:
@@ -662,6 +674,34 @@ class TestExitCodes:
         ]) == 2
         err = capsys.readouterr().err
         assert "config error: category A game: payoff entry a must be finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, name", [("fp", "run_fp"), ("simulate", "run_simulation")])
+    def test_a_plain_value_error_in_a_command_is_not_a_config_error(
+        self, tmp_path, monkeypatch, capsys, command, name
+    ):
+        # only ConfigError exits 2; any other ValueError is a fault that propagates
+        def fail(*args):
+            raise ValueError("not a config")
+
+        monkeypatch.setattr(cli, name, fail)
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="not a config") as error:
+            main([command, "--iterations", "10", "--slots", "10", "--out", str(out)])
+        assert type(error.value) is ValueError
+        assert capsys.readouterr().err == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["nash", "fp", "simulate"])
+    def test_only_sweep_takes_a_sweep_range(self, tmp_path, capsys, command):
+        # the range holds an invalid n_bands, which these commands used to ignore
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--iterations", "10", "--slots", "10", "--sweep", "n_bands=1..3", "--out", str(out)])
+        assert exit_info.value.code == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert "unrecognized arguments: --sweep n_bands=1..3" in printed.err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crn_jamgame import Category, NetworkConfig, build_game, derived_probabilities, simulate
-from crn_jamgame.games import FIRST_IS_SWITCH, BimatrixGame
+from crn_jamgame.games import FIRST_IS_SWITCH, BimatrixGame, ConfigError
 from oracles import mc_switch_target_occupancy
 
 REF = NetworkConfig()  # n_bands=10, n_primary=5, C_s=5, C_m=2, G_s=50, G_m=75, L_s=100
@@ -139,11 +139,11 @@ class TestNetworkConfigTuple:
         ],
     )
     def test_replace_and_make_reject_what_the_constructor_rejects(self, change):
-        with pytest.raises(ValueError) as built:
+        with pytest.raises(ConfigError) as built:
             NetworkConfig(**change)
         values = {**REF._asdict(), **change}.values()
         for make in (lambda: REF._replace(**change), lambda: NetworkConfig._make(values)):
-            with pytest.raises(ValueError) as made:
+            with pytest.raises(ConfigError) as made:
                 make()
             assert str(made.value) == str(built.value)
 
@@ -167,7 +167,7 @@ def per_entry_rule(*entries):
     one-sum check falls back to: the reference it must agree with."""
     if not all(map(math.isfinite, entries)):
         bad = "abcdefgh"[[math.isfinite(x) for x in entries].index(False)]
-        raise ValueError(f"payoff entry {bad} must be finite")
+        raise ConfigError(f"payoff entry {bad} must be finite")
     return entries
 
 
@@ -239,10 +239,13 @@ class TestBimatrixGame:
         assert outcome(BimatrixGame(*[1.0] * 8)._replace, **changes) == expected
 
     def test_an_overflowing_config_entry_is_rejected(self):
-        # -cost + roam passes -1.8e308 although every field is finite
+        # -cost + roam passes -1.8e308 although every field is finite; the
+        # ConfigError names the category whose game overflowed
         config = NetworkConfig(n_primary=0, cost_secondary_switch=1.7e308, loss_secondary=1.7e308)
-        with pytest.raises(ValueError, match="payoff entry a must be finite"):
-            build_game(config, Category.A)
+        for category in (Category.A, Category.B):
+            with pytest.raises(ConfigError) as error:
+                build_game(config, category)
+            assert str(error.value) == f"category {category.name} game: payoff entry a must be finite"
 
 
 class TestBuildGame:
@@ -291,8 +294,10 @@ class TestBuildGame:
             assert (game.e, game.f, game.g, game.h) == (0.0, 0.0, 0.0, 0.0)
 
     def test_rejects_category_c(self):
-        with pytest.raises(ValueError, match="category C"):
+        # a programming error, not an invalid config
+        with pytest.raises(ValueError, match="category C") as error:
             build_game(REF, Category.C)
+        assert type(error.value) is ValueError
 
     @given(configs())
     @settings(max_examples=100)

@@ -40,6 +40,27 @@ class TestAtomicWrite:
         assert out.read_bytes() == b"earlier results\n"
         assert [path.name for path in tmp_path.iterdir()] == ["trace.csv"]
 
+    @pytest.mark.parametrize(
+        "path", ["newdir" + os.sep, f"d{os.sep}.", "existing"], ids=["trailing-separator", "dot", "existing"]
+    )
+    def test_a_directory_path_fails_before_any_block_is_pulled(self, tmp_path, monkeypatch, path):
+        # it used to encode every block into a temporary file in the working
+        # directory, then fail at the rename naming that file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "existing").mkdir()
+        pulled = []
+
+        def blocks():
+            pulled.append(1)
+            yield from ONE_ROW
+
+        with pytest.raises(IsADirectoryError) as error:
+            output.write_csv(path, COLUMNS, blocks())
+        assert error.value.filename == path and str(error.value).endswith(f": {path!r}")
+        assert pulled == []
+        assert [p.name for p in tmp_path.iterdir()] == ["existing"]
+        assert not any((tmp_path / "existing").iterdir())
+
     def test_a_written_file_gets_the_usual_mode(self, tmp_path):
         umask = os.umask(0o022)
         try:

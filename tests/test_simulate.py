@@ -20,8 +20,8 @@ from crn_jamgame import (
     mixed_equilibrium,
     run_simulation,
 )
-from crn_jamgame import learning
-from crn_jamgame.games import FIRST_IS_SWITCH, BimatrixGame
+from crn_jamgame import learning, simulate
+from crn_jamgame.games import FIRST_IS_SWITCH, BimatrixGame, ConfigError
 from crn_jamgame.nash import strategy_utilities
 from crn_jamgame.simulate import (
     A,
@@ -502,6 +502,15 @@ class TestRunSimulation:
     def test_rejects_zero_slots(self):
         with pytest.raises(ValueError):
             run_simulation(REF, FP_BOTH, 0, seed=0)
+
+    def test_an_overflowing_payoff_entry_is_a_config_error_from_one_build(self):
+        # every field is finite, but category A's entry a = -cost + roam overflows
+        config = NetworkConfig(n_primary=0, cost_secondary_switch=1.7e308, loss_secondary=1.7e308)
+        with mock.patch.object(simulate, "build_game", wraps=build_game) as built:
+            with pytest.raises(ConfigError) as error:
+                run_simulation(config, FP_BOTH, 10, seed=0)
+        assert str(error.value) == "category A game: payoff entry a must be finite"
+        assert built.call_args_list == [mock.call(config, Category.A)]
 
 
 #: Standard errors in the band of the long-run chain tests.
