@@ -200,8 +200,10 @@ def parse_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 #: Rows per block that a command hands ``write_csv``. A block's arrays and
-#: line buffer are the writer's transient memory, which grows with it;
-#: blocks of 1024 rows encode as fast as larger ones.
+#: line buffer are the writer's transient memory, which grows with it. A
+#: block's float columns are encoded in one pass, several thousand values
+#: for ``fp`` and ``simulate``, so 1024-row blocks encode no slower per
+#: row than blocks of 2048 or 4096.
 _CHUNK = 1024
 
 #: The move labels of ``fp`` and ``simulate``, indexed by switch flag.

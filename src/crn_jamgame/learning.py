@@ -8,11 +8,13 @@ history grows. ``running_share`` and ``final_share`` are the one rule
 for them, which ``FpTrace`` and the simulator's record both read.
 
 ``run_fp`` works in runs, stretches of stages in which both players keep
-their actions. Within a run the counts grow by one per stage, so a NumPy
-screen checks a window of the following stages at once and fills every
-stage whose preference is strict by a clear margin; the scalar kernel
-``best_response`` runs only at run ends, near-ties and ties, and stays
-the one implementation of the tie rule.
+their actions. Within a run the counts grow by one per stage, so each
+player's lead for its kept strategy is linear in the stage, and the end
+of the stages it keeps by a clear margin is found in closed form: a
+guess where the lead falls to zero, checked by two evaluations of the
+margin and bisected only when it misses. Those stages are filled at
+once; the scalar kernel ``best_response`` runs only at run ends,
+near-ties and ties, and stays the one implementation of the tie rule.
 
 Determinism contract: one seeded generator drives a run, and on ties the
 secondary's coin is flipped before the jammer's, so identical
@@ -35,14 +37,12 @@ __all__ = ["FpTrace", "best_response", "final_share", "fit_to_counts", "run_fp",
 #: fraction of ``max(1, |u1|, |u2|)`` count as equal.
 TIE_REL_TOL = 1e-9
 
-#: Stages in a row with unchanged actions after which ``run_fp`` screens
-#: the stages ahead; the threshold doubles after a screen that skips none.
-RUN_MIN = 16
-#: Stages in each window of a screen.
-WINDOW = 1024
-#: The screen skips a stage only when the kept strategy leads by more
+#: Stages in a row with unchanged actions after which ``run_fp`` skips
+#: to the run's end; the threshold doubles after a try that skips none.
+RUN_MIN = 2
+#: ``run_fp`` skips a stage only when the kept strategy leads by more
 #: than this share of ``max(1, |u1|, |u2|)``, twice the tie window.
-SCREEN_REL_MARGIN = 2 * TIE_REL_TOL
+RUN_REL_MARGIN = 2 * TIE_REL_TOL
 #: Moves that :func:`final_share` counts at a time.
 COUNT_SLICE = 1 << 14
 
@@ -140,33 +140,61 @@ class FpTrace:
         return final_share(self.actions_secondary, 1, None), final_share(self.actions_malicious, 1, None)
 
 
-def _leads(u1: np.ndarray, u2: np.ndarray, keep: int) -> np.ndarray:
-    """Where strategy ``keep`` (1 or 2) leads by more than the screen margin.
+def _lead(u1: float, u2: float, keep: int) -> float:
+    """How far strategy ``keep`` (1 or 2) leads, or 0.0 unless by more than
+    the margin, a :data:`RUN_REL_MARGIN` share of ``max(1, |u1|, |u2|)``.
 
-    A nan or infinite utility never leads, so such stages go to the
-    scalar kernel.
+    A nan or infinite utility never leads.
     """
     gap = u1 - u2 if keep == 1 else u2 - u1
-    scale = np.maximum(np.abs(u1), np.abs(u2))
-    return gap > SCREEN_REL_MARGIN * np.maximum(scale, 1.0)
+    return gap if gap > RUN_REL_MARGIN * max(1.0, abs(u1), abs(u2)) else 0.0
 
 
-def _screen(game: BimatrixGame, s: int, m: int, counts: tuple[int, int, int, int], span: int) -> int:
-    """Stages, of the next ``span``, that keep (s, m) by a clear margin.
+def _run_length(game: BimatrixGame, s: int, m: int, counts: tuple[int, int, int, int], cap: int) -> int:
+    """Stages, of the next ``cap``, that keep (s, m) by a clear margin.
 
     ``counts`` are (hs1, hs2, hm1, hm2) before the first of them. While
-    both players keep their actions, each stage adds one to count ``s``
-    of the secondary and to count ``m`` of the jammer, so the weighted
-    utilities of every stage of the window are evaluated at once.
+    both players keep their actions, stage j of the run adds j to count
+    ``s`` of the secondary and to count ``m`` of the jammer, so each
+    player's lead is linear in j and its lead less the margin is concave:
+    the stages kept form an interval from j = 0, and every stage inside
+    it leads by the margin, twice the kernel's tie window, up to the
+    rounding of its weighted sums. The interval's end is guessed where
+    the first falling lead reaches zero, checked at the stages either
+    side of the guess, and bisected only when the guess misses.
     """
+    a, b, c, d, e, f, g, h = game
     hs1, hs2, hm1, hm2 = counts
-    steps = np.arange(span, dtype=float)
-    w1, w2 = (hm1 + steps, hm2) if m == 1 else (hm1, hm2 + steps)
-    keep = _leads(game.a * w1 + game.b * w2, game.c * w1 + game.d * w2, s)
-    v1, v2 = (hs1 + steps, hs2) if s == 1 else (hs1, hs2 + steps)
-    keep &= _leads(game.e * v1 + game.g * v2, game.f * v1 + game.h * v2, m)
-    first = int(np.argmin(keep))  # the first stage not kept, or 0
-    return first if not keep[first] else span
+
+    def leads(j: int) -> tuple[float, float]:
+        # the kernel's own float expressions, with the counts of stage j
+        w1, w2 = (hm1 + j, hm2) if m == 1 else (hm1, hm2 + j)
+        v1, v2 = (hs1 + j, hs2) if s == 1 else (hs1, hs2 + j)
+        return _lead(a * w1 + b * w2, c * w1 + d * w2, s), _lead(e * v1 + g * v2, f * v1 + h * v2, m)
+
+    first = leads(0)
+    if not all(first):
+        return 0
+    # each lead's change per stage: the rival's kept column or row
+    rise_s = (a - c if m == 1 else b - d) * (1 if s == 1 else -1)
+    rise_m = (e - f if s == 1 else g - h) * (1 if m == 1 else -1)
+    n = cap
+    for lead, rise in zip(first, (rise_s, rise_m)):
+        if rise < 0 and lead < -rise * n:  # this lead reaches zero within n stages
+            n = min(n, math.ceil(lead / -rise))
+    if n < cap and all(leads(n)):  # the guess ends the run too soon
+        kept, past = n, cap
+    elif n > 1 and not all(leads(n - 1)):  # or too late
+        kept, past = 0, n - 1
+    else:
+        return n
+    while past - kept > 1:  # stage ``kept`` keeps (s, m); stage ``past`` does not, or is the cap
+        mid = (kept + past) // 2
+        if all(leads(mid)):
+            kept = mid
+        else:
+            past = mid
+    return past
 
 
 def run_fp(game: BimatrixGame, iterations: int, seed: int) -> FpTrace:
@@ -174,10 +202,11 @@ def run_fp(game: BimatrixGame, iterations: int, seed: int) -> FpTrace:
 
     Every stage both players best-respond to the rival's counts so far,
     the secondary first, then both actions are counted. Once the actions
-    have held for ``RUN_MIN`` stages, :func:`_screen` fills the following
-    stages that keep them by a clear margin, in windows; the stage that
-    ends the run goes to ``best_response`` as before. Skipped stages are
-    never ties, so they draw nothing from the generator. Counts weight
+    have held for ``RUN_MIN`` stages, :func:`_run_length` finds in closed
+    form how many of the following stages keep them by a clear margin,
+    and they are filled at once; the stage that ends the run goes to
+    ``best_response`` as before. Skipped stages are never ties, so they
+    draw nothing from the generator. Counts weight
     ``fit_to_counts(game, iterations)``.
     """
     if iterations < 1:
@@ -194,49 +223,42 @@ def run_fp(game: BimatrixGame, iterations: int, seed: int) -> FpTrace:
     streak = 0  # stages in a row that repeated them
     patience = RUN_MIN
     t = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while t < iterations:
-            for t in range(t, iterations):  # scalar stages until a run is long
-                s_t = best_response(a * hm1 + b * hm2, c * hm1 + d * hm2, rand)
-                m_t = best_response(e * hs1 + g * hs2, f * hs1 + h * hs2, rand)
-                act_s[t] = s_t
-                act_m[t] = m_t
-                if s_t == 1:
-                    hs1 += 1
-                else:
-                    hs2 += 1
-                if m_t == 1:
-                    hm1 += 1
-                else:
-                    hm2 += 1
-                if s_t != s or m_t != m:
-                    s, m, streak = s_t, m_t, 0
-                    continue
-                streak += 1
-                if streak >= patience:
-                    break
+    while t < iterations:
+        for t in range(t, iterations):  # scalar stages until a run is long
+            s_t = best_response(a * hm1 + b * hm2, c * hm1 + d * hm2, rand)
+            m_t = best_response(e * hs1 + g * hs2, f * hs1 + h * hs2, rand)
+            act_s[t] = s_t
+            act_m[t] = m_t
+            if s_t == 1:
+                hs1 += 1
             else:
-                break  # every stage is done
-            t += 1  # past the stage that ended the scalar loop
-            skipped = 0
-            while t < iterations:
-                span = min(WINDOW, iterations - t)
-                n = _screen(weights, s, m, (hs1, hs2, hm1, hm2), span)
-                act_s[t : t + n] = bytes((s,)) * n
-                act_m[t : t + n] = bytes((m,)) * n
-                t += n
-                skipped += n
-                if s == 1:
-                    hs1 += n
-                else:
-                    hs2 += n
-                if m == 1:
-                    hm1 += n
-                else:
-                    hm2 += n
-                if n < span:
-                    break
-            # a screen that skips nothing (nan utilities, a lasting
-            # near-tie) makes the next one wait twice as long
-            patience = RUN_MIN if skipped else 2 * patience
+                hs2 += 1
+            if m_t == 1:
+                hm1 += 1
+            else:
+                hm2 += 1
+            if s_t != s or m_t != m:
+                s, m, streak = s_t, m_t, 0
+                continue
+            streak += 1
+            if streak >= patience:
+                break
+        else:
+            break  # every stage is done
+        t += 1  # past the stage that ended the scalar loop
+        n = _run_length(weights, s, m, (hs1, hs2, hm1, hm2), iterations - t)
+        act_s[t : t + n] = bytes((s,)) * n
+        act_m[t : t + n] = bytes((m,)) * n
+        t += n
+        if s == 1:
+            hs1 += n
+        else:
+            hs2 += n
+        if m == 1:
+            hm1 += n
+        else:
+            hm2 += n
+        # a try that skips nothing (nan utilities, a lasting near-tie)
+        # makes the next try wait twice as long
+        patience = RUN_MIN if n else 2 * patience
     return FpTrace(np.frombuffer(act_s, np.uint8), np.frombuffer(act_m, np.uint8))

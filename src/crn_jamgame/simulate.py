@@ -294,8 +294,10 @@ def update_histories(
 
 
 def _total(payoffs: np.ndarray) -> float:
-    """Left-to-right sum from 0.0, the same float a running total gives."""
-    return 0.0 + float(np.cumsum(payoffs)[-1])
+    """Left-to-right sum from 0.0, the same float a running total gives;
+    ±inf when it overflows, as a running total would."""
+    with np.errstate(over="ignore"):
+        return 0.0 + float(np.cumsum(payoffs)[-1])
 
 
 @dataclass(frozen=True, slots=True)

@@ -903,6 +903,23 @@ class TestClosedPipe:
         assert done.stderr == b""
 
 
+class TestOverflowingTotals:
+    # every slot's payoff is finite, but the secondary's sum overflows:
+    # the summary prints -inf and nothing reaches stderr
+    ARGS = ["simulate", "--n-primary", "0", "--loss-secondary", "1e308", "--slots", "2000"]
+
+    def test_in_process_with_warnings_as_errors(self, tmp_path, capsys):
+        assert main([*self.ARGS, "--out", str(tmp_path / "sim.csv")]) == 0
+        assert "cumulative payoff secondary: -inf\n" in capsys.readouterr().out
+
+    def test_in_a_fresh_interpreter(self, tmp_path):
+        # the installed CLI runs without -W error, so only stderr shows a warning
+        done = run_cli([*self.ARGS, "--out", str(tmp_path / "sim.csv")], subprocess.PIPE)
+        assert done.returncode == 0
+        assert done.stderr == b""
+        assert b"cumulative payoff secondary: -inf\n" in done.stdout
+
+
 #: Each failure's extra arguments and documented exit code, run in a
 #: directory that holds ``earlier.csv`` and an empty directory ``empty``.
 FAILURES = {

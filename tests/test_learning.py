@@ -50,6 +50,22 @@ def games(draw, source=entries):
 
 
 @st.composite
+def slow_lead_games(draw):
+    """Games whose leads move by a tiny share of the weighted payoffs per
+    stage: a common offset plus small integer multiples of ``step``. A
+    lead then crosses zero through the tie window over a few stages or a
+    few hundred, at the end of a run of unchanged actions."""
+    offset = draw(st.sampled_from([1.0, -1.0, 37.5]))
+    step = draw(st.sampled_from([1e-5, 1e-6, 1e-7, 1e-8]))
+    return BimatrixGame(*[offset + step * draw(st.integers(-3, 3)) for _ in range(8)])
+
+
+def near_tie_game(share):
+    """Each player's second strategy pays ``share`` of the payoffs more."""
+    return BimatrixGame(1.0, 1.0, 1 + share, 1 + share, 1.0, 1 + share, 1.0, 1 + share)
+
+
+@st.composite
 def histories(draw, max_count=50):
     """Observed counts (h_s1, h_s2, h_m1, h_m2): secondary's strategies, then the jammer's."""
     counts = st.integers(0, max_count)
@@ -349,6 +365,18 @@ class TestRunFp:
         assert trace.actions_secondary.tolist() == actions_s
         assert trace.actions_malicious.tolist() == actions_m
 
+    @given(slow_lead_games(), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    @example(BimatrixGame(*[37.5 + 1e-5 * k for k in (1, -2, -3, 2, -2, 0, -1, -2)]), 98)
+    @example(BimatrixGame(*[-1.0 + 1e-6 * k for k in (2, -3, -2, -3, -1, 0, 3, -2)]), 48)
+    def test_matches_stepwise_execution_where_leads_cross_zero_slowly(self, game, seed):
+        # a run's last stages lead by less than the margin, and the stages
+        # after it tie or lead the other way
+        trace = run_fp(game, 2_000, seed)
+        actions_s, actions_m = fp_replay(game, 2_000, seed)
+        assert trace.actions_secondary.tolist() == actions_s
+        assert trace.actions_malicious.tolist() == actions_m
+
     def test_long_runs_skip_the_kernel(self, monkeypatch):
         # the reference game switches a few hundred times in 300,000
         # stages; a per-stage loop would make 600,000 kernel calls
@@ -364,6 +392,26 @@ class TestRunFp:
         trace = run_fp(GAME_A, 300_000, 1)
         assert len(trace) == 300_000
         assert calls < 30_000
+
+    @pytest.mark.parametrize(
+        "game",
+        [BimatrixGame(*[0.0] * 8), near_tie_game(1e-10), near_tie_game(1.5e-9)],
+        ids=["all-zero", "tie-every-stage", "inside-the-margin"],
+    )
+    def test_lasting_near_ties_back_off(self, monkeypatch, game):
+        # every stage a tie (a coin), or kept by the kernel but never by
+        # the margin: a try that skips nothing doubles the wait for the next
+        tries = []
+        run_length = learning._run_length
+
+        def counted(*args):
+            tries.append(run_length(*args))
+            return tries[-1]
+
+        monkeypatch.setattr(learning, "_run_length", counted)
+        run_fp(game, 100_000, 1)
+        assert not any(tries)
+        assert len(tries) <= math.log2(100_000)
 
     @pytest.mark.parametrize("category", [Category.A, Category.B], ids=["Category.A", "Category.B"])
     def test_overflowing_games_learn_like_their_scaled_copies(self, category):

@@ -115,6 +115,54 @@ CELLS = {
 }
 
 
+#: The Python values of each kind of column of ``typed``; an int kind
+#: "< 10**6" holds only values its one-word cells cover.
+TYPED = {
+    "float64": CELLS["float"],
+    "float list": CELLS["float"],
+    "int8": st.integers(-(2**7), 2**7 - 1),
+    "uint8": st.integers(0, 2**8 - 1),
+    "int64": st.integers(-(2**63), 2**63 - 1),
+    "int64 < 10**6": st.integers(0, 10**6 - 1),
+    "uint64": st.integers(0, 2**64 - 1),
+    "uint64 < 10**6": st.integers(0, 10**6 - 1),
+    "int list": CELLS["int"],
+    "bool": st.booleans(),
+    "labels": CELLS["text"],
+}
+
+
+def typed(kind, values):
+    """``values`` as a column of ``kind`` of :data:`TYPED`: a NumPy array
+    of its dtype, a list, or labels; with the Python values it writes."""
+    if kind == "labels":
+        table = sorted(set(values))
+        return output.Labels(np.array([table.index(value) for value in values], np.intp), table), values
+    if kind.endswith(" list"):
+        return list(values), values
+    return np.array(values, np.dtype(kind.split()[0])), values
+
+
+@st.composite
+def typed_blocks(draw):
+    """A block of ``typed`` columns with two float64 columns, the first
+    column and one after at least one other column."""
+    rows = draw(st.integers(0, 30), label="rows")
+    kinds = draw(st.lists(st.sampled_from(sorted(TYPED)), min_size=1, max_size=8), label="columns")
+    split = draw(st.integers(1, len(kinds)))
+    kinds = ["float64", *kinds[:split], "float64", *kinds[split:]]
+    return [typed(kind, draw(st.lists(TYPED[kind], min_size=rows, max_size=rows))) for kind in kinds]
+
+
+#: Float columns of five values for the examples of typed blocks.
+FIVE_FLOATS = ([0.5, 1e-05, -0.0, 123456.5, 1e300], [2.5, -7.0, math.inf, 1e-07, 0.1])
+
+
+def edge_block(kind, ints):
+    """Two float columns around an int column of ``kind`` holding ``ints``."""
+    return [typed("float64", FIVE_FLOATS[0]), typed(kind, ints), typed("float list", FIVE_FLOATS[1])]
+
+
 class TestCsvFormat:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -127,6 +175,22 @@ class TestCsvFormat:
         output.write_csv(str(out), header, iter(blocks_of(rows, size)))
         expected = ",".join(header) + "\n" + "".join(csv_line(row) for row in rows)
         assert out.read_bytes() == expected.encode("utf-8")
+
+    @given(typed_blocks())
+    @settings(max_examples=100, deadline=None)
+    @example(edge_block("int64", [0, 9, 999, 1000, 999_999]))
+    @example(edge_block("uint64", [999_999, 1000, 999, 9, 0]))
+    @example(edge_block("int64", [0, 9, 999, 1000, 1_000_000]))
+    @example(edge_block("int64", [9, 999, -1, 1000, 999_999]))
+    @example(edge_block("int64", [-(2**63), 2**63 - 1, 0, 1000, 999_999]))
+    @example(edge_block("uint64", [0, 2**64 - 1, 999, 1000, 1_000_000]))
+    @example(edge_block("uint8", [0, 9, 255, 100, 10]))
+    def test_typed_columns_match_the_cell_by_cell_oracle(self, block):
+        # NumPy arrays of each dtype, lists and labels side by side, so the
+        # float columns encoded together are split back in their order
+        columns, cells = zip(*block)
+        expected = "".join(csv_line(row) for row in zip(*cells))
+        assert encode.encode_block(columns) == expected.encode("utf-8")
 
     def test_sweep_columns_follow_the_documented_header(self, tmp_path, capsys):
         header = cli.sweep_columns((("n_bands", (3, 4)), ("gain_malicious", (50.0,))), with_fp=True)
