@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import operator
 import os
@@ -148,6 +147,9 @@ def _read_config(path: str) -> dict:
         raise ConfigError(f"config: cannot read {path!r}: {exc}") from None
     if not text.strip():
         return {}
+    # imported on first use: a run without --config does without it
+    import json
+
     try:
         values = json.loads(text)
     # ValueError: bad JSON, or an integer over the interpreter's digit limit

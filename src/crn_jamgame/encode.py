@@ -24,8 +24,9 @@ the bytes that ``%`` formatting gives its value:
   three-digit groups; Python ints that NumPy would hold as objects or
   floats (outside int64) one by one with ``%d``.
 - :class:`output.Labels` and strings, ``%s``: each label of the table is
-  encoded once in UTF-8 and gathered by its code, or plain strings, each
-  distinct one encoded once.
+  encoded once in UTF-8, its cells kept for the next block with the same
+  table, and gathered by its code; or plain strings, each distinct one
+  encoded once per block.
 
 The tables are built from Python values when the module is imported:
 NumPy arithmetic there would page in ufunc loops that the encoders
@@ -34,6 +35,7 @@ never run.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -307,12 +309,23 @@ def _ints(values):
 def _labels(values):
     if isinstance(values, Labels):
         codes, table = values
+        cells = _table_cells(tuple(map(str, table)))
     else:
         index = {}
         codes = [index.setdefault(str(value), len(index)) for value in values]
-        table = list(index)
-    cells = _cells([str(label).encode("utf-8") for label in table])
+        cells = _text_cells(index)
     return cells.take(np.asarray(codes, dtype=np.intp), axis=0).T
+
+
+def _text_cells(texts) -> np.ndarray:
+    return _cells([text.encode("utf-8") for text in texts])
+
+
+#: A :class:`output.Labels` table's cells, built once per table: each
+#: command writes every block with the same few tables. Keyed by the
+#: labels' text, so labels that are equal but print apart (1 and True)
+#: never share cells. The cells are read-only.
+_table_cells = functools.lru_cache(maxsize=64)(_text_cells)
 
 
 def _encoder(values):

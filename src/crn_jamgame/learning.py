@@ -55,8 +55,21 @@ def best_response(u1: float, u2: float, rand: Callable[[], float]) -> int:
     changes no best response). The tie window is relative (a
     :data:`TIE_REL_TOL` share of ``max(1, |u1|, |u2|)``) so the rule is
     stable across payoff scales. ``rand`` is called only on ties.
+
+    The test is ``abs(u1 - u2) <= TIE_REL_TOL * max(1.0, abs(u1),
+    abs(u2))`` without its builtin calls, the same decision for every pair
+    of floats: a nan utility makes the gap nan, so the scale's handling of
+    nan never decides.
     """
-    if abs(u1 - u2) <= TIE_REL_TOL * max(1.0, abs(u1), abs(u2)):
+    gap = u1 - u2
+    if gap < 0.0:
+        gap = -gap
+    a1 = -u1 if u1 < 0.0 else u1
+    a2 = -u2 if u2 < 0.0 else u2
+    scale = a1 if a1 > a2 else a2
+    if scale < 1.0:
+        scale = 1.0
+    if gap <= TIE_REL_TOL * scale:
         return 1 if rand() < 0.5 else 2
     return 1 if u1 > u2 else 2
 

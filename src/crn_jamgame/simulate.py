@@ -33,7 +33,11 @@ every slot, independent of the players; a slot needs of them only
 whether one sits on the secondary's settled band (silenced: category C,
 no jam), which has probability exactly ``n_primary / n_bands`` whatever
 that band, so one draw (:func:`draw_silenced`) gives the process the law
-of placing them all. Identical (config, policies, slots, seed) inputs
+of placing them all. The per-slot draws below ``n`` (licensed users,
+target bands) are ``randrange(n)``'s own rejection sampler over
+``getrandbits``, written out: ``n.bit_length()`` bits, drawn again while
+at least ``n``, so they consume the same words and give the same values
+as ``randrange(n)``. Identical (config, policies, slots, seed) inputs
 replay identical runs.
 """
 
@@ -69,8 +73,10 @@ __all__ = [
     "run_simulation",
 ]
 
-#: Category codes of the slot loop and of ``SimulationResult.category``.
-A, B, C = Category
+#: Category codes of the slot loop and of ``SimulationResult.category``:
+#: plain ints equal to the ``Category`` codes, whose compares and tuple
+#: indexing the interpreter specialises, as it does not for an IntEnum.
+A, B, C = map(int, Category)
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,10 +119,17 @@ class PolicySpec:
 
 def draw_silenced(config: NetworkConfig, rng: random.Random) -> bool:
     """Whether a licensed user sits on the secondary's band: one
-    ``randrange(n_bands) < n_primary`` draw, none when that is certain."""
-    if 0 < config.n_primary < config.n_bands:
-        return rng.randrange(config.n_bands) < config.n_primary
-    return config.n_primary > 0
+    ``randrange(n_bands) < n_primary`` draw, none when that is certain.
+    The draw is ``randrange``'s rejection sampler over ``getrandbits``,
+    written out: the same words and the same value."""
+    n_bands, n_primary = config.n_bands, config.n_primary
+    if 0 < n_primary < n_bands:
+        k = n_bands.bit_length()
+        pick = rng.getrandbits(k)
+        while pick >= n_bands:
+            pick = rng.getrandbits(k)
+        return pick < n_primary
+    return n_primary > 0
 
 
 def classify_state(secondary_band: int, malicious_band: int, silenced: bool) -> int:
@@ -203,8 +216,14 @@ def choose_actions(
 
 
 def _other_band(current: int, n_bands: int, rng: random.Random) -> int:
-    """Uniform draw over all bands except ``current``."""
-    pick = rng.randrange(n_bands - 1)
+    """Uniform draw over all bands except ``current``: ``randrange(n_bands
+    - 1)`` written out as in :func:`draw_silenced`. With two bands each try
+    still draws a word, as ``randrange(1)`` does."""
+    n = n_bands - 1
+    k = n.bit_length()
+    pick = rng.getrandbits(k)
+    while pick >= n:
+        pick = rng.getrandbits(k)
     return pick + 1 if pick >= current else pick
 
 
@@ -234,25 +253,26 @@ def settle_slot(
     category B the secondary's cost applies only when the jammer stays.
     """
     switch_s, switch_m = actions
+    n_bands, _, cost_s, cost_m, gain_s, gain_m, loss_s = config
     silenced = draw_silenced(config, rng)
     sec_band = secondary_band
     mal_band = malicious_band
     if category != C:
         if switch_s:
-            sec_band = _other_band(secondary_band, config.n_bands, rng)
+            sec_band = _other_band(secondary_band, n_bands, rng)
         if switch_m:
             if category == A:
-                mal_band = _other_band(malicious_band, config.n_bands, rng)
+                mal_band = _other_band(malicious_band, n_bands, rng)
             else:
                 mal_band = secondary_band
     jam = (not silenced) and mal_band == sec_band
-    payoff_s = 0.0 if silenced else (-config.loss_secondary if jam else config.gain_secondary)
-    payoff_m = config.gain_malicious if jam else 0.0
+    payoff_s = 0.0 if silenced else (-loss_s if jam else gain_s)
+    payoff_m = gain_m if jam else 0.0
     if category != C:
         if switch_s and (category == A or not switch_m):
-            payoff_s -= config.cost_secondary_switch
+            payoff_s -= cost_s
         if switch_m:
-            payoff_m -= config.cost_malicious_switch
+            payoff_m -= cost_m
     return sec_band, mal_band, silenced, jam, payoff_s, payoff_m
 
 
@@ -405,12 +425,13 @@ def run_simulation(
     rng = random.Random(seed)
     games = (build_game(config, Category.A), build_game(config, Category.B))
     plans = plan_policies(policies, games, slots)
+    # the band columns stay NumPy arrays: past 2**64 bands they hold objects
     band = np.min_scalar_type(config.n_bands - 1)
     secondary_band = np.empty(slots, band)
     malicious_band = np.empty(slots, band)
-    secondary_payoff = np.empty(slots)
-    malicious_payoff = np.empty(slots)
-    # one-byte columns fill bytearrays: their item stores cost a third of NumPy's
+    # one-byte columns fill bytearrays and the payoffs float views of them:
+    # their item stores cost a third and two thirds of NumPy's
+    secondary_payoff, malicious_payoff = (memoryview(bytearray(8 * slots)).cast("d") for _ in range(2))
     category, secondary_switch, malicious_switch, jam, seen_by_malicious, seen_by_secondary = (
         bytearray(slots) for _ in range(6)
     )
@@ -437,6 +458,6 @@ def run_simulation(
     return SimulationResult(
         view(category, np.int8), secondary_band, malicious_band,
         view(secondary_switch, bool), view(malicious_switch, bool), view(jam, bool),
-        secondary_payoff, malicious_payoff,
+        view(secondary_payoff, np.float64), view(malicious_payoff, np.float64),
         view(seen_by_malicious, bool), view(seen_by_secondary, bool),
     )

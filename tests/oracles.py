@@ -119,6 +119,15 @@ def mc_switch_target_occupancy(n_bands, n_primary, trials, seed):
     return just_secondary.mean(), both.mean()
 
 
+def formula_best_response(u1, u2, rand):
+    """The best response by its formula: totals within ``1e-9 * max(1,
+    |u1|, |u2|)`` of each other tie, and a tie is a fair coin
+    (``rand() < 0.5`` picks strategy 1); otherwise the larger total."""
+    if abs(u1 - u2) <= 1e-9 * max(1.0, abs(u1), abs(u2)):
+        return 1 if rand() < 0.5 else 2
+    return 1 if u1 > u2 else 2
+
+
 def fp_replay(game, iterations, seed):
     """Best-response learning replayed stage by stage from the payoff cells.
 
@@ -141,9 +150,7 @@ def fp_replay(game, iterations, seed):
         scale = 2.0 ** -(math.frexp(top)[1] + math.frexp(iterations)[1] - 1020)
 
     def pick(u1, u2):
-        if abs(u1 - u2) <= 1e-9 * max(1.0, abs(u1), abs(u2)):
-            return 1 if rng.random() < 0.5 else 2
-        return 1 if u1 > u2 else 2
+        return formula_best_response(u1, u2, rng.random)
 
     played_s = {1: 0, 2: 0}
     played_m = {1: 0, 2: 0}

@@ -77,6 +77,22 @@ def read_csv(path):
 
 
 class TestParseConfig:
+    def test_importing_the_cli_loads_no_json(self):
+        # json is imported by the one reader of a --config file, when it runs
+        import crn_jamgame
+
+        probe = (
+            "import sys; before = 'json' in sys.modules; import crn_jamgame.cli; "
+            "print(before, 'json' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(crn_jamgame.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        before, after = done.stdout.split()
+        if before == b"True":
+            pytest.skip("the interpreter loads json at start-up")
+        assert after == b"False"
+
     def test_empty_config_file_means_defaults(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text("")
@@ -404,6 +420,17 @@ class TestCmdSimulate:
         for out in (first, second):
             assert main(["simulate", "--slots", "3000", "--seed", "9", "--out", str(out)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_more_bands_than_a_uint64_holds_are_written_as_digits(self, tmp_path):
+        n_bands = 2**70
+        out = tmp_path / "sim.csv"
+        args = ["simulate", "--n-bands", str(n_bands), "--n-primary", "3", "--slots", "50", "--out", str(out)]
+        assert main(args) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 50
+        for row in rows:
+            for key in ("secondary_band", "malicious_band"):
+                assert row[key].isdigit() and int(row[key]) < n_bands
 
     def test_each_category_game_is_built_once_per_run(self, tmp_path, monkeypatch):
         # the traced benchmark wraps build_game where the CLI and the

@@ -160,6 +160,8 @@ class TestCategory:
     def test_values_are_the_simulator_codes(self):
         assert [(c.name, c.value) for c in Category] == [("A", 0), ("B", 1), ("C", 2)]
         assert (simulate.A, simulate.B, simulate.C) == tuple(Category)
+        # plain ints, which the slot loop's compares and indexing need
+        assert {type(code) for code in (simulate.A, simulate.B, simulate.C)} == {int}
 
 
 def per_entry_rule(*entries):

@@ -22,7 +22,7 @@ from crn_jamgame.cli import main
 from crn_jamgame.games import BimatrixGame
 from crn_jamgame.learning import FpTrace, best_response
 from crn_jamgame.simulate import A, choose_actions, plan_policies
-from oracles import fp_replay
+from oracles import formula_best_response, fp_replay
 
 GAME_A = build_game(NetworkConfig(), Category.A)
 GAME_B = build_game(NetworkConfig(), Category.B)
@@ -136,7 +136,70 @@ class TestExpectedUtilities:
             assert not switch_m
 
 
+#: Utilities for the tie test: both signs, ±0, ±inf, nan, subnormals and
+#: magnitudes near 1.0, where the window's floor gives way to |u|.
+UTILITIES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, 1e-9, -1e-9]),
+    st.floats(),
+    st.floats(-1e-300, 1e-300),
+    st.floats(0.5, 2.0).flatmap(lambda x: st.sampled_from((x, -x))),
+)
+
+
+def window_edge(u1, side, steps):
+    """The utility ``steps`` ulps past the tie window's edge on ``side``
+    (-1 or 1) of ``u1``: outward for steps > 0, inward for steps < 0."""
+    u2 = u1 + side * learning.TIE_REL_TOL * max(1.0, abs(u1))
+    for _ in range(abs(steps)):
+        u2 = math.nextafter(u2, side * steps * math.inf)
+    return u2
+
+
+@st.composite
+def edge_pairs(draw):
+    """A pair up to two ulps either side of the tie window's edge."""
+    u1 = draw(st.one_of(
+        st.floats(-2.0, 2.0), st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0, 1.0, -1.0])
+    ))
+    u2 = window_edge(u1, draw(st.sampled_from((-1, 1))), draw(st.integers(-2, 2)))
+    return (u2, u1) if draw(st.booleans()) else (u1, u2)
+
+
+def counted(calls):
+    """A coin that records its calls and always picks strategy 1."""
+    def rand():
+        calls.append(1)
+        return 0.25
+
+    return rand
+
+
 class TestBestResponse:
+    @given(st.one_of(st.tuples(UTILITIES, UTILITIES), edge_pairs()))
+    @example((0.0, 1e-9))  # a gap equal to the window still ties
+    @example((5e-10, -0.0))  # inside the window only by its floor at 1.0
+    @example((math.inf, 5.0))
+    @example((math.inf, math.inf))
+    @example((math.nan, 1.0))
+    def test_agrees_with_the_abs_max_formula(self, pair):
+        # the same index, and the coin flipped exactly on the formula's ties
+        calls, formula_calls = [], []
+        assert best_response(*pair, counted(calls)) == formula_best_response(*pair, counted(formula_calls))
+        assert calls == formula_calls
+
+    @pytest.mark.parametrize("u1", [0.0, -0.0, 0.75, -1.0, 1.0 + 2**-52, 3.5, -1e6, 1e300])
+    def test_the_window_edge_is_found_to_the_ulp(self, u1):
+        ties = set()
+        for side in (-1, 1):
+            for steps in range(-2, 3):
+                calls, formula_calls = [], []
+                u2 = window_edge(u1, side, steps)
+                picked = formula_best_response(u1, u2, counted(formula_calls))
+                assert best_response(u1, u2, counted(calls)) == picked
+                assert calls == formula_calls
+                ties.add(bool(calls))
+        assert ties == {True, False}
+
     def test_clear_preference(self):
         rand = random.Random(0).random
         assert best_response(35 / 3, 25.0, rand) == 2

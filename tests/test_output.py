@@ -215,6 +215,20 @@ class TestCsvFormat:
         expected = "".join(f"{table[code]},{table[code]},{code}\n" for code in codes).encode("utf-8")
         assert encode.encode_block(block) == expected
 
+    def test_blocks_mixing_label_tables_and_strings_give_their_text(self):
+        # a table's cells are kept from block to block; tables that differ
+        # in one label, or only in order, and plain strings never share them
+        categories, moves = ("A", "B", "C"), ["switch", "stay"]
+        rng = np.random.default_rng(7)
+        for table in (moves, moves[::-1], ["switch", "go"], moves):
+            codes_c, codes_m = rng.integers(0, 3, 12), rng.integers(0, 2, 12)
+            texts = [table[1 - code] for code in codes_m]
+            block = (output.Labels(codes_c, categories), output.Labels(codes_m, table), texts)
+            expected = "".join(
+                "%s,%s,%s\n" % (categories[c], table[m], text) for c, m, text in zip(codes_c, codes_m, texts)
+            )
+            assert encode.encode_block(block) == expected.encode("utf-8")
+
     def test_columns_of_different_lengths_are_an_error(self):
         with pytest.raises(ValueError, match="differ in length"):
             encode.encode_block(([1, 2], [0.5]))

@@ -51,6 +51,11 @@ FP_BOTH = PolicySpec(secondary=FictitiousPlayPolicy(), malicious=FictitiousPlayP
 STAY, SWITCH = False, True  # switch flags
 
 
+#: Band counts whose written-out draws are checked against ``randrange``:
+#: small ones, powers of two and one past them, and past 2**64.
+WRITTEN_OUT_BANDS = [2, 3, 4, 5, 9, 10, 17, 32, 33, 2**31, 2**32 + 1, 2**64 + 1, 2**70]
+
+
 def fresh_histories():
     return ([0, 0, 0, 0], [0, 0, 0, 0])
 
@@ -67,8 +72,12 @@ class TestDrawSilenced:
             assert draw_silenced(NetworkConfig(n_primary=n_primary), rng) is silenced
         assert rng.getstate() == random.Random(0).getstate()
 
-    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
-           st.integers(0, 2**32))
+    @given(
+        st.one_of(st.integers(2, 40), st.sampled_from(WRITTEN_OUT_BANDS)).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, n - 1))
+        ),
+        st.integers(0, 2**32),
+    )
     def test_one_band_draw_below_n_primary(self, bands, seed):
         n_bands, n_primary = bands
         rng, twin = random.Random(seed), random.Random(seed)
@@ -84,6 +93,17 @@ class TestDrawSilenced:
         rate = sum(draw_silenced(config, rng) for _ in range(draws)) / draws
         rho = n_primary / 10
         assert abs(rate - rho) < 3 * math.sqrt(rho * (1 - rho) / draws)
+
+
+class TestOtherBand:
+    @pytest.mark.parametrize("n_bands", WRITTEN_OUT_BANDS)
+    def test_draws_as_randrange_below_the_other_bands(self, n_bands):
+        # with two bands the draw is below 1, and each try still takes a word
+        rng, twin = random.Random(n_bands), random.Random(n_bands)
+        for current in (0, 1, n_bands // 2, n_bands - 1) * 10:
+            pick = twin.randrange(n_bands - 1)
+            assert simulate._other_band(current, n_bands, rng) == (pick + 1 if pick >= current else pick)
+            assert rng.getstate() == twin.getstate()
 
 
 class TestClassifyState:
@@ -364,6 +384,24 @@ class TestRunSimulation:
         assert result.summary.cumulative_malicious_payoff == 0.0
         assert result.summary.malicious_observations == 0
         assert result.summary.secondary_observations == 0
+
+    @pytest.mark.parametrize(
+        "n_bands,band_dtype", [(10, np.uint8), (300, np.uint16), (2**64, np.uint64), (2**70, object)]
+    )
+    def test_columns_keep_their_dtypes(self, n_bands, band_dtype):
+        # past 2**64 bands the band columns hold Python ints
+        config = NetworkConfig(n_bands=n_bands, n_primary=3)
+        result = run_simulation(config, FP_BOTH, 2_000, seed=5)
+        dtypes = {field.name: getattr(result, field.name).dtype for field in dataclasses.fields(result)}
+        assert dtypes == {
+            "category": np.int8, "secondary_band": band_dtype, "malicious_band": band_dtype,
+            "secondary_switch": bool, "malicious_switch": bool, "jam": bool,
+            "secondary_payoff": np.float64, "malicious_payoff": np.float64,
+            "seen_by_malicious": bool, "seen_by_secondary": bool,
+        }
+        for column in (result.secondary_band, result.malicious_band):
+            assert all(0 <= band < n_bands for band in column.tolist())
+        check_record(result)
 
     def test_deterministic_replay(self):
         first = run_simulation(REF, FP_BOTH, 2_000, seed=12)
