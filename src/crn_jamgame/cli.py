@@ -22,7 +22,7 @@ import numpy as np
 
 from .games import FIRST_IS_SWITCH, Category, ConfigError, NetworkConfig, build_game
 from .learning import run_fp
-from .nash import mixed_equilibrium
+from .nash import mixed_equilibrium, pure_equilibria, strategy_utilities
 from .output import Labels, reject_directory, write_csv
 from .simulate import (
     FictitiousPlayPolicy, FixedPolicy, NashPolicy, Policy, PolicySpec, run_simulation,
@@ -224,13 +224,17 @@ def cmd_nash(cfg: argparse.Namespace) -> int:
     """Solve both category games and report (p, q) plus pure equilibria."""
     rows = []
     for category in (Category.A, Category.B):
-        report = mixed_equilibrium(build_game(cfg.network, category))
-        if report.degenerate and not report.pure:
+        game = build_game(cfg.network, category)
+        report = mixed_equilibrium(game)
+        pure = pure_equilibria(game)
+        if report.degenerate and not pure:
             message = f"error: category {category.name} game has no representable equilibrium"
             print(message, file=sys.stderr)
             return 3
-        p, q, res_s, res_m = report.p, report.q, report.residual_secondary, report.residual_malicious
-        pure_text = ";".join(f"{r}-{c}" for r, c in report.pure)
+        p, q = report.p, report.q
+        u_s1, u_s2, u_m1, u_m2 = strategy_utilities(game, p, q)  # nan when p and q are
+        res_s, res_m = abs(u_s1 - u_s2), abs(u_m1 - u_m2)
+        pure_text = ";".join(f"{r}-{c}" for r, c in pure)
         rows.append((category.name, p, q, res_s, res_m, report.degenerate, pure_text))
         line = f"category {category.name}: "
         if not report.degenerate:

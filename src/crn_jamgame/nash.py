@@ -4,7 +4,8 @@ The interior mixed equilibrium comes from the indifference construction:
 pick q so the row player is indifferent between its rows, and p so the
 column player is indifferent between its columns. Degenerate games (zero
 indifference denominators, or probabilities falling outside [0, 1]) are
-flagged and reported through exhaustive pure-profile enumeration instead.
+flagged. :func:`pure_equilibria` enumerates a game's pure equilibria, and
+the differences of :func:`strategy_utilities` are a profile's residuals.
 """
 
 from __future__ import annotations
@@ -30,23 +31,19 @@ _NAN = float("nan")
 
 class EquilibriumReport(NamedTuple):
     """Mixed equilibrium (p, q), the secondary's (row) and the jammer's
-    (column) strategy-1 probabilities, plus all pure equilibria, as (row,
-    col) pairs of 1-based indices. The residuals are |u_s1 - u_s2| and
-    |u_m1 - u_m2| at (p, q). ``degenerate`` marks games where the
-    indifference construction left [0, 1] or failed; exactly then p, q
-    and both residuals are nan.
+    (column) strategy-1 probabilities. ``degenerate`` marks games where
+    the indifference construction left [0, 1] or failed; exactly then p
+    and q are nan.
     """
 
     p: float
     q: float
-    pure: tuple[tuple[int, int], ...]
-    residual_secondary: float
-    residual_malicious: float
     degenerate: bool
 
 
 # the generated __new__ binds its arguments by name; _make is tuple.__new__ and a length check
 _make = EquilibriumReport._make
+_DEGENERATE = EquilibriumReport(_NAN, _NAN, True)
 
 
 def strategy_utilities(game: BimatrixGame, p: float, q: float) -> tuple[float, float, float, float]:
@@ -81,25 +78,23 @@ def mixed_equilibrium(game: BimatrixGame) -> EquilibriumReport:
 
     q = (d - b) / (a - c + d - b) and p = (h - g) / (e - f + h - g).
     If either denominator vanishes or a result leaves [0, 1], the game is
-    reported degenerate with pure equilibria only. Pure equilibria are
-    always enumerated and included. A game without a pure equilibrium
-    has exactly one, fully mixed, equilibrium, so its nonzero denominators
-    are used however small its payoffs are. The residuals are
-    :func:`strategy_utilities`' differences.
+    reported degenerate. A game without a pure equilibrium has exactly
+    one, fully mixed, equilibrium, so its nonzero denominators are used
+    however small its payoffs are, as long as the indifference sums are
+    finite. A sum that overflows to infinity can give a wrong report, or
+    a degenerate one with no pure equilibrium.
     """
-    pure = pure_equilibria(game)
     a, b, c, d, e, f, g, h = game
     denom_q = a - c + d - b
     denom_p = e - f + h - g
     vanishing = abs(denom_q) < DEGENERATE_DENOMINATOR_TOL or abs(denom_p) < DEGENERATE_DENOMINATOR_TOL
-    if vanishing and (pure or denom_q == 0.0 or denom_p == 0.0):
-        return _make((_NAN, _NAN, pure, _NAN, _NAN, True))
+    if vanishing and (denom_q == 0.0 or denom_p == 0.0 or pure_equilibria(game)):
+        return _DEGENERATE
     q = (d - b) / denom_q
     p = (h - g) / denom_p
     if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        return _make((_NAN, _NAN, pure, _NAN, _NAN, True))
-    u_s1, u_s2, u_m1, u_m2 = strategy_utilities(game, p, q)
-    return _make((p, q, pure, abs(u_s1 - u_s2), abs(u_m1 - u_m2), False))
+        return _DEGENERATE
+    return _make((p, q, False))
 
 
 def verify_equilibrium(game: BimatrixGame, p: float, q: float, tolerance: float = 1e-6) -> bool:

@@ -52,7 +52,7 @@ import numpy as np
 
 from .games import FIRST_IS_SWITCH, BimatrixGame, Category, NetworkConfig, build_game
 from .learning import best_response, final_share, fit_to_counts, running_share
-from .nash import EquilibriumReport, mixed_equilibrium
+from .nash import EquilibriumReport, mixed_equilibrium, pure_equilibria
 
 __all__ = [
     "A",
@@ -96,8 +96,8 @@ class FixedPolicy:
 class NashPolicy:
     """Sample the analytic mixed equilibrium of the current category's game.
 
-    Falls back to the first pure equilibrium (or a fair coin if there is
-    none) when the game has no mixed equilibrium.
+    Falls back to the game's first :func:`nash.pure_equilibria` profile
+    (or a fair coin if there is none) when it has no mixed equilibrium.
     """
 
 
@@ -170,8 +170,8 @@ def _plan(
         first = policy.probability_first
     elif not equilibrium.degenerate:
         first = equilibrium.p if secondary else equilibrium.q
-    elif equilibrium.pure:
-        first = 1.0 if equilibrium.pure[0][0 if secondary else 1] == 1 else 0.0
+    elif pure := pure_equilibria(game):
+        first = 1.0 if pure[0][0 if secondary else 1] == 1 else 0.0
     else:
         first = 0.5
     if first in (0.0, 1.0):  # a certain strategy draws nothing

@@ -44,6 +44,13 @@ CASES = {
     "fp-A": ["fp", "--iterations", "2000", "--category", "A"],
     "fp-B": ["fp", "--iterations", "2000", "--category", "B"],
     "nash": ["nash"],
+    # both games degenerate, pure sets 2-2 and 2-1: the nan residual cells
+    "nash-degenerate": [
+        "nash", "--gain-secondary", "0", "--gain-malicious", "0", "--loss-secondary", "0",
+    ],
+    # A degenerate with pure set 1-2, B mixed; fp then writes nan err_p and err_q
+    "nash-out-of-range": ["nash", "--cost-malicious-switch", "20"],
+    "fp-degenerate": ["fp", "--iterations", "2000", "--category", "A", "--cost-malicious-switch", "20"],
     "sweep-3x3": [
         "sweep", "--sweep", "n_primary=3..5", "--sweep", "gain_malicious=50..100:25",
     ],
@@ -99,6 +106,18 @@ GOLDEN = {
     "nash": (
         "8c61915e5e27d2ec284a007bcb74ed692aefcddbb3ab03ae1c36bb824e2f76dc",
         "5f10a2b7ed0190ef294d78811a58da3eb37d8b56fa62140bad5cb0e1ccd9a26f",
+    ),
+    "nash-degenerate": (
+        "5704265d117ce330e116bd7f9f0db5df3309994093ff796afe138c0a6dc4088a",
+        "77c2ef57afcb66382028888f5e3786584b8ff348676c0b5333115b6fded593ab",
+    ),
+    "nash-out-of-range": (
+        "39cf18947767843ea612ea08cc5f88cd7c7180f3896dfe20a22b35cdd8343264",
+        "18ef0a91c0151ac6ab6ee483bb3dbecf0d10510f5a453935801c9b4660b1c436",
+    ),
+    "fp-degenerate": (
+        "aa66ec04e8f94d860944ff389467dc6619e13379b0b48d3d632073ff314798be",
+        "1034d2805fe41b60f96fac0f0a8b885d3ef6c9aae02b9ca9d2feacb223dfdfff",
     ),
     "simulate-fixed-seed1": (
         "71443bc0bb6e7a1da144ea8785e3f5c6388dfcffa5c9d673b1fcd5aee8770b8d",
@@ -205,7 +224,7 @@ def test_golden_output(name, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 5003])
-@pytest.mark.parametrize("name", ["fp-B-5003", "simulate-fp-5003", "sweep-fp-2x3"])
+@pytest.mark.parametrize("name", ["fp-B-5003", "fp-degenerate", "simulate-fp-5003", "sweep-fp-2x3"])
 def test_row_chunk_size_changes_no_byte(name, chunk, tmp_path, monkeypatch, capsys):
     import crn_jamgame.cli as cli
 

@@ -1,13 +1,17 @@
 import itertools
 import math
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crn_jamgame import Category, NetworkConfig, build_game, mixed_equilibrium, verify_equilibrium
+from crn_jamgame import Category, NetworkConfig, build_game, mixed_equilibrium, nash, verify_equilibrium
 from crn_jamgame.games import BimatrixGame
-from crn_jamgame.nash import EquilibriumReport, pure_equilibria, strategy_utilities
+from crn_jamgame.nash import (
+    DEGENERATE_DENOMINATOR_TOL, EquilibriumReport, pure_equilibria, strategy_utilities,
+)
 from oracles import (
     brute_force_pure_equilibria,
     col_payoff,
@@ -81,28 +85,29 @@ class TestMixedEquilibrium:
         report = mixed_equilibrium(GAME_A)
         assert report.p == pytest.approx(0.948, abs=0.005)
         assert report.q == pytest.approx(0.84, abs=0.005)
-        assert report.pure == ()
+        assert pure_equilibria(GAME_A) == ()
         assert not report.degenerate
-        assert max(report.residual_secondary, report.residual_malicious) <= 1e-9
+        u_s1, u_s2, u_m1, u_m2 = strategy_utilities(GAME_A, report.p, report.q)
+        assert max(abs(u_s1 - u_s2), abs(u_m1 - u_m2)) <= 1e-9
 
     def test_reference_category_b(self):
         report = mixed_equilibrium(GAME_B)
         assert not report.degenerate
         assert report.p == pytest.approx(0.852, abs=0.005)
         assert report.q == pytest.approx(0.849, abs=0.005)
-        assert report.pure == ()
+        assert pure_equilibria(GAME_B) == ()
 
     def test_strict_dominance_reports_pure_only(self):
         report = mixed_equilibrium(DOMINANCE_GAME)
         assert report.degenerate
         assert math.isnan(report.p) and math.isnan(report.q)
-        assert report.pure == ((1, 1),)
+        assert pure_equilibria(DOMINANCE_GAME) == ((1, 1),)
 
     def test_zero_game_degenerate_with_all_pure_profiles(self):
         report = mixed_equilibrium(ZERO_GAME)
         assert report.degenerate
         assert math.isnan(report.p) and math.isnan(report.q)
-        assert report.pure == ((1, 1), (1, 2), (2, 1), (2, 2))
+        assert pure_equilibria(ZERO_GAME) == ((1, 1), (1, 2), (2, 1), (2, 2))
 
     def test_out_of_range_candidate_is_degenerate(self):
         # row indifference would need q = (d-b)/(a-c+d-b) = 2/1 -> outside [0,1]
@@ -110,7 +115,7 @@ class TestMixedEquilibrium:
         report = mixed_equilibrium(game)
         assert report.degenerate
         assert math.isnan(report.p) and math.isnan(report.q)
-        assert (2, 1) in report.pure
+        assert (2, 1) in pure_equilibria(game)
 
     @pytest.mark.parametrize("game", [GAME_A, DOMINANCE_GAME, ZERO_GAME], ids=["mixed", "pure", "zero"])
     def test_the_report_is_exactly_an_equilibrium_report(self, game):
@@ -118,7 +123,8 @@ class TestMixedEquilibrium:
         assert type(report) is EquilibriumReport
         # repr, as nan != nan: the same values as the generated constructor gives
         assert repr(report) == repr(EquilibriumReport(*report))
-        assert type(report.degenerate) is bool and type(report.pure) is tuple
+        assert type(report.degenerate) is bool and type(pure_equilibria(game)) is tuple
+        assert EquilibriumReport._fields == ("p", "q", "degenerate")
 
     def test_tiny_payoffs_without_a_pure_equilibrium_keep_the_mixed_one(self):
         # the secondary's denominator is -5.5e-229, under the absolute
@@ -126,9 +132,36 @@ class TestMixedEquilibrium:
         tiny = 2.767731065784308e-229
         game = BimatrixGame(a=0.0, b=tiny, c=tiny, d=0.0, e=1.0, f=0.0, g=-1.0, h=0.0)
         report = mixed_equilibrium(game)
-        assert report.pure == ()
+        assert pure_equilibria(game) == ()
         assert (report.p, report.q) == (0.5, 0.5)
         assert not report.degenerate
+
+    @given(games(st.sampled_from([-1.0, 0.0, 1e-13, 1.0])))
+    @settings(max_examples=200)
+    def test_only_a_vanishing_denominator_enumerates_the_pure_set(self, game):
+        with (
+            mock.patch.object(nash, "pure_equilibria", wraps=pure_equilibria) as pure,
+            mock.patch.object(nash, "strategy_utilities", wraps=strategy_utilities) as utilities,
+        ):
+            mixed_equilibrium(game)
+        a, b, c, d, e, f, g, h = game
+        vanishing = min(abs(a - c + d - b), abs(e - f + h - g)) < DEGENERATE_DENOMINATOR_TOL
+        assert pure.call_count <= vanishing
+        assert utilities.call_count == 0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_an_overflowing_indifference_sum_keeps_the_mixed_equilibrium(self):
+        # a - c + d - b overflows to -inf, and (d - b) / -inf is q = 0
+        config = NetworkConfig(
+            n_bands=2, n_primary=0, cost_secondary_switch=0.0, cost_malicious_switch=0.0,
+            gain_secondary=0.0, gain_malicious=1.0, loss_secondary=1.7e308,
+        )
+        for category in (Category.A, Category.B):
+            game = build_game(config, category)
+            a, b, c, d, e, f, g, h = map(Fraction, game)  # exact for a float
+            assert ((h - g) / (e - f + h - g), (d - b) / (a - c + d - b)) == (0.5, 0.5)
+            report = mixed_equilibrium(game)
+            assert (report.p, report.q, report.degenerate) == (0.5, 0.5, False)
 
 
 class TestVerifyEquilibrium:
@@ -162,11 +195,8 @@ class TestSolverProperties:
     def test_mixed_results_are_indifferent(self, game):
         report = mixed_equilibrium(game)
         assert not report.degenerate
-        residuals = (report.residual_secondary, report.residual_malicious)
-        assert max(residuals) <= 1e-9
-        # bit for bit the differences of strategy_utilities at the profile
         u_s1, u_s2, u_m1, u_m2 = strategy_utilities(game, report.p, report.q)
-        assert residuals == (abs(u_s1 - u_s2), abs(u_m1 - u_m2))
+        assert max(abs(u_s1 - u_s2), abs(u_m1 - u_m2)) <= 1e-9
 
     @given(games())
     @settings(max_examples=300)
@@ -174,14 +204,15 @@ class TestSolverProperties:
         report = mixed_equilibrium(game)
         if not report.degenerate:
             assert verify_equilibrium(game, report.p, report.q, 1e-9)
-        for row, col in report.pure:  # strategy 1 with probability 1 or 0
+        for row, col in pure_equilibria(game):  # strategy 1 with probability 1 or 0
             assert verify_equilibrium(game, 2.0 - row, 2.0 - col, 1e-9)
 
     @given(games())
     @settings(max_examples=300)
     def test_nan_exactly_when_degenerate(self, game):
         report = mixed_equilibrium(game)
-        values = (report.p, report.q, report.residual_secondary, report.residual_malicious)
+        u_s1, u_s2, u_m1, u_m2 = strategy_utilities(game, report.p, report.q)
+        values = (report.p, report.q, abs(u_s1 - u_s2), abs(u_m1 - u_m2))
         assert [math.isnan(x) for x in values] == [report.degenerate] * 4
 
     @given(games(source=unit_entries))
@@ -200,13 +231,14 @@ class TestSolverProperties:
             p, q = report.p, report.q
             near = (abs(grid_p - p) <= 1e-3 + 1e-12) & (abs(grid_q - q) <= 1e-3 + 1e-12)
             assert near.any()
-        for pure in report.pure:
+        pure_set = pure_equilibria(game)
+        for pure in pure_set:
             row, col = pure
             p = 1.0 if row == 1 else 0.0
             q = 1.0 if col == 1 else 0.0
             assert ((grid_p == p) & (grid_q == q)).any()
         if len(grid_p) > 0:
-            assert not report.degenerate or report.pure
+            assert not report.degenerate or pure_set
 
     @given(mixed_games(), st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False))
     @settings(max_examples=300)

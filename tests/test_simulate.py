@@ -22,7 +22,7 @@ from crn_jamgame import (
 )
 from crn_jamgame import learning, simulate
 from crn_jamgame.games import FIRST_IS_SWITCH, BimatrixGame, ConfigError
-from crn_jamgame.nash import strategy_utilities
+from crn_jamgame.nash import pure_equilibria, strategy_utilities
 from crn_jamgame.simulate import (
     A,
     B,
@@ -166,6 +166,25 @@ class TestChooseActions:
         for code in (A, B):
             # strategy 1 is switch for both in A; the jammer's is stay in B
             assert choose_actions(code, nash, fresh_histories(), rng) == (SWITCH, code == A)
+        assert rng.getstate() == random.Random(0).getstate()
+
+    @pytest.mark.parametrize("game, profile", [
+        # strategy 2 strictly dominant for both
+        (BimatrixGame(0, 0, 1, 1, 0, 1, 0, 1), (2, 2)),
+        # every profile is an equilibrium, (1, 1) the first
+        (BimatrixGame(0, 0, 0, 0, 0, 0, 0, 0), (1, 1)),
+        # row 2 strictly dominant, the jammer indifferent: (2, 1) before (2, 2)
+        (BimatrixGame(0, 0, 1, 1, 1, 1, 0, 0), (2, 1)),
+    ])
+    def test_nash_play_of_a_degenerate_game_plays_its_first_pure_equilibrium(self, game, profile):
+        assert mixed_equilibrium(game).degenerate
+        assert pure_equilibria(game)[0] == profile
+        nash = plan_policies(PolicySpec(NashPolicy(), NashPolicy()), (game, game), 100)
+        rng = random.Random(0)
+        for code in (A, B):
+            first_s, first_m = FIRST_IS_SWITCH[code]
+            expected = (first_s == (profile[0] == 1), first_m == (profile[1] == 1))
+            assert choose_actions(code, nash, fresh_histories(), rng) == expected
         assert rng.getstate() == random.Random(0).getstate()
 
     @pytest.mark.parametrize("first", [0.0, 1.0])
