@@ -14,7 +14,6 @@ from .simulate import (
     FictitiousPlayPolicy,
     FixedPolicy,
     NashPolicy,
-    PolicySpec,
     run_simulation,
 )
 
@@ -28,7 +27,6 @@ __all__ = [
     "mixed_equilibrium",
     "verify_equilibrium",
     "run_fp",
-    "PolicySpec",
     "FictitiousPlayPolicy",
     "FixedPolicy",
     "NashPolicy",

@@ -2,8 +2,8 @@
 
 Configuration comes from a flat JSON file plus flags (flags win); every
 run is a pure function of (config, seed), so repeated invocations write
-byte-identical CSVs. Exit codes: 0 success, 2 config error, 3 a category
-game has no representable equilibrium, 4 I/O error, 141 a closed output pipe.
+byte-identical CSVs. Exit codes: 0 success, 2 config error, 4 I/O error,
+141 a closed output pipe.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .learning import run_fp
 from .nash import mixed_equilibrium, pure_equilibria, strategy_utilities
 from .output import Labels, reject_directory, write_csv
 from .simulate import (
-    FictitiousPlayPolicy, FixedPolicy, NashPolicy, Policy, PolicySpec, run_simulation,
+    FictitiousPlayPolicy, FixedPolicy, NashPolicy, Policy, run_simulation,
 )
 
 MAX_SEED = 2**64 - 1
@@ -165,7 +165,7 @@ def _read_config(path: str) -> dict:
 
 def parse_config(args: argparse.Namespace) -> argparse.Namespace:
     """The run's validated settings: ``network`` (a NetworkConfig), every other
-    row of ``SETTINGS`` by its key, ``command``, ``sweeps`` and ``iterations_given``.
+    row of ``SETTINGS`` by its key, ``sweeps`` and ``iterations_given``.
 
     Each value comes from its flag, else the ``--config`` JSON file, else
     ``CRN_JAMGAME_SEED`` (seed only), else the row's default. For ``sweep``
@@ -196,9 +196,7 @@ def parse_config(args: argparse.Namespace) -> argparse.Namespace:
     if values["out"] is None:
         values["out"] = _DEFAULT_OUT.get(args.cmd)
     iterations_given = args.iterations is not None or "iterations" in file_values
-    return argparse.Namespace(
-        command=args.cmd, network=network, sweeps=sweeps, iterations_given=iterations_given, **values
-    )
+    return argparse.Namespace(network=network, sweeps=sweeps, iterations_given=iterations_given, **values)
 
 
 #: Rows per block that a command hands ``write_csv``. A block's arrays and
@@ -227,10 +225,6 @@ def cmd_nash(cfg: argparse.Namespace) -> int:
         game = build_game(cfg.network, category)
         report = mixed_equilibrium(game)
         pure = pure_equilibria(game)
-        if report.degenerate and not pure:
-            message = f"error: category {category.name} game has no representable equilibrium"
-            print(message, file=sys.stderr)
-            return 3
         p, q = report.p, report.q
         u_s1, u_s2, u_m1, u_m2 = strategy_utilities(game, p, q)  # nan when p and q are
         res_s, res_m = abs(u_s1 - u_s2), abs(u_m1 - u_m2)
@@ -293,8 +287,7 @@ SIMULATE_COLUMNS = (
 
 def cmd_simulate(cfg: argparse.Namespace) -> int:
     """Full network run; per-slot trace CSV plus a printed summary."""
-    policies = PolicySpec(secondary=cfg.policy_secondary, malicious=cfg.policy_malicious)
-    result = run_simulation(cfg.network, policies, cfg.slots, cfg.seed)
+    result = run_simulation(cfg.network, (cfg.policy_secondary, cfg.policy_malicious), cfg.slots, cfg.seed)
 
     def blocks():
         labels = tuple(category.name for category in Category)

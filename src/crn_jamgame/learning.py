@@ -11,8 +11,8 @@ for them, which ``FpTrace`` and the simulator's record both read.
 their actions. Within a run the counts grow by one per stage, so each
 player's lead for its kept strategy is linear in the stage, and the end
 of the stages it keeps by a clear margin is found in closed form: a
-guess where the lead falls to zero, checked by two evaluations of the
-margin and bisected only when it misses. Those stages are filled at
+guess where the lead falls to zero, checked by one evaluation of the
+margin and bisected only when it is too late. Those stages are filled at
 once; the scalar kernel ``best_response`` runs only at run ends,
 near-ties and ties, and stays the one implementation of the tie rule.
 
@@ -173,8 +173,11 @@ def _run_length(game: BimatrixGame, s: int, m: int, counts: tuple[int, int, int,
     the stages kept form an interval from j = 0, and every stage inside
     it leads by the margin, twice the kernel's tie window, up to the
     rounding of its weighted sums. The interval's end is guessed where
-    the first falling lead reaches zero, checked at the stages either
-    side of the guess, and bisected only when the guess misses.
+    the first falling lead reaches zero, checked at the stage before the
+    guess, and bisected only when the guess is too late. A guess that is
+    too soon only ends the skip early: the stage after it goes to
+    ``best_response``, which keeps (s, m) without a coin, and the run
+    goes on.
     """
     a, b, c, d, e, f, g, h = game
     hs1, hs2, hm1, hm2 = counts
@@ -195,12 +198,9 @@ def _run_length(game: BimatrixGame, s: int, m: int, counts: tuple[int, int, int,
     for lead, rise in zip(first, (rise_s, rise_m)):
         if rise < 0 and lead < -rise * n:  # this lead reaches zero within n stages
             n = min(n, math.ceil(lead / -rise))
-    if n < cap and all(leads(n)):  # the guess ends the run too soon
-        kept, past = n, cap
-    elif n > 1 and not all(leads(n - 1)):  # or too late
-        kept, past = 0, n - 1
-    else:
+    if n < 2 or all(leads(n - 1)):
         return n
+    kept, past = 0, n - 1  # the guess ends the run too late
     while past - kept > 1:  # stage ``kept`` keeps (s, m); stage ``past`` does not, or is the cap
         mid = (kept + past) // 2
         if all(leads(mid)):

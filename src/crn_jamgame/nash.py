@@ -76,25 +76,39 @@ def pure_equilibria(game: BimatrixGame) -> tuple[tuple[int, int], ...]:
 def mixed_equilibrium(game: BimatrixGame) -> EquilibriumReport:
     """Indifference-based equilibrium report.
 
-    q = (d - b) / (a - c + d - b) and p = (h - g) / (e - f + h - g).
-    If either denominator vanishes or a result leaves [0, 1], the game is
-    reported degenerate. A game without a pure equilibrium has exactly
-    one, fully mixed, equilibrium, so its nonzero denominators are used
-    however small its payoffs are, as long as the indifference sums are
-    finite. A sum that overflows to infinity can give a wrong report, or
-    a degenerate one with no pure equilibrium.
+    q = (d - b) / (a - c + d - b) and p = (h - g) / (e - f + h - g), each
+    denominator the sum of two payoff differences. If either denominator
+    vanishes or a result leaves [0, 1], the game is reported degenerate.
+    A game without a pure equilibrium has exactly one, fully mixed,
+    equilibrium, so its nonzero denominators are used however small its
+    payoffs are, and it is never degenerate. A denominator that overflows
+    is solved once more with its player's four payoffs quartered: that
+    keeps the player's indifference point, is exact for normal floats, and
+    leaves no sum of four quarters that can overflow.
     """
     a, b, c, d, e, f, g, h = game
-    denom_q = a - c + d - b
-    denom_p = e - f + h - g
-    vanishing = abs(denom_q) < DEGENERATE_DENOMINATOR_TOL or abs(denom_p) < DEGENERATE_DENOMINATOR_TOL
-    if vanishing and (denom_q == 0.0 or denom_p == 0.0 or pure_equilibria(game)):
-        return _DEGENERATE
-    q = (d - b) / denom_q
-    p = (h - g) / denom_p
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        return _DEGENERATE
-    return _make((p, q, False))
+    quartered = False
+    while True:
+        num_q = d - b
+        num_p = h - g
+        denom_q = a - c + num_q
+        denom_p = e - f + num_p
+        vanishing = abs(denom_q) < DEGENERATE_DENOMINATOR_TOL or abs(denom_p) < DEGENERATE_DENOMINATOR_TOL
+        if vanishing and (denom_q == 0.0 or denom_p == 0.0 or pure_equilibria(game)):
+            return _DEGENERATE
+        q = num_q / denom_q
+        p = num_p / denom_p
+        if 0.0 < p < 1.0 and 0.0 < q < 1.0:
+            return _make((p, q, False))
+        # a denominator that overflowed (inf or nan; it holds its numerator)
+        # leaves q at ±0, nan or |q| > 1, likewise p: only this path looks
+        if quartered or (denom_q - denom_q == 0.0 and denom_p - denom_p == 0.0):
+            return _make((p, q, False)) if 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0 else _DEGENERATE
+        quartered = True
+        if denom_q - denom_q != 0.0:
+            a, b, c, d = a * 0.25, b * 0.25, c * 0.25, d * 0.25
+        if denom_p - denom_p != 0.0:
+            e, f, g, h = e * 0.25, f * 0.25, g * 0.25, h * 0.25
 
 
 def verify_equilibrium(game: BimatrixGame, p: float, q: float, tolerance: float = 1e-6) -> bool:

@@ -61,7 +61,6 @@ __all__ = [
     "FixedPolicy",
     "NashPolicy",
     "FictitiousPlayPolicy",
-    "PolicySpec",
     "SimulationSummary",
     "SimulationResult",
     "draw_silenced",
@@ -96,8 +95,8 @@ class FixedPolicy:
 class NashPolicy:
     """Sample the analytic mixed equilibrium of the current category's game.
 
-    Falls back to the game's first :func:`nash.pure_equilibria` profile
-    (or a fair coin if there is none) when it has no mixed equilibrium.
+    Plays the game's first :func:`nash.pure_equilibria` profile when the
+    game is degenerate, which only a game with a pure equilibrium is.
     """
 
 
@@ -107,14 +106,6 @@ class FictitiousPlayPolicy:
 
 
 Policy = FixedPolicy | NashPolicy | FictitiousPlayPolicy
-
-
-@dataclass(frozen=True, slots=True)
-class PolicySpec:
-    """Which decision rule each player uses in categories A and B."""
-
-    secondary: Policy
-    malicious: Policy
 
 
 def draw_silenced(config: NetworkConfig, rng: random.Random) -> bool:
@@ -170,10 +161,8 @@ def _plan(
         first = policy.probability_first
     elif not equilibrium.degenerate:
         first = equilibrium.p if secondary else equilibrium.q
-    elif pure := pure_equilibria(game):
-        first = 1.0 if pure[0][0 if secondary else 1] == 1 else 0.0
-    else:
-        first = 0.5
+    else:  # a degenerate game has a pure equilibrium
+        first = 1.0 if pure_equilibria(game)[0][0 if secondary else 1] == 1 else 0.0
     if first in (0.0, 1.0):  # a certain strategy draws nothing
         fixed = switch[1 if first else 2]
         return lambda counts, rng: fixed
@@ -181,18 +170,18 @@ def _plan(
 
 
 def plan_policies(
-    policies: PolicySpec, games: tuple[BimatrixGame, BimatrixGame], slots: int
+    policies: tuple[Policy, Policy], games: tuple[BimatrixGame, BimatrixGame], slots: int
 ) -> tuple[tuple[Draw, Draw], tuple[Draw, Draw]]:
-    """Both players' policies in the games of category codes A and B,
-    resolved once per run into (secondary, jammer) pairs of switch-flag
-    draws, by :data:`games.FIRST_IS_SWITCH`.
+    """The (secondary, jammer) ``policies`` in the games of category codes
+    A and B, resolved once per run into (secondary, jammer) pairs of
+    switch-flag draws, by :data:`games.FIRST_IS_SWITCH`.
 
     Fixed play, and Nash play of a mixed equilibrium, draw strategy 1
     with its probability; a probability of 0 or 1, like Nash play of a
     pure equilibrium, draws nothing. Fictitious play weights
     ``fit_to_counts(game, slots)`` by counts below ``slots``.
     """
-    policy_s, policy_m = policies.secondary, policies.malicious
+    policy_s, policy_m = policies
     return tuple(
         (_plan(policy_s, True, order, game, eq, slots), _plan(policy_m, False, order, game, eq, slots))
         for order, game, eq in zip(FIRST_IS_SWITCH, games, map(mixed_equilibrium, games))
@@ -243,7 +232,7 @@ def settle_slot(
     draw first (:func:`draw_silenced`), then the secondary's target band
     (if it switches), then the jammer's (category A only; in category B a
     switching jammer goes straight to the secondary's prior band). In
-    category C nobody moves.
+    category C both players stay, as :func:`choose_actions` decides.
 
     Payoffs come from the post-move occupancy: the secondary earns its
     gain when transmitting unjammed, loses the jam loss when co-located
@@ -257,22 +246,20 @@ def settle_slot(
     silenced = draw_silenced(config, rng)
     sec_band = secondary_band
     mal_band = malicious_band
-    if category != C:
-        if switch_s:
-            sec_band = _other_band(secondary_band, n_bands, rng)
-        if switch_m:
-            if category == A:
-                mal_band = _other_band(malicious_band, n_bands, rng)
-            else:
-                mal_band = secondary_band
+    if switch_s:
+        sec_band = _other_band(secondary_band, n_bands, rng)
+    if switch_m:
+        if category == A:
+            mal_band = _other_band(malicious_band, n_bands, rng)
+        else:
+            mal_band = secondary_band
     jam = (not silenced) and mal_band == sec_band
     payoff_s = 0.0 if silenced else (-loss_s if jam else gain_s)
     payoff_m = gain_m if jam else 0.0
-    if category != C:
-        if switch_s and (category == A or not switch_m):
-            payoff_s -= cost_s
-        if switch_m:
-            payoff_m -= cost_m
+    if switch_s and (category == A or not switch_m):
+        payoff_s -= cost_s
+    if switch_m:
+        payoff_m -= cost_m
     return sec_band, mal_band, silenced, jam, payoff_s, payoff_m
 
 
@@ -314,9 +301,10 @@ def update_histories(
 
 
 def _total(payoffs: np.ndarray) -> float:
-    """Left-to-right sum from 0.0, the same float a running total gives;
-    ±inf when it overflows, as a running total would."""
-    with np.errstate(over="ignore"):
+    """Left-to-right sum from 0.0, the same float a running total gives:
+    ±inf when it overflows, and nan when it meets inf and -inf (a slot
+    pays -inf when its jam loss plus switching cost overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
         return 0.0 + float(np.cumsum(payoffs)[-1])
 
 
@@ -410,11 +398,12 @@ class SimulationResult:
 
 def run_simulation(
     config: NetworkConfig,
-    policies: PolicySpec,
+    policies: tuple[Policy, Policy],
     slots: int,
     seed: int,
 ) -> SimulationResult:
-    """Run the slot loop from a uniformly random initial state.
+    """Run the slot loop from a uniformly random initial state, the
+    secondary playing ``policies[0]`` and the jammer ``policies[1]``.
 
     Per slot: record the state, choose actions, settle, classify the new
     state, update histories. Deterministic in (config, policies, slots,

@@ -2,11 +2,13 @@
 
 Everything here recomputes results from first principles (grid search,
 direct Monte Carlo placement, stage-by-stage replay, an exact Markov
-chain) without going through the code paths under test.
+chain, exact rational arithmetic) without going through the code paths
+under test.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -256,3 +258,15 @@ def csv_line(row):
         else:
             cells.append(str(value))
     return ",".join(cells) + "\n"
+
+
+def exact_equilibrium(entries):
+    """The indifference construction's (p, q) of a 2x2 game in exact
+    rational arithmetic, each a ``Fraction``, or None where its
+    denominator is zero. Every float is exactly a ``Fraction``, so no sum
+    here rounds or overflows. Entries are laid out as in
+    :func:`interior_equilibrium`."""
+    a, b, c, d, e, f, g, h = map(Fraction, entries)
+    den_p = e - f + h - g
+    den_q = a - c + d - b
+    return (h - g) / den_p if den_p else None, (d - b) / den_q if den_q else None

@@ -17,7 +17,6 @@ from crn_jamgame import (
     FictitiousPlayPolicy,
     FixedPolicy,
     NetworkConfig,
-    PolicySpec,
     build_game,
     derived_probabilities,
     mixed_equilibrium,
@@ -32,7 +31,7 @@ from crn_jamgame.simulate import C, settle_slot
 from oracles import col_payoff, grid_accepts_near, grid_equilibria, row_payoff
 
 REF = NetworkConfig()
-FP_BOTH = PolicySpec(secondary=FictitiousPlayPolicy(), malicious=FictitiousPlayPolicy())
+FP_BOTH = (FictitiousPlayPolicy(), FictitiousPlayPolicy())
 
 
 def check(number, description, ok, detail=""):
@@ -234,7 +233,7 @@ def test_criterion_5_settlement_reproduces_the_tables():
 
 def test_criterion_6_licensed_user_draw():
     start = time.perf_counter()
-    policies = PolicySpec(secondary=FixedPolicy(0.5), malicious=FixedPolicy(0.5))
+    policies = (FixedPolicy(0.5), FixedPolicy(0.5))
     slots = 100_000
     result = run_simulation(REF, policies, slots + 1, seed=6)
     # slot t + 1 is C exactly when a licensed user sits on slot t's settled secondary band

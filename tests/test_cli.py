@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -6,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -710,29 +713,23 @@ class TestExitCodes:
         assert main(["fp", "--iterations", "10", "--out", str(missing_dir)]) == 4
         assert "i/o error" in capsys.readouterr().err
 
-    def test_unrepresentable_equilibrium_exits_three(self, capsys, monkeypatch):
-        # the one known real input that reaches this guard is a game whose
-        # indifference sums overflow, a solver defect (the strict xfail
-        # below), so the guard is exercised with a stubbed report and pure set
-        import crn_jamgame.cli as cli
-        from crn_jamgame.nash import EquilibriumReport
+    #: Every field is accepted, but a - c + d - b overflows in both games,
+    #: whose one equilibrium is the fully mixed (0.5, 0.5).
+    OVERFLOWING_SUMS = [
+        "--n-bands", "2", "--n-primary", "0", "--cost-secondary-switch", "0",
+        "--cost-malicious-switch", "0", "--gain-secondary", "1e307", "--gain-malicious", "1",
+        "--loss-secondary", "1.7e308",
+    ]
 
-        nan = float("nan")
-        empty = EquilibriumReport(p=nan, q=nan, degenerate=True)
-        monkeypatch.setattr(cli, "mixed_equilibrium", lambda game: empty)
-        monkeypatch.setattr(cli, "pure_equilibria", lambda game: ())
-        assert main(["nash"]) == 3
-        assert "no representable equilibrium" in capsys.readouterr().err
-
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-    def test_an_overflowing_indifference_sum_still_has_an_equilibrium(self, capsys):
-        # both games have the fully mixed equilibrium (0.5, 0.5), but
-        # a - c + d - b overflows and the solver reports it degenerate
-        assert main([
-            "nash", "--n-bands", "2", "--n-primary", "0", "--cost-secondary-switch", "0",
-            "--cost-malicious-switch", "0", "--gain-secondary", "1e307", "--gain-malicious", "1",
-            "--loss-secondary", "1.7e308",
-        ]) == 0
+    def test_an_overflowing_indifference_sum_still_has_an_equilibrium(self, tmp_path, capsys):
+        assert main(["nash", *self.OVERFLOWING_SUMS]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        for category in "AB":
+            assert f"category {category}: p=0.5 q=0.5 " in out
+        assert main(["fp", "--iterations", "200", "--out", str(tmp_path / "fp.csv"), *self.OVERFLOWING_SUMS]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "(equilibrium p=0.5 q=0.5)" in out
 
     @pytest.mark.parametrize("command", ["nash", "fp", "simulate"])
     def test_an_overflowing_payoff_entry_exits_two_and_writes_nothing(self, tmp_path, capsys, command):
@@ -974,6 +971,56 @@ class TestClosedPipe:
         assert done.stderr == b""
 
 
+#: Magnitudes log-uniform up to 1.7e308, exact zeros and values whose
+#: payoff entries or indifference sums overflow among them.
+FIELD_VALUES = st.one_of(
+    st.sampled_from([0.0, 1e307, 8e307, 1.7e308]),
+    st.floats(-300.0, math.log10(1.7e308)).map(lambda x: min(10.0**x, 1.7e308)),
+)
+
+
+@st.composite
+def accepted_configs(draw):
+    """Flags of a config ``NetworkConfig`` accepts, over its whole range."""
+    n_bands = draw(st.one_of(st.integers(2, 4), st.integers(2, 300)))
+    flags = ["--n-bands", str(n_bands), "--n-primary", str(draw(st.integers(0, n_bands)))]
+    for name in ("cost-secondary-switch", "cost-malicious-switch", "gain-secondary", "gain-malicious",
+                 "loss-secondary"):
+        flags += [f"--{name}", repr(draw(FIELD_VALUES))]
+    return n_bands, flags
+
+
+class TestEveryAcceptedConfig:
+    @given(accepted_configs())
+    @settings(max_examples=150, deadline=None)
+    @example((2, TestExitCodes.OVERFLOWING_SUMS))
+    # a slot's loss plus cost is -inf after the secondary's total reached +inf
+    @example((3, ["--n-bands", "3", "--n-primary", "1", "--cost-secondary-switch", "1.7e308",
+                  "--cost-malicious-switch", "0", "--gain-secondary", "8e307", "--gain-malicious", "0",
+                  "--loss-secondary", "1e307"]))
+    def test_each_command_runs_clean_or_is_a_config_error(self, config):
+        # in process, with warnings as errors: exit 0 and an empty stderr,
+        # or exit 2 and one config error line; never another code
+        n_bands, flags = config
+        runs = (
+            ["nash"],
+            ["fp", "--iterations", "200"],
+            ["simulate", "--slots", "200"],
+            ["sweep", f"--sweep=n_bands={n_bands}..{n_bands + 1}"],
+        )
+        with tempfile.TemporaryDirectory() as directory, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in runs:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([*argv, *flags, "--out", os.path.join(directory, "out.csv")])
+                if code == 0:
+                    assert err.getvalue() == ""
+                else:
+                    assert code == 2
+                    assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
+
+
 class TestOverflowingTotals:
     # every slot's payoff is finite, but the secondary's sum overflows:
     # the summary prints -inf and nothing reaches stderr
@@ -989,6 +1036,15 @@ class TestOverflowingTotals:
         assert done.returncode == 0
         assert done.stderr == b""
         assert b"cumulative payoff secondary: -inf\n" in done.stdout
+
+    def test_a_total_that_meets_both_infinities_is_nan(self, tmp_path, capsys):
+        # the secondary's total reaches +inf, then a jammed switch pays
+        # -1e307 - 1.7e308 = -inf
+        args = ["simulate", "--n-bands", "3", "--n-primary", "1", "--cost-secondary-switch", "1.7e308",
+                "--gain-secondary", "8e307", "--loss-secondary", "1e307", "--slots", "200"]
+        assert main([*args, "--out", str(tmp_path / "sim.csv")]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "cumulative payoff secondary: nan\n" in out
 
 
 #: Each failure's extra arguments and documented exit code, run in a

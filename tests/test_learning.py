@@ -12,7 +12,6 @@ from crn_jamgame import (
     Category,
     FictitiousPlayPolicy,
     NetworkConfig,
-    PolicySpec,
     build_game,
     mixed_equilibrium,
     run_fp,
@@ -128,7 +127,7 @@ class TestExpectedUtilities:
         assert u2 == pytest.approx(375.0, abs=1e-9)
         # the simulator's learning jammer stays on the same counts
         # (per-move list: secondary switch, secondary stay, jammer switch, jammer stay)
-        policies = PolicySpec(FictitiousPlayPolicy(), FictitiousPlayPolicy())
+        policies = (FictitiousPlayPolicy(), FictitiousPlayPolicy())
         plans = plan_policies(policies, (GAME_A, GAME_B), 100)
         for seed in range(10):
             counts = ([0, 10, 0, 0], [0, 0, 0, 0])
@@ -511,6 +510,36 @@ class TestRunFp:
             run_fp(GAME_A, 0, seed=1)
         with pytest.raises(ValueError):
             run_fp(GAME_A, -5, seed=1)
+
+
+class TestRunLength:
+    @given(
+        st.one_of(games(), slow_lead_games(), games(source=extreme_entries)),
+        st.one_of(histories(), histories(max_count=10**6)),
+        st.integers(1, 2_000),
+        st.integers(0, 2**32),
+    )
+    @example(BimatrixGame(*[37.5 + 1e-5 * k for k in (1, -2, -3, 2, -2, 0, -1, -2)]), (7, 3, 2, 9), 500, 0)
+    @settings(max_examples=300, deadline=None)
+    def test_every_stage_below_the_count_keeps_both_actions_without_a_coin(self, game, counts, cap, seed):
+        # the actions to keep are the kernel's at the counts (a tie takes a coin)
+        weights = learning.fit_to_counts(game, sum(counts) + cap)
+        a, b, c, d, e, f, g, h = weights
+        hs1, hs2, hm1, hm2 = counts
+        rand = random.Random(seed).random
+        s = best_response(a * hm1 + b * hm2, c * hm1 + d * hm2, rand)
+        m = best_response(e * hs1 + g * hs2, f * hs1 + h * hs2, rand)
+        n = learning._run_length(weights, s, m, counts, cap)
+        assert 0 <= n <= cap
+
+        def coin():
+            raise AssertionError("a stage below the count is a tie")
+
+        for j in range(n):  # stage j follows j more stages of (s, m)
+            w1, w2 = (hm1 + j, hm2) if m == 1 else (hm1, hm2 + j)
+            v1, v2 = (hs1 + j, hs2) if s == 1 else (hs1, hs2 + j)
+            assert best_response(a * w1 + b * w2, c * w1 + d * w2, coin) == s
+            assert best_response(e * v1 + g * v2, f * v1 + h * v2, coin) == m
 
 
 class TestConvergenceError:

@@ -1,14 +1,15 @@
 import itertools
 import math
+import operator
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crn_jamgame import Category, NetworkConfig, build_game, mixed_equilibrium, nash, verify_equilibrium
-from crn_jamgame.games import BimatrixGame
+from crn_jamgame.games import BimatrixGame, ConfigError
 from crn_jamgame.nash import (
     DEGENERATE_DENOMINATOR_TOL, EquilibriumReport, pure_equilibria, strategy_utilities,
 )
@@ -16,6 +17,7 @@ from oracles import (
     brute_force_pure_equilibria,
     col_payoff,
     deviation_gains,
+    exact_equilibrium,
     grid_equilibria,
     row_payoff,
 )
@@ -149,9 +151,8 @@ class TestMixedEquilibrium:
         assert pure.call_count <= vanishing
         assert utilities.call_count == 0
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
     def test_an_overflowing_indifference_sum_keeps_the_mixed_equilibrium(self):
-        # a - c + d - b overflows to -inf, and (d - b) / -inf is q = 0
+        # a - c + d - b overflows to -inf, where (d - b) / -inf would be q = 0
         config = NetworkConfig(
             n_bands=2, n_primary=0, cost_secondary_switch=0.0, cost_malicious_switch=0.0,
             gain_secondary=0.0, gain_malicious=1.0, loss_secondary=1.7e308,
@@ -309,3 +310,71 @@ class TestPureEquilibriaCompleteness:
             assert pure_equilibria(BimatrixGame(*entries)) == expected
             masks.add(sum(1 << profiles.index(profile) for profile in expected))
         assert masks == set(range(16))
+
+
+#: Magnitudes log-uniform from 1e-300 up to 1.7e308, and the ones whose
+#: differences and sums overflow.
+wide_magnitudes = st.one_of(
+    st.floats(-300.0, math.log10(1.7e308)).map(lambda x: min(10.0**x, 1.7e308)),
+    st.sampled_from([1.0, 1e307, 8e307, 1.7e308]),
+)
+wide_entries = st.one_of(st.just(0.0), wide_magnitudes, wide_magnitudes.map(operator.neg))
+#: Below this an exact probability is not a normal float; it is checked to the absolute value.
+SMALLEST_NORMAL = Fraction(2.0**-1022)
+
+
+@st.composite
+def wide_built_games(draw):
+    """Games of configs over the whole range ``NetworkConfig`` accepts."""
+    n_bands = draw(st.integers(2, 300))
+    values = (draw(st.one_of(st.just(0.0), wide_magnitudes)) for _ in range(5))
+    config = NetworkConfig(n_bands, draw(st.integers(0, n_bands)), *values)
+    try:
+        return build_game(config, draw(st.sampled_from([Category.A, Category.B])))
+    except ConfigError:  # a payoff entry overflows
+        assume(False)
+
+
+def overflow_config_games(gain_secondary):
+    config = NetworkConfig(
+        n_bands=2, n_primary=0, cost_secondary_switch=0.0, cost_malicious_switch=0.0,
+        gain_secondary=gain_secondary, gain_malicious=1.0, loss_secondary=1.7e308,
+    )
+    return [build_game(config, category) for category in (Category.A, Category.B)]
+
+
+class TestExactOracle:
+    """Every report against ``fractions.Fraction``: a non-degenerate one
+    is the exact (p, q) to a relative 1e-12, or to 2**-1022 where that
+    lies below the normal range, and a game with no pure equilibrium is
+    never degenerate."""
+
+    @staticmethod
+    def check(game):
+        report = mixed_equilibrium(game)
+        if not brute_force_pure_equilibria(payoff_entries(game)):
+            assert not report.degenerate
+        if report.degenerate:
+            return
+        for got, exact in zip((report.p, report.q), exact_equilibrium(payoff_entries(game))):
+            assert exact is not None
+            error = abs(Fraction(got) - exact)
+            assert error <= abs(exact) / 10**12 or (abs(exact) < SMALLEST_NORMAL and error <= SMALLEST_NORMAL)
+
+    @given(games(wide_entries))
+    @settings(max_examples=500)
+    # the secondary's sums overflow: q = 0 from a finite report, or no report at all
+    @example(overflow_config_games(0.0)[0])
+    @example(overflow_config_games(1e307)[0])
+    # the jammer's sums overflow, and neither game has a pure equilibrium
+    @example(BimatrixGame(0.0, 1.0, 1.0, 0.0, 1.7e308, -1.7e308, -1.7e308, 1.7e308))
+    @example(BimatrixGame(0.0, 1.0, 1.0, 0.0, 1e307, -1.7e308, -1.7e308, 1e307))
+    # d and b close and large beside a - c: ((a - c) + d) - b would round a - c away
+    @example(BimatrixGame(200.0, 2.0**60 - 256, 0.0, 2.0**60, 1.0, 0.0, 0.0, 1.0))
+    def test_games_of_every_magnitude(self, game):
+        self.check(game)
+
+    @given(wide_built_games())
+    @settings(max_examples=300)
+    def test_games_of_every_accepted_config(self, game):
+        self.check(game)

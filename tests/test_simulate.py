@@ -15,7 +15,6 @@ from crn_jamgame import (
     FixedPolicy,
     NashPolicy,
     NetworkConfig,
-    PolicySpec,
     build_game,
     mixed_equilibrium,
     run_simulation,
@@ -47,7 +46,7 @@ from oracles import (
 REF = NetworkConfig()
 NO_PRIMARIES = NetworkConfig(n_primary=0)
 GAMES = (build_game(REF, Category.A), build_game(REF, Category.B))
-FP_BOTH = PolicySpec(secondary=FictitiousPlayPolicy(), malicious=FictitiousPlayPolicy())
+FP_BOTH = (FictitiousPlayPolicy(), FictitiousPlayPolicy())
 STAY, SWITCH = False, True  # switch flags
 
 
@@ -124,14 +123,14 @@ class TestChooseActions:
         assert actions == (STAY, STAY)
 
     def test_degenerate_fixed_profile_is_deterministic(self):
-        policies = PolicySpec(secondary=FixedPolicy(1.0), malicious=FixedPolicy(0.0))
+        policies = (FixedPolicy(1.0), FixedPolicy(0.0))
         for seed in range(20):
             actions = choose_actions(A, plans(policies), fresh_histories(), random.Random(seed))
             assert actions == (SWITCH, STAY)
 
     def test_labels_follow_the_category_b_game(self):
         # jammer strategy 1 means stay in category B
-        policies = PolicySpec(secondary=FixedPolicy(1.0), malicious=FixedPolicy(1.0))
+        policies = (FixedPolicy(1.0), FixedPolicy(1.0))
         actions = choose_actions(B, plans(policies), fresh_histories(), random.Random(0))
         assert actions == (SWITCH, STAY)
 
@@ -147,7 +146,7 @@ class TestChooseActions:
             assert abs(n / seeds - 0.25) <= 0.015
 
     def test_nash_policy_uses_the_category_equilibrium(self):
-        nash_plans = plans(PolicySpec(secondary=NashPolicy(), malicious=NashPolicy()))
+        nash_plans = plans((NashPolicy(), NashPolicy()))
         rng = random.Random(99)
         switches = 0
         seeds = 20_000
@@ -161,7 +160,7 @@ class TestChooseActions:
         # strategy 1 strictly dominant for both: the only equilibrium is pure (1, 1)
         game = BimatrixGame(1, 1, 0, 0, 1, 0, 1, 0)
         assert mixed_equilibrium(game).degenerate
-        nash = plan_policies(PolicySpec(NashPolicy(), NashPolicy()), (game, game), 100)
+        nash = plan_policies((NashPolicy(), NashPolicy()), (game, game), 100)
         rng = random.Random(0)
         for code in (A, B):
             # strategy 1 is switch for both in A; the jammer's is stay in B
@@ -179,7 +178,7 @@ class TestChooseActions:
     def test_nash_play_of_a_degenerate_game_plays_its_first_pure_equilibrium(self, game, profile):
         assert mixed_equilibrium(game).degenerate
         assert pure_equilibria(game)[0] == profile
-        nash = plan_policies(PolicySpec(NashPolicy(), NashPolicy()), (game, game), 100)
+        nash = plan_policies((NashPolicy(), NashPolicy()), (game, game), 100)
         rng = random.Random(0)
         for code in (A, B):
             first_s, first_m = FIRST_IS_SWITCH[code]
@@ -189,7 +188,7 @@ class TestChooseActions:
 
     @pytest.mark.parametrize("first", [0.0, 1.0])
     def test_fixed_play_of_a_certain_strategy_draws_nothing(self, first):
-        fixed = plans(PolicySpec(FixedPolicy(first), FixedPolicy(first)))
+        fixed = plans((FixedPolicy(first), FixedPolicy(first)))
         rng = random.Random(0)
         for code in (A, B):
             # strategy 1 is switch for both in A; the jammer's is stay in B
@@ -430,8 +429,8 @@ class TestRunSimulation:
         assert first.summary == second.summary
 
     def test_record_invariants(self):
-        nash = PolicySpec(secondary=NashPolicy(), malicious=NashPolicy())
-        fixed = PolicySpec(secondary=FixedPolicy(0.3), malicious=FixedPolicy(0.6))
+        nash = (NashPolicy(), NashPolicy())
+        fixed = (FixedPolicy(0.3), FixedPolicy(0.6))
         configs = (REF, NetworkConfig(n_bands=2, n_primary=1), NetworkConfig(n_bands=32, n_primary=24))
         for config in configs:
             for policies in (FP_BOTH, nash, fixed):
@@ -452,7 +451,7 @@ class TestRunSimulation:
 
     def test_frequencies_count_strategy_one_by_the_game_labels(self):
         # strategy 1 is a switch for both players in A, but a stay for the jammer in B
-        policies = PolicySpec(secondary=FixedPolicy(1.0), malicious=FixedPolicy(1.0))
+        policies = (FixedPolicy(1.0), FixedPolicy(1.0))
         result = run_simulation(REF, policies, 2_000, seed=4)
         in_b = result.category == B
         assert result.secondary_switch[in_b].all()
@@ -479,7 +478,7 @@ class TestRunSimulation:
         # primaries (every slot is C), often in short runs; the final
         # counts, taken count_slice slots at a time, are those of one pass
         config = NetworkConfig(n_primary=n_primary)
-        result = run_simulation(config, PolicySpec(secondary, malicious), slots, seed)
+        result = run_simulation(config, (secondary, malicious), slots, seed)
         with mock.patch.object(learning, "COUNT_SLICE", count_slice):
             s = result.summary
         for code, summary in ((A, (s.p_star_a, s.q_star_a)), (B, (s.p_star_b, s.q_star_b))):
@@ -502,7 +501,7 @@ class TestRunSimulation:
         self, n_primary, secondary, malicious, slots, size, seed
     ):
         config = NetworkConfig(n_primary=n_primary)
-        result = run_simulation(config, PolicySpec(secondary, malicious), slots, seed)
+        result = run_simulation(config, (secondary, malicious), slots, seed)
         for code in (A, B):
             slices = list(result.running_frequencies(code, size))
             assert [lo for lo, _p, _q in slices] == list(range(0, slots, size))
@@ -525,7 +524,7 @@ class TestRunSimulation:
         # mean payoff is flat in its own mixing, and in B a flipped jammer
         # order moves the secondary's by only 0.18; the secondary's switch
         # slots alone (its strategy 1 in both games) move from 13.7 to 23.
-        policies = PolicySpec(secondary=NashPolicy(), malicious=NashPolicy())
+        policies = (NashPolicy(), NashPolicy())
         result = run_simulation(REF, policies, 200_000, seed=13)
         here = result.category == code
         switched = here & result.secondary_switch
@@ -619,7 +618,7 @@ class TestLongRunChain:
     @example(NetworkConfig(n_bands=10, n_primary=9), 0.5, 0.5, 3)
     @settings(max_examples=20, deadline=None)
     def test_fixed_play_matches_the_chain(self, config, first_s, first_m, seed):
-        policies = PolicySpec(FixedPolicy(first_s), FixedPolicy(first_m))
+        policies = (FixedPolicy(first_s), FixedPolicy(first_m))
         result = run_simulation(config, policies, CHAIN_SLOTS, seed)
         # strategy 1 is a switch, except the jammer's in category B (a stay)
         assert_long_run(result, config, (first_s, first_m), (first_s, 1 - first_m))
@@ -638,6 +637,6 @@ class TestLongRunChain:
         equilibria = [interior_equilibrium(*game) for game in entries]
         assume(None not in equilibria)
         (p_a, q_a), (p_b, q_b) = equilibria
-        policies = PolicySpec(NashPolicy(), NashPolicy())
+        policies = (NashPolicy(), NashPolicy())
         result = run_simulation(config, policies, CHAIN_SLOTS, seed)
         assert_long_run(result, config, (p_a, q_a), (p_b, 1 - q_b))
