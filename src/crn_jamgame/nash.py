@@ -23,9 +23,6 @@ __all__ = [
     "verify_equilibrium",
 ]
 
-#: |a - c + d - b| below this counts as a vanishing indifference denominator.
-DEGENERATE_DENOMINATOR_TOL = 1e-12
-
 _NAN = float("nan")
 
 
@@ -59,18 +56,14 @@ def strategy_utilities(game: BimatrixGame, p: float, q: float) -> tuple[float, f
 
 
 _PROFILES = ((1, 1), (1, 2), (2, 1), (2, 2))
-#: By bit mask of stable profiles (bit i: ``_PROFILES[i]``), the tuple ``compress`` would give.
-_PURE = tuple(tuple(compress(_PROFILES, (mask >> i & 1 for i in range(4)))) for mask in range(16))
 
 
 def pure_equilibria(game: BimatrixGame) -> tuple[tuple[int, int], ...]:
     """All pure profiles where neither player gains by a unilateral move,
     in (row, col) order."""
     a, b, c, d, e, f, g, h = game
-    return _PURE[
-        (a >= c and e >= f) | (b >= d and f >= e) << 1
-        | (c >= a and g >= h) << 2 | (d >= b and h >= g) << 3
-    ]
+    stable = (a >= c and e >= f, b >= d and f >= e, c >= a and g >= h, d >= b and h >= g)
+    return tuple(compress(_PROFILES, stable))
 
 
 def mixed_equilibrium(game: BimatrixGame) -> EquilibriumReport:
@@ -78,13 +71,15 @@ def mixed_equilibrium(game: BimatrixGame) -> EquilibriumReport:
 
     q = (d - b) / (a - c + d - b) and p = (h - g) / (e - f + h - g), each
     denominator the sum of two payoff differences. If either denominator
-    vanishes or a result leaves [0, 1], the game is reported degenerate.
-    A game without a pure equilibrium has exactly one, fully mixed,
-    equilibrium, so its nonzero denominators are used however small its
-    payoffs are, and it is never degenerate. A denominator that overflows
-    is solved once more with its player's four payoffs quartered: that
-    keeps the player's indifference point, is exact for normal floats, and
-    leaves no sum of four quarters that can overflow.
+    is zero or a result leaves [0, 1], the game is reported degenerate.
+    No tolerance enters, as the signs of the differences decide: without a
+    pure equilibrium both of a player's differences have one strict sign,
+    so their sum cannot cancel and the result is interior; with opposite
+    signs the result lies outside [0, 1] or is exactly 0 or 1, and rounding
+    keeps those signs. So the flag does not depend on the payoff scale. A
+    denominator that overflows is solved once more with its player's four
+    payoffs quartered: that keeps the player's indifference point, is exact
+    for normal floats, and leaves no sum of four quarters that can overflow.
     """
     a, b, c, d, e, f, g, h = game
     quartered = False
@@ -93,8 +88,7 @@ def mixed_equilibrium(game: BimatrixGame) -> EquilibriumReport:
         num_p = h - g
         denom_q = a - c + num_q
         denom_p = e - f + num_p
-        vanishing = abs(denom_q) < DEGENERATE_DENOMINATOR_TOL or abs(denom_p) < DEGENERATE_DENOMINATOR_TOL
-        if vanishing and (denom_q == 0.0 or denom_p == 0.0 or pure_equilibria(game)):
+        if denom_q == 0.0 or denom_p == 0.0:
             return _DEGENERATE
         q = num_q / denom_q
         p = num_p / denom_p

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from crn_jamgame import cli
 from crn_jamgame.cli import main
 from crn_jamgame.games import Category, NetworkConfig, build_game
-from crn_jamgame.nash import pure_equilibria, strategy_utilities
+from crn_jamgame.nash import mixed_equilibrium, pure_equilibria, strategy_utilities
 from crn_jamgame.output import write_csv
 from crn_jamgame.simulate import FictitiousPlayPolicy, FixedPolicy, NashPolicy
 
@@ -374,6 +374,19 @@ class TestCmdNash:
             pure = tuple(tuple(map(int, profile.split("-"))) for profile in pure_text.split(";") if profile)
             assert pure == pure_equilibria(game)
 
+    def test_the_degenerate_flag_does_not_depend_on_the_payoff_scale(self, capsys):
+        # one game in two units: in the first, category B's secondary has the
+        # indifference sum -3e-13 + 0, and q = 0 at either scale
+        lines = []
+        for cost, gain in (("3e-13", "2.25e-11"), ("1", "75")):
+            assert main([
+                "nash", "--n-bands", "2", "--n-primary", "0", "--cost-secondary-switch", cost,
+                "--cost-malicious-switch", "0", "--gain-secondary", "0", "--gain-malicious", gain,
+                "--loss-secondary", "0",
+            ]) == 0
+            lines += [line for line in capsys.readouterr().out.splitlines() if line.startswith("category B:")]
+        assert lines == ["category B: p=0.5 q=0 residuals=(0,0) pure=[2-2] degenerate=0"] * 2
+
 
 class TestCmdFp:
     def test_default_run_converges(self, tmp_path):
@@ -707,6 +720,34 @@ class TestCmdSweep:
         assert first.read_bytes() == second.read_bytes()
 
 
+class TestOneDegenerateRule:
+    """``nash``, ``fp`` and ``sweep`` all show the solver's own flag."""
+
+    @pytest.mark.parametrize("n_primary", [0, 2])
+    @pytest.mark.parametrize("values", [
+        {},
+        {"cost_secondary_switch": 0.0, "cost_malicious_switch": 0.0, "gain_secondary": 0.0,
+         "gain_malicious": 0.0, "loss_secondary": 0.0},
+    ], ids=["reference", "zero"])
+    def test_each_command_writes_the_solvers_flag(self, tmp_path, n_primary, values):
+        config = NetworkConfig(n_bands=2, n_primary=n_primary, **values)
+        flags = ["--n-bands", "2", "--n-primary", str(n_primary)]
+        flags += [text for key, value in values.items() for text in (f"--{key.replace('_', '-')}", repr(value))]
+        nash_out, sweep_out, fp_out = (tmp_path / name for name in ("nash.csv", "sweep.csv", "fp.csv"))
+        assert main(["nash", *flags, "--out", str(nash_out)]) == 0
+        assert main(["sweep", "--sweep", "n_bands=2..2", *flags, "--out", str(sweep_out)]) == 0
+        _, nash_rows = read_csv(nash_out)
+        _, (cell,) = read_csv(sweep_out)
+        for category, nash_row in zip((Category.A, Category.B), nash_rows):
+            degenerate = mixed_equilibrium(build_game(config, category)).degenerate
+            assert nash_row["degenerate"] == cell[f"degenerate_{category.name}"] == str(int(degenerate))
+            argv = ["fp", "--category", category.name, "--iterations", "50", *flags, "--out", str(fp_out)]
+            assert main(argv) == 0
+            _, fp_rows = read_csv(fp_out)
+            assert len(fp_rows) == 50
+            assert {(row["err_p"] == "nan", row["err_q"] == "nan") for row in fp_rows} == {(degenerate,) * 2}
+
+
 class TestExitCodes:
     def test_unwritable_output_path_is_an_io_error(self, tmp_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
@@ -991,13 +1032,17 @@ def accepted_configs(draw):
 
 
 class TestEveryAcceptedConfig:
+    #: A slot's loss plus cost is -inf after the secondary's total reached +inf.
+    INFINITE_SLOT_PAYOFF = [
+        "--n-bands", "3", "--n-primary", "1", "--cost-secondary-switch", "1.7e308",
+        "--cost-malicious-switch", "0", "--gain-secondary", "8e307", "--gain-malicious", "0",
+        "--loss-secondary", "1e307",
+    ]
+
     @given(accepted_configs())
     @settings(max_examples=150, deadline=None)
     @example((2, TestExitCodes.OVERFLOWING_SUMS))
-    # a slot's loss plus cost is -inf after the secondary's total reached +inf
-    @example((3, ["--n-bands", "3", "--n-primary", "1", "--cost-secondary-switch", "1.7e308",
-                  "--cost-malicious-switch", "0", "--gain-secondary", "8e307", "--gain-malicious", "0",
-                  "--loss-secondary", "1e307"]))
+    @example((3, INFINITE_SLOT_PAYOFF))
     def test_each_command_runs_clean_or_is_a_config_error(self, config):
         # in process, with warnings as errors: exit 0 and an empty stderr,
         # or exit 2 and one config error line; never another code
@@ -1019,6 +1064,21 @@ class TestEveryAcceptedConfig:
                 else:
                     assert code == 2
                     assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
+
+
+class TestFreshInterpreterStderr:
+    # the installed CLI runs without -W error, so only stderr shows a
+    # warning: one run per command on configs at the edge of the float range
+    @pytest.mark.parametrize("args", [
+        ["nash", *TestExitCodes.OVERFLOWING_SUMS],
+        ["fp", "--iterations", "200", *TestExitCodes.OVERFLOWING_SUMS],
+        ["sweep", "--sweep", "n_bands=2..3", *TestExitCodes.OVERFLOWING_SUMS],
+        ["simulate", "--slots", "200", *TestEveryAcceptedConfig.INFINITE_SLOT_PAYOFF],
+    ], ids=["nash", "fp", "sweep", "simulate"])
+    def test_each_command_exits_zero_with_nothing_on_stderr(self, tmp_path, args):
+        done = run_cli([*args, "--out", str(tmp_path / "out.csv")], subprocess.PIPE)
+        assert done.returncode == 0
+        assert done.stderr == b""
 
 
 class TestOverflowingTotals:

@@ -86,7 +86,7 @@ CASES = {
         "--sweep", "loss_secondary=5..400:10", "--seed", "1",
     ],
     # switching costs that push p or q out of [0, 1]: 30 of the 120 games
-    # take that degenerate branch, 30 the vanishing-denominator one
+    # take that degenerate branch, 30 have an indifference denominator of zero
     "sweep-out-of-range": [
         "sweep", "--sweep", "cost_malicious_switch=0..20:5", "--sweep", "gain_malicious=0..150:50",
         "--sweep", "cost_secondary_switch=0..60:30",

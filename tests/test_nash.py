@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from crn_jamgame import Category, NetworkConfig, build_game, mixed_equilibrium, nash, verify_equilibrium
 from crn_jamgame.games import BimatrixGame, ConfigError
-from crn_jamgame.nash import (
-    DEGENERATE_DENOMINATOR_TOL, EquilibriumReport, pure_equilibria, strategy_utilities,
-)
+from crn_jamgame.nash import EquilibriumReport, pure_equilibria, strategy_utilities
 from oracles import (
     brute_force_pure_equilibria,
     col_payoff,
@@ -129,8 +127,8 @@ class TestMixedEquilibrium:
         assert EquilibriumReport._fields == ("p", "q", "degenerate")
 
     def test_tiny_payoffs_without_a_pure_equilibrium_keep_the_mixed_one(self):
-        # the secondary's denominator is -5.5e-229, under the absolute
-        # tolerance, but with no pure equilibrium the mixed one is the answer
+        # the secondary's denominator is -5.5e-229, but with no pure
+        # equilibrium its sum cannot cancel and the mixed one is the answer
         tiny = 2.767731065784308e-229
         game = BimatrixGame(a=0.0, b=tiny, c=tiny, d=0.0, e=1.0, f=0.0, g=-1.0, h=0.0)
         report = mixed_equilibrium(game)
@@ -140,16 +138,26 @@ class TestMixedEquilibrium:
 
     @given(games(st.sampled_from([-1.0, 0.0, 1e-13, 1.0])))
     @settings(max_examples=200)
-    def test_only_a_vanishing_denominator_enumerates_the_pure_set(self, game):
+    def test_the_solver_never_enumerates_the_pure_set(self, game):
         with (
             mock.patch.object(nash, "pure_equilibria", wraps=pure_equilibria) as pure,
             mock.patch.object(nash, "strategy_utilities", wraps=strategy_utilities) as utilities,
         ):
             mixed_equilibrium(game)
-        a, b, c, d, e, f, g, h = game
-        vanishing = min(abs(a - c + d - b), abs(e - f + h - g)) < DEGENERATE_DENOMINATOR_TOL
-        assert pure.call_count <= vanishing
+        assert pure.call_count == 0
         assert utilities.call_count == 0
+
+    @given(games(st.integers(-100, 100).map(float)), st.integers(-900, 900))
+    @settings(max_examples=300)
+    # the coordination game at 2**-44, whose denominators are 3 * 2**-44, about 1.7e-13
+    @example(BimatrixGame(2.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 2.0), -44)
+    def test_the_report_does_not_depend_on_the_payoff_scale(self, game, k):
+        # a power of two scales every difference and sum of these entries
+        # exactly, so each sign and each quotient is the same
+        scaled = BimatrixGame(*(x * 2.0**k for x in game))
+        report, other = mixed_equilibrium(game), mixed_equilibrium(scaled)
+        assert (repr(other.p), repr(other.q)) == (repr(report.p), repr(report.q))
+        assert other.degenerate is report.degenerate
 
     def test_an_overflowing_indifference_sum_keeps_the_mixed_equilibrium(self):
         # a - c + d - b overflows to -inf, where (d - b) / -inf would be q = 0
@@ -301,8 +309,8 @@ class TestPureEquilibriaCompleteness:
         assert pure_equilibria(game) == brute_force_pure_equilibria(payoff_entries(game))
 
     def test_every_set_of_stable_profiles(self):
-        # pure_equilibria reads a table by the bit mask of stable profiles;
-        # the 3**8 games over {-1, 0, 1} reach each of the 16 masks
+        # pure_equilibria keeps the profiles whose stability test holds;
+        # the 3**8 games over {-1, 0, 1} reach each of the 16 sets of them
         profiles = ((1, 1), (1, 2), (2, 1), (2, 2))
         masks = set()
         for entries in itertools.product((-1.0, 0.0, 1.0), repeat=8):

@@ -117,6 +117,17 @@ class TestClassifyState:
         assert classify_state(3, 7, False) == B
 
 
+class TestFixedPolicy:
+    @pytest.mark.parametrize("probability", [-0.1, 1.5, math.nan, math.inf])
+    def test_a_probability_outside_the_unit_interval_is_rejected(self, probability):
+        with pytest.raises(ValueError, match="probability_first"):
+            FixedPolicy(probability)
+
+    @pytest.mark.parametrize("probability", [0.0, 1.0])
+    def test_the_interval_ends_are_accepted(self, probability):
+        assert FixedPolicy(probability).probability_first == probability
+
+
 class TestChooseActions:
     def test_category_c_forces_stay(self):
         actions = choose_actions(C, plans(FP_BOTH), fresh_histories(), random.Random(0))
