@@ -170,7 +170,7 @@ def parse_config(args: argparse.Namespace) -> argparse.Namespace:
     Each value comes from its flag, else the ``--config`` JSON file, else
     ``CRN_JAMGAME_SEED`` (seed only), else the row's default. For ``sweep``
     a swept field takes its range's first value (``_check_grid`` checks every
-    cell). Raises ConfigError, naming the field, for any invalid value.
+    cell's fields). Raises ConfigError, naming the field, for any invalid value.
     """
     file_values = {} if args.config is None else _read_config(args.config)
     values = {}
@@ -305,21 +305,21 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
             )
 
     write_csv(cfg.out, SIMULATE_COLUMNS, blocks())
-    s = result.summary
-    print(f"slots: {s.slots}")
-    print(f"cumulative payoff secondary: {s.cumulative_secondary_payoff:.6g}")
-    print(f"cumulative payoff malicious: {s.cumulative_malicious_payoff:.6g}")
-    dwell = " ".join(
-        f"{cat.name}={s.category_counts[cat]} ({s.category_counts[cat] / s.slots:.6g})"
-        for cat in Category
-    )
-    print(f"category dwell: {dwell}")
-    print(f"jams: {s.jam_count}")
-    print(f"history totals: malicious={s.malicious_observations} secondary={s.secondary_observations}")
+    slots = len(result)
+    payoff_s, payoff_m = result.cumulative_payoffs()
+    print(f"slots: {slots}")
+    print(f"cumulative payoff secondary: {payoff_s:.6g}")
+    print(f"cumulative payoff malicious: {payoff_m:.6g}")
+    dwell = np.bincount(result.category, minlength=len(Category))
+    shares = " ".join(f"{cat.name}={n} ({n / slots:.6g})" for cat, n in zip(Category, dwell))
+    print(f"category dwell: {shares}")
+    print(f"jams: {np.count_nonzero(result.jam)}")
     print(
-        f"final frequencies: A p*={s.p_star_a:.6g} q*={s.q_star_a:.6g}; "
-        f"B p*={s.p_star_b:.6g} q*={s.q_star_b:.6g}"
+        f"history totals: malicious={np.count_nonzero(result.seen_by_malicious)} "
+        f"secondary={np.count_nonzero(result.seen_by_secondary)}"
     )
+    (p_a, q_a), (p_b, q_b) = (result.final_frequencies(code) for code in (Category.A, Category.B))
+    print(f"final frequencies: A p*={p_a:.6g} q*={q_a:.6g}; B p*={p_b:.6g} q*={q_b:.6g}")
     print(f"trace -> {cfg.out}")
     return 0
 

@@ -180,7 +180,8 @@ class BimatrixGame(namedtuple("BimatrixGame", "a b c d e f g h")):
 
 
 def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
-    """Payoff game for category A or B; category C has no game.
+    """Payoff game for ``Category.A`` or ``Category.B``; category C has no
+    game, and any other value (the code 0, the label "A") is not a category.
 
     Category A (row = secondary, col = jammer, both over (switch, stay)):
     a switcher pays its switching cost and lands uniformly on one of the
@@ -219,4 +220,6 @@ def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
             )
     except ConfigError as exc:  # finite fields whose payoff entry overflows
         raise ConfigError(f"category {category.name} game: {exc}") from None
-    raise ValueError("category C has no game: both players stay")
+    if category is Category.C:
+        raise ValueError("category C has no game: both players stay")
+    raise ValueError(f"category must be Category.A or Category.B (got {category!r})")

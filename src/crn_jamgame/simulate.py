@@ -46,7 +46,6 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +60,6 @@ __all__ = [
     "FixedPolicy",
     "NashPolicy",
     "FictitiousPlayPolicy",
-    "SimulationSummary",
     "SimulationResult",
     "draw_silenced",
     "classify_state",
@@ -308,23 +306,6 @@ def _total(payoffs: np.ndarray) -> float:
         return 0.0 + float(np.cumsum(payoffs)[-1])
 
 
-@dataclass(frozen=True, slots=True)
-class SimulationSummary:
-    """Run-level aggregates."""
-
-    slots: int
-    cumulative_secondary_payoff: float
-    cumulative_malicious_payoff: float
-    category_counts: dict[Category, int]
-    jam_count: int
-    malicious_observations: int
-    secondary_observations: int
-    p_star_a: float
-    q_star_a: float
-    p_star_b: float
-    q_star_b: float
-
-
 @dataclass(eq=False)
 class SimulationResult:
     """Column-oriented record of a run: row ``t`` is slot ``t``.
@@ -335,7 +316,8 @@ class SimulationResult:
     ``jam`` and the payoffs are the settled outcome.
     ``seen_by_malicious`` marks the slots whose secondary move the jammer
     recorded, ``seen_by_secondary`` those whose jammer move the secondary
-    recorded. Running frequencies and the summary are derived on demand.
+    recorded. Running and final frequencies and the cumulative payoffs
+    are derived on demand.
     """
 
     category: np.ndarray
@@ -377,23 +359,15 @@ class SimulationResult:
         p_star, q_star = (running_share(*read, size) for read in self._observed(category))
         return zip(range(0, len(self), size), p_star, q_star)
 
-    @cached_property
-    def summary(self) -> SimulationSummary:
-        p_a, q_a, p_b, q_b = (final_share(*read) for code in (A, B) for read in self._observed(code))
-        dwell = np.bincount(self.category, minlength=len(Category))
-        return SimulationSummary(
-            slots=len(self),
-            cumulative_secondary_payoff=_total(self.secondary_payoff),
-            cumulative_malicious_payoff=_total(self.malicious_payoff),
-            category_counts={cat: int(n) for cat, n in zip(Category, dwell)},
-            jam_count=int(np.count_nonzero(self.jam)),
-            malicious_observations=int(np.count_nonzero(self.seen_by_malicious)),
-            secondary_observations=int(np.count_nonzero(self.seen_by_secondary)),
-            p_star_a=p_a,
-            q_star_a=q_a,
-            p_star_b=p_b,
-            q_star_b=q_b,
-        )
+    def final_frequencies(self, category: int) -> tuple[float, float]:
+        """(p*, q*) of category code A or B after the last slot, as
+        :meth:`running_frequencies` ends; nan without a record."""
+        p_star, q_star = (final_share(*read) for read in self._observed(category))
+        return p_star, q_star
+
+    def cumulative_payoffs(self) -> tuple[float, float]:
+        """The secondary's and the jammer's payoffs summed over the run."""
+        return _total(self.secondary_payoff), _total(self.malicious_payoff)
 
 
 def run_simulation(

@@ -4,11 +4,13 @@ import itertools
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -444,6 +446,48 @@ class TestCmdSimulate:
         malicious = int(line.split("malicious=")[1].split()[0])
         secondary = int(line.split("secondary=")[1].split()[0])
         assert malicious >= secondary
+
+    @given(
+        st.integers(0, 10),
+        st.sampled_from(["fixed:0.3", "nash", "fp"]),
+        st.sampled_from(["fixed:0.7", "nash", "fp"]),
+        st.integers(1, 3000),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_printed_lines_agree_with_the_csv(self, n_primary, secondary, malicious, slots, seed):
+        # cmd_simulate computes its printed lines from the record, apart from the CSV
+        with tempfile.TemporaryDirectory() as directory:
+            out = Path(directory) / "sim.csv"
+            printed = io.StringIO()
+            args = [
+                "simulate", "--n-primary", str(n_primary), "--policy-secondary", secondary,
+                "--policy-malicious", malicious, "--slots", str(slots), "--seed", str(seed),
+                "--out", str(out),
+            ]
+            with contextlib.redirect_stdout(printed):
+                assert main(args) == 0
+            _, rows = read_csv(out)
+        lines = dict(line.partition(": ")[::2] for line in printed.getvalue().splitlines())
+        assert int(lines["slots"]) == len(rows) == slots
+        for side, column in (("secondary", "payoff_s"), ("malicious", "payoff_m")):
+            total = sum(float(row[column]) for row in rows)
+            printed_total = float(lines[f"cumulative payoff {side}"])
+            assert math.isclose(printed_total, total, rel_tol=1e-5, abs_tol=1e-12)  # 6 digits
+        dwell = re.findall(r"(\w)=(\d+) \((\S+)\)", lines["category dwell"])
+        in_csv = Counter(row["category"] for row in rows)
+        assert [name for name, _count, _share in dwell] == ["A", "B", "C"]
+        for name, count, share in dwell:
+            assert int(count) == in_csv[name]
+            assert share == f"{in_csv[name] / slots:.6g}"
+        assert int(lines["jams"]) == sum(int(row["jam"]) for row in rows)
+        finals = re.fullmatch(
+            r"A p\*=(\S+) q\*=(\S+); B p\*=(\S+) q\*=(\S+)", lines["final frequencies"]
+        ).groups()
+        last = [rows[-1][column] for column in ("pstar_A", "qstar_A", "pstar_B", "qstar_B")]
+        for printed_value, written in zip(finals, last):
+            x, y = float(printed_value), float(written)
+            assert x == y or (math.isnan(x) and math.isnan(y))
 
     def test_trace_schema_and_consistency(self, tmp_path):
         out = tmp_path / "sim.csv"

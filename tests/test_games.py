@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -300,6 +301,12 @@ class TestBuildGame:
         with pytest.raises(ValueError, match="category C") as error:
             build_game(REF, Category.C)
         assert type(error.value) is ValueError
+        # the simulator's code for A and the label "A" are not categories: named, not taken for C
+        for value, shown in ((simulate.A, "0"), ("A", "'A'")):
+            with pytest.raises(ValueError, match=re.escape(f"(got {shown})")) as error:
+                build_game(REF, value)
+            assert type(error.value) is ValueError
+            assert "category C" not in str(error.value)
 
     @given(configs())
     @settings(max_examples=100)

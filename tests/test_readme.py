@@ -29,6 +29,8 @@ def test_library_example_runs_verbatim():
     exec(compile(library_block(), str(README), "exec"), namespace)
     p_star, q_star = namespace["trace"].final_frequencies()
     assert abs(p_star - 0.948) <= 0.03 and abs(q_star - 0.84) <= 0.03  # as its comment says
+    p_star, q_star = namespace["result"].final_frequencies(namespace["A"])
+    assert abs(p_star - 0.948) <= 0.05 and abs(q_star - 0.84) <= 0.05
 
 
 def test_config_file_keys_are_the_settings_table():

@@ -409,10 +409,9 @@ class TestRunSimulation:
         config = NetworkConfig(n_primary=10)
         result = run_simulation(config, FP_BOTH, 300, seed=1)
         assert (result.category == C).all()
-        assert result.summary.cumulative_secondary_payoff == 0.0
-        assert result.summary.cumulative_malicious_payoff == 0.0
-        assert result.summary.malicious_observations == 0
-        assert result.summary.secondary_observations == 0
+        assert result.cumulative_payoffs() == (0.0, 0.0)
+        assert np.count_nonzero(result.seen_by_malicious) == 0
+        assert np.count_nonzero(result.seen_by_secondary) == 0
 
     @pytest.mark.parametrize(
         "n_bands,band_dtype", [(10, np.uint8), (300, np.uint16), (2**64, np.uint64), (2**70, object)]
@@ -437,7 +436,10 @@ class TestRunSimulation:
         second = run_simulation(REF, FP_BOTH, 2_000, seed=12)
         for field in dataclasses.fields(SimulationResult):
             assert np.array_equal(getattr(first, field.name), getattr(second, field.name))
-        assert first.summary == second.summary
+        for code in (A, B):  # nan matches nan
+            finals = first.final_frequencies(code), second.final_frequencies(code)
+            assert np.array_equal(*finals, equal_nan=True)
+        assert np.array_equal(first.cumulative_payoffs(), second.cumulative_payoffs(), equal_nan=True)
 
     def test_record_invariants(self):
         nash = (NashPolicy(), NashPolicy())
@@ -455,10 +457,10 @@ class TestRunSimulation:
 
     def test_learning_simulation_approaches_the_equilibria(self):
         result = run_simulation(REF, FP_BOTH, 200_000, seed=7)
-        s = result.summary
-        assert abs(s.p_star_a - 0.948) <= 0.05
-        assert abs(s.q_star_a - 0.84) <= 0.05
-        assert s.malicious_observations >= s.secondary_observations
+        p_star_a, q_star_a = result.final_frequencies(A)
+        assert abs(p_star_a - 0.948) <= 0.05
+        assert abs(q_star_a - 0.84) <= 0.05
+        assert np.count_nonzero(result.seen_by_malicious) >= np.count_nonzero(result.seen_by_secondary)
 
     def test_frequencies_count_strategy_one_by_the_game_labels(self):
         # strategy 1 is a switch for both players in A, but a stay for the jammer in B
@@ -482,7 +484,7 @@ class TestRunSimulation:
         st.integers(1, 500),
     )
     @settings(max_examples=100, deadline=None)
-    def test_summary_frequencies_are_the_last_running_frequencies(
+    def test_final_frequencies_are_the_last_running_frequencies(
         self, n_primary, secondary, malicious, slots, seed, count_slice
     ):
         # nan when nothing was recorded in the category: always with ten
@@ -491,13 +493,13 @@ class TestRunSimulation:
         config = NetworkConfig(n_primary=n_primary)
         result = run_simulation(config, (secondary, malicious), slots, seed)
         with mock.patch.object(learning, "COUNT_SLICE", count_slice):
-            s = result.summary
-        for code, summary in ((A, (s.p_star_a, s.q_star_a)), (B, (s.p_star_b, s.q_star_b))):
-            for final, running in zip(summary, running_frequencies(result, code)):
+            finals = {code: result.final_frequencies(code) for code in (A, B)}
+        for code, pair in finals.items():
+            for final, running in zip(pair, running_frequencies(result, code)):
                 last = float(running[-1])
                 assert final == last or (math.isnan(final) and math.isnan(last))
         if n_primary == 10:
-            assert all(math.isnan(x) for x in (s.p_star_a, s.q_star_a, s.p_star_b, s.q_star_b))
+            assert all(math.isnan(x) for pair in finals.values() for x in pair)
 
     @given(
         st.sampled_from([0, 5, 9]),
