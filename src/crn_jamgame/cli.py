@@ -366,24 +366,23 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         unswept = [name for name in NetworkConfig._fields if name not in names]
         in_field_order = operator.itemgetter(*map([*names, *unswept].index, NetworkConfig._fields))
         rest = tuple(getattr(cfg.network, name) for name in unswept)
-        categories = (Category.A, Category.B)
+        cat_a, cat_b = Category.A, Category.B
         for index, combo in enumerate(itertools.product(*value_lists)):
             network = tuple.__new__(NetworkConfig, in_field_order(combo + rest))
-            row = combo
-            fp_errors = ()
-            for category in categories:
-                try:
-                    game = build_game(network, category)
-                except ConfigError as exc:
-                    cell = ", ".join(map("{}={!r}".format, names, combo))
-                    raise ConfigError(f"sweep: {cell}: {exc}") from None
-                report = mixed_equilibrium(game)
-                row += (report.p, report.q, report.degenerate)
-                if with_fp:
-                    child_seed = (cfg.seed + index) % (MAX_SEED + 1)
-                    p_star, q_star = run_fp(game, cfg.iterations, child_seed).final_frequencies()
-                    fp_errors += (abs(p_star - report.p), abs(q_star - report.q))
-            yield row + fp_errors
+            try:  # entry a, the one that can overflow, is the same in A and B
+                game_a = build_game(network, cat_a)
+                game_b = build_game(network, cat_b)
+            except ConfigError as exc:
+                cell = ", ".join(map("{}={!r}".format, names, combo))
+                raise ConfigError(f"sweep: {cell}: {exc}") from None
+            report_a, report_b = mixed_equilibrium(game_a), mixed_equilibrium(game_b)
+            row = combo + report_a + report_b  # a report is the tuple (p, q, degenerate)
+            if with_fp:
+                child_seed = (cfg.seed + index) % (MAX_SEED + 1)
+                p_a, q_a = run_fp(game_a, cfg.iterations, child_seed).final_frequencies()
+                p_b, q_b = run_fp(game_b, cfg.iterations, child_seed).final_frequencies()
+                row += (abs(p_a - report_a.p), abs(q_a - report_a.q), abs(p_b - report_b.p), abs(q_b - report_b.q))
+            yield row
 
     cells = rows()
     # each block's columns, made from its rows; nothing holds a block once written

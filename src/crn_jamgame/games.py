@@ -14,7 +14,9 @@ Categories A and B each induce a 2x2 bimatrix game over {switch, stay}
 decisions; :func:`build_game` assembles their payoff entries from the
 switching costs, the transmission gain, and the jamming gain/loss.
 
-An invalid config, or one whose payoff entry overflows, raises :class:`ConfigError`.
+An invalid config raises :class:`ConfigError`, as does one whose payoff entry
+``a = -cost_secondary_switch + roam`` overflows a float: the only entry that
+can, it is the same in A and B and reads neither of the jammer's fields.
 """
 
 from __future__ import annotations
@@ -151,12 +153,10 @@ class BimatrixGame(namedtuple("BimatrixGame", "a b c d e f g h")):
     (1,2) -> (b, f), (2,1) -> (c, g), (2,2) -> (d, h), with the first
     component paid to the secondary and the second to the jammer.
     Which strategy is a switch is :data:`FIRST_IS_SWITCH`'s to say.
-    Every entry must be finite (else ConfigError). An immutable named tuple:
-    a frozen dataclass would pay a guarded setattr per field on every build.
-
-    The check is one ``fsum``, finite exactly when every entry is, as a
-    float, and the sum does not overflow. Any other sum, or one that
-    raises, falls back to the per-entry test.
+    Every entry must be finite (else ConfigError, naming the first that is
+    not). An immutable named tuple: a frozen dataclass would pay a guarded
+    setattr per field on every build. :func:`build_game` skips this check,
+    as of its entries only ``a`` can overflow.
     """
 
     __slots__ = ()
@@ -165,11 +165,7 @@ class BimatrixGame(namedtuple("BimatrixGame", "a b c d e f g h")):
         cls, a: float, b: float, c: float, d: float, e: float, f: float, g: float, h: float
     ) -> BimatrixGame:
         entries = (a, b, c, d, e, f, g, h)
-        try:
-            total = math.fsum(entries)
-        except (ValueError, TypeError, OverflowError):  # inf - inf, a non-number, an overflow
-            total = math.nan
-        if total - total != 0.0 and not all(map(math.isfinite, entries)):  # inf or nan
+        if not all(map(math.isfinite, entries)):
             bad = "abcdefgh"[[math.isfinite(x) for x in entries].index(False)]
             raise ConfigError(f"payoff entry {bad} must be finite")
         return tuple.__new__(cls, entries)
@@ -198,28 +194,33 @@ def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
 
     Unpacking the config and calling the cached ``_occupancy`` directly
     does the same float arithmetic on the same values as attribute reads.
-    A payoff entry that overflows raises ConfigError naming the category.
+
+    Only entry ``a = -cost_secondary_switch + roam`` can overflow: every
+    other entry is a field times a probability in [0, 1], or the difference
+    of two such non-negative terms. ``a`` alone is checked: it is the same in
+    A and B, reads neither jammer field, and its ConfigError names the category.
     """
     n_bands, n_primary, c_s, c_m, g_s, g_m, l_s = config
     p_primary, p_just_secondary, p_secondary_and_malicious = _occupancy(n_bands, n_primary)
     clear = 1.0 - p_primary  # no licensed user on a given band
-    # expected outcome of a blind switch: clean band vs. landing on the jammer
-    roam = g_s * p_just_secondary - l_s * p_secondary_and_malicious
+    # -c_s + roam, roam the expected outcome of a blind switch: clean band vs. landing on the jammer
+    a = -c_s + (g_s * p_just_secondary - l_s * p_secondary_and_malicious)
 
     # entries in the order a, b, c, d (secondary), e, f, g, h (jammer)
-    try:
-        if category is _A:
-            return BimatrixGame(
-                -c_s + roam, -c_s + g_s * clear, g_s * clear, -l_s * clear,
-                -c_m + g_m * p_secondary_and_malicious, 0.0, -c_m, g_m * clear,
-            )
-        if category is _B:
-            return BimatrixGame(
-                -c_s + roam, g_s * clear, g_s * clear, -l_s * clear,
-                g_m * p_secondary_and_malicious, -c_m, 0.0, g_m * clear - c_m,
-            )
-    except ConfigError as exc:  # finite fields whose payoff entry overflows
-        raise ConfigError(f"category {category.name} game: {exc}") from None
-    if category is Category.C:
+    if category is _A:
+        entries = (
+            a, -c_s + g_s * clear, g_s * clear, -l_s * clear,
+            -c_m + g_m * p_secondary_and_malicious, 0.0, -c_m, g_m * clear,
+        )
+    elif category is _B:
+        entries = (
+            a, g_s * clear, g_s * clear, -l_s * clear,
+            g_m * p_secondary_and_malicious, -c_m, 0.0, g_m * clear - c_m,
+        )
+    elif category is Category.C:
         raise ValueError("category C has no game: both players stay")
-    raise ValueError(f"category must be Category.A or Category.B (got {category!r})")
+    else:
+        raise ValueError(f"category must be Category.A or Category.B (got {category!r})")
+    if a - a != 0.0:  # inf or nan: finite fields whose entry a overflows
+        raise ConfigError(f"category {category.name} game: payoff entry a must be finite")
+    return tuple.__new__(BimatrixGame, entries)

@@ -38,8 +38,8 @@ class EquilibriumReport(NamedTuple):
     degenerate: bool
 
 
-# the generated __new__ binds its arguments by name; _make is tuple.__new__ and a length check
-_make = EquilibriumReport._make
+# the generated __new__ binds its arguments by name, and _make adds a Python call and a length check
+_new = tuple.__new__
 _DEGENERATE = EquilibriumReport(_NAN, _NAN, True)
 
 
@@ -93,11 +93,11 @@ def mixed_equilibrium(game: BimatrixGame) -> EquilibriumReport:
         q = num_q / denom_q
         p = num_p / denom_p
         if 0.0 < p < 1.0 and 0.0 < q < 1.0:
-            return _make((p, q, False))
+            return _new(EquilibriumReport, (p, q, False))
         # a denominator that overflowed (inf or nan; it holds its numerator)
         # leaves q at ±0, nan or |q| > 1, likewise p: only this path looks
         if quartered or (denom_q - denom_q == 0.0 and denom_p - denom_p == 0.0):
-            return _make((p, q, False)) if 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0 else _DEGENERATE
+            return _new(EquilibriumReport, (p, q, False)) if 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0 else _DEGENERATE
         quartered = True
         if denom_q - denom_q != 0.0:
             a, b, c, d = a * 0.25, b * 0.25, c * 0.25, d * 0.25

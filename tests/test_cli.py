@@ -708,6 +708,41 @@ class TestCmdSweep:
         flagged = sum(int(row[f"degenerate_{cat}"]) for row in rows for cat in "AB")
         assert 0 < calls["degenerate"] == flagged
 
+    def test_each_learning_cell_builds_solves_and_learns_both_games_once(self, tmp_path, monkeypatch):
+        # with --iterations the traced benchmark also counts run_fp; each cell
+        # learns its own A and B games, seeded seed + row index
+        build_game, mixed_equilibrium, run_fp = cli.build_game, cli.mixed_equilibrium, cli.run_fp
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        for name in ("build_game", "mixed_equilibrium", "run_fp"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--n-bands", "3", "--sweep", "n_primary=0..2", "--sweep", "gain_malicious=25..100:25",
+            "--iterations", "200", "--seed", "7", "--out", str(out),
+        ]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 12
+        assert calls == {"build_game": 24, "mixed_equilibrium": 24, "run_fp": 24}
+        index = 5
+        row = rows[index]
+        config = NetworkConfig(n_bands=3, n_primary=int(row["n_primary"]), gain_malicious=float(row["gain_malicious"]))
+        games = [build_game(config, category) for category in (Category.A, Category.B)]
+        reports = [mixed_equilibrium(game) for game in games]
+        assert not any(report.degenerate for report in reports)
+        # the learned A and B frequencies differ, so swapping the games shows
+        learned = [run_fp(game, 200, 7 + index).final_frequencies() for game in games]
+        assert learned[0] != learned[1]
+        p_star, q_star = learned[0]
+        report = reports[0]
+        assert (row["fp_err_p_A"], row["fp_err_q_A"]) == ("%.6g" % abs(p_star - report.p), "%.6g" % abs(q_star - report.q))
+
     @given(
         st.lists(grid_specs, min_size=1, max_size=3)
         | st.lists(grid_specs | sweep_specs, min_size=1, max_size=2)

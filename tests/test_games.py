@@ -166,8 +166,8 @@ class TestCategory:
 
 
 def per_entry_rule(*entries):
-    """The entries as a tuple, after the per-entry test that BimatrixGame's
-    one-sum check falls back to: the reference it must agree with."""
+    """The entries as a tuple, after the per-entry test: the reference
+    that BimatrixGame's construction and ``_replace`` must agree with."""
     if not all(map(math.isfinite, entries)):
         bad = "abcdefgh"[[math.isfinite(x) for x in entries].index(False)]
         raise ConfigError(f"payoff entry {bad} must be finite")
@@ -218,8 +218,8 @@ class TestBimatrixGame:
         ids=["eight-1e308", "eight-minus-1.7e308", "mixed-signs", "floats-and-ints", "numpy-scalars"],
     )
     def test_finite_entries_whose_sum_overflows_are_kept(self, entries):
-        # the one-sum check overflows here and falls back to the per-entry
-        # test, with no warning (NumPy would warn of an overflowing scalar add)
+        # each entry is finite though their sum is not: kept, with no warning
+        # (NumPy would warn of an overflowing scalar add)
         replaced = BimatrixGame(*[0.0] * 8)._replace(**dict(zip("abcdefgh", entries)))
         for game in (BimatrixGame(*entries), replaced):
             assert list(game) == entries
@@ -233,8 +233,8 @@ class TestBimatrixGame:
     @example([True, False, 3, -4, 10**308, 10**308, 0.5, 1.0], [True] * 8)
     @settings(max_examples=500, deadline=None)
     def test_construction_and_replace_follow_the_per_entry_rule(self, entries, replaced):
-        # the fast check must accept exactly what the per-entry test accepts
-        # and raise the same exception, naming the same entry
+        # construction and _replace accept exactly what the per-entry test
+        # accepts and raise the same exception, naming the same entry
         merged = [value if take else 1.0 for value, take in zip(entries, replaced)]
         changes = {name: value for name, value, take in zip("abcdefgh", entries, replaced) if take}
         expected = outcome(per_entry_rule, *merged)
@@ -249,6 +249,22 @@ class TestBimatrixGame:
             with pytest.raises(ConfigError) as error:
                 build_game(config, category)
             assert str(error.value) == f"category {category.name} game: payoff entry a must be finite"
+
+
+#: A field over its whole accepted range, as ``test_cli.FIELD_VALUES`` draws
+#: it, plus the smallest subnormal and ints up to 1.7e308.
+extreme_field = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e307, 8e307, 1.7e308]),
+    st.integers(0, 17 * 10**307),
+    st.floats(-300.0, math.log10(1.7e308)).map(lambda x: min(10.0**x, 1.7e308)),
+)
+
+
+@st.composite
+def extreme_configs(draw):
+    n_bands = draw(st.sampled_from([2, 3, 10, 2**70]))
+    n_primary = draw(st.sampled_from([0, 1, n_bands - 1, n_bands]))
+    return NetworkConfig(n_bands, n_primary, *(draw(extreme_field) for _ in range(5)))
 
 
 class TestBuildGame:
@@ -343,3 +359,27 @@ class TestBuildGame:
             assert more.e > base.e
             assert more.h > base.h
             assert (more.a, more.b, more.c, more.d) == (base.a, base.b, base.c, base.d)
+
+    @given(extreme_configs())
+    # test_cli's OVERFLOWING_SUMS: every entry finite, the indifference sums not
+    @example(NetworkConfig(2, 0, 0.0, 0.0, 1e307, 1.0, 1.7e308))
+    # test_cli's INFINITE_SLOT_PAYOFF: a is a finite -1.47e308
+    @example(NetworkConfig(3, 1, 1.7e308, 0.0, 8e307, 0.0, 1e307))
+    # a = -1.7e308 - 1.7e308 overflows to -inf
+    @example(NetworkConfig(2, 0, 1.7e308, 0.0, 0.0, 0.0, 1.7e308))
+    @settings(max_examples=500, deadline=None)
+    def test_only_entry_a_can_overflow(self, config):
+        # build_game checks entry a alone; every game it returns must be one
+        # that the per-entry check of BimatrixGame accepts unchanged
+        accepted = []
+        for category in (Category.A, Category.B):
+            try:
+                game = build_game(config, category)
+            except ConfigError as exc:
+                assert str(exc) == f"category {category.name} game: payoff entry a must be finite"
+                accepted.append(False)
+                continue
+            assert type(game) is BimatrixGame and all(map(math.isfinite, game))
+            assert outcome(BimatrixGame, *game) == (list(game), list(map(type, game)))
+            accepted.append(True)
+        assert accepted[0] == accepted[1]

@@ -25,6 +25,15 @@ GAME_B = build_game(NetworkConfig(), Category.B)
 ZERO_GAME = BimatrixGame(a=0, b=0, c=0, d=0, e=0, f=0, g=0, h=0)
 # row strategy 1 and column strategy 1 strictly dominant
 DOMINANCE_GAME = BimatrixGame(a=1, b=1, c=0, d=0, e=1, f=0, g=1, h=0)
+# every field accepted, but category A's a - c + d - b overflows to -inf:
+# solved again with the secondary's payoffs quartered
+OVERFLOWING_SUM_CONFIG = NetworkConfig(
+    n_bands=2, n_primary=0, cost_secondary_switch=0.0, cost_malicious_switch=0.0,
+    gain_secondary=0.0, gain_malicious=1.0, loss_secondary=1.7e308,
+)
+QUARTERED_GAME = build_game(OVERFLOWING_SUM_CONFIG, Category.A)
+# q = (d - b) / (a - c + d - b) is exactly 0: an equilibrium on the boundary
+BOUNDARY_GAME = BimatrixGame(a=1, b=0, c=0, d=0, e=1, f=0, g=0, h=1)
 
 entries = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 unit_entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -117,8 +126,13 @@ class TestMixedEquilibrium:
         assert math.isnan(report.p) and math.isnan(report.q)
         assert (2, 1) in pure_equilibria(game)
 
-    @pytest.mark.parametrize("game", [GAME_A, DOMINANCE_GAME, ZERO_GAME], ids=["mixed", "pure", "zero"])
+    @pytest.mark.parametrize(
+        "game",
+        [GAME_A, DOMINANCE_GAME, ZERO_GAME, QUARTERED_GAME, BOUNDARY_GAME],
+        ids=["mixed", "pure", "zero", "quartered", "boundary"],
+    )
     def test_the_report_is_exactly_an_equilibrium_report(self, game):
+        # degenerate, interior, interior after quartering, and on the boundary
         report = mixed_equilibrium(game)
         assert type(report) is EquilibriumReport
         # repr, as nan != nan: the same values as the generated constructor gives
@@ -161,12 +175,8 @@ class TestMixedEquilibrium:
 
     def test_an_overflowing_indifference_sum_keeps_the_mixed_equilibrium(self):
         # a - c + d - b overflows to -inf, where (d - b) / -inf would be q = 0
-        config = NetworkConfig(
-            n_bands=2, n_primary=0, cost_secondary_switch=0.0, cost_malicious_switch=0.0,
-            gain_secondary=0.0, gain_malicious=1.0, loss_secondary=1.7e308,
-        )
         for category in (Category.A, Category.B):
-            game = build_game(config, category)
+            game = build_game(OVERFLOWING_SUM_CONFIG, category)
             a, b, c, d, e, f, g, h = map(Fraction, game)  # exact for a float
             assert ((h - g) / (e - f + h - g), (d - b) / (a - c + d - b)) == (0.5, 0.5)
             report = mixed_equilibrium(game)
