@@ -14,9 +14,9 @@ Categories A and B each induce a 2x2 bimatrix game over {switch, stay}
 decisions; :func:`build_game` assembles their payoff entries from the
 switching costs, the transmission gain, and the jamming gain/loss.
 
-An invalid config raises :class:`ConfigError`, as does one whose payoff entry
-``a = -cost_secondary_switch + roam`` overflows a float: the only entry that
-can, it is the same in A and B and reads neither of the jammer's fields.
+A :class:`NetworkConfig` raises :class:`ConfigError` for an invalid field,
+or when payoff entry ``a = -cost_secondary_switch + roam``, the only one
+that can, overflows a float: so :func:`build_game` never raises it for one.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ _FLOAT_MAX = sys.float_info.max
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; the message names the offending field or game,
-    and is what the CLI reports."""
+    """Invalid configuration; the message names the offending field or payoff
+    entry, and is what the CLI reports."""
 
 
 class NetworkConfig(
@@ -76,15 +76,15 @@ class NetworkConfig(
 ):
     """Static network parameters. Defaults are the reference scenario.
 
-    A checked named tuple: the constructor, ``_make`` and ``_replace``
-    raise ConfigError, naming the field, for an invalid value.
+    A checked named tuple: the constructor, ``_make`` and ``_replace`` raise
+    ConfigError for an invalid field, or for a payoff entry ``a`` that overflows.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> NetworkConfig:
         self = super().__new__(cls, *args, **kwargs)
-        n_bands, n_primary = self[:2]
+        n_bands, n_primary, c_s, _c_m, g_s, _g_m, l_s = self
         if not isinstance(n_bands, int) or n_bands < 2:
             raise ConfigError(
                 f"n_bands must be an integer >= 2 (got {n_bands!r}); "
@@ -100,6 +100,11 @@ class NetworkConfig(
             # false for NaN, infinities and an int too large for a float alike
             if not 0 <= value <= _FLOAT_MAX:
                 raise ConfigError(f"{name} must be finite and >= 0 (got {value!r})")
+        if not math.isfinite(build_game(self, _A).a):  # the same a as category B's
+            raise ConfigError(
+                f"payoff entry a = -cost_secondary_switch + roam must be finite (cost_secondary_switch={c_s!r},"
+                f" gain_secondary={g_s!r}, loss_secondary={l_s!r}, n_bands={n_bands!r}, n_primary={n_primary!r})"
+            )
         return self
 
     @classmethod
@@ -155,8 +160,8 @@ class BimatrixGame(namedtuple("BimatrixGame", "a b c d e f g h")):
     Which strategy is a switch is :data:`FIRST_IS_SWITCH`'s to say.
     Every entry must be finite (else ConfigError, naming the first that is
     not). An immutable named tuple: a frozen dataclass would pay a guarded
-    setattr per field on every build. :func:`build_game` skips this check,
-    as of its entries only ``a`` can overflow.
+    setattr per field on every build. :func:`build_game` skips this check:
+    of its entries only ``a`` can overflow, and NetworkConfig checks that.
     """
 
     __slots__ = ()
@@ -195,10 +200,9 @@ def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
     Unpacking the config and calling the cached ``_occupancy`` directly
     does the same float arithmetic on the same values as attribute reads.
 
-    Only entry ``a = -cost_secondary_switch + roam`` can overflow: every
-    other entry is a field times a probability in [0, 1], or the difference
-    of two such non-negative terms. ``a`` alone is checked: it is the same in
-    A and B, reads neither jammer field, and its ConfigError names the category.
+    No entry is checked: every one but ``a = -cost_secondary_switch + roam``
+    is a field times a probability in [0, 1], or the difference of two such
+    non-negative terms, and NetworkConfig rejects a config whose ``a`` overflows.
     """
     n_bands, n_primary, c_s, c_m, g_s, g_m, l_s = config
     p_primary, p_just_secondary, p_secondary_and_malicious = _occupancy(n_bands, n_primary)
@@ -221,6 +225,4 @@ def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
         raise ValueError("category C has no game: both players stay")
     else:
         raise ValueError(f"category must be Category.A or Category.B (got {category!r})")
-    if a - a != 0.0:  # inf or nan: finite fields whose entry a overflows
-        raise ConfigError(f"category {category.name} game: payoff entry a must be finite")
     return tuple.__new__(BimatrixGame, entries)

@@ -157,6 +157,8 @@ def _plan(
         return learn
     if isinstance(policy, FixedPolicy):
         first = policy.probability_first
+    elif not isinstance(policy, NashPolicy):
+        raise TypeError(f"a policy must be a FixedPolicy, NashPolicy or FictitiousPlayPolicy (got {policy!r})")
     elif not equilibrium.degenerate:
         first = equilibrium.p if secondary else equilibrium.q
     else:  # a degenerate game has a pure equilibrium
@@ -177,7 +179,7 @@ def plan_policies(
     Fixed play, and Nash play of a mixed equilibrium, draw strategy 1
     with its probability; a probability of 0 or 1, like Nash play of a
     pure equilibrium, draws nothing. Fictitious play weights
-    ``fit_to_counts(game, slots)`` by counts below ``slots``.
+    ``fit_to_counts(game, slots)`` by counts below ``slots``. Others raise TypeError.
     """
     policy_s, policy_m = policies
     return tuple(

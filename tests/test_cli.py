@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crn_jamgame import cli
@@ -262,6 +262,37 @@ grid_specs = st.builds(
     st.integers(0, 10),
     st.sampled_from([1, 2, 3]),
 )
+
+#: Float range ends: invalid, zero, the smallest subnormal, and magnitudes at
+#: which entry a overflows or nearly does.
+GRID_FLOAT_ENDS = [-1.0, 0.0, 5e-324, 1e307, 8e307, 8.98e307, 1.7e308, sys.float_info.max]
+
+
+@st.composite
+def small_grids(draw):
+    """A valid network and a sweep over some of its fields: at most two int
+    values per int field (n_primary may exceed n_bands), and one to four
+    ascending values per float range, its ends from ``GRID_FLOAT_ENDS``."""
+    n_bands = draw(st.sampled_from([2, 3, 10]))
+    fields = [n_bands, draw(st.integers(0, n_bands))]
+    fields += [draw(st.sampled_from(GRID_FLOAT_ENDS[1:])) for _ in range(5)]
+    try:
+        network = NetworkConfig(*fields)
+    except cli.ConfigError:
+        assume(False)
+    sweeps = []
+    for name in draw(st.lists(st.sampled_from(NetworkConfig._fields), min_size=1, max_size=7, unique=True)):
+        if name == "n_bands":
+            values = draw(st.lists(st.sampled_from([1, 2, 3, 10]), min_size=1, max_size=2, unique=True))
+        elif name == "n_primary":
+            values = draw(st.lists(st.sampled_from([0, 1, 2, 3, 11]), min_size=1, max_size=2, unique=True))
+        else:
+            lo, hi = sorted(draw(st.sampled_from(GRID_FLOAT_ENDS)) for _ in range(2))
+            count = draw(st.integers(1, 4))
+            inner = sorted(draw(st.floats(lo, hi)) for _ in range(count - 2))
+            values = [lo] if count == 1 else [lo, *inner, hi]
+        sweeps.append((name, tuple(sorted(values))))
+    return network, tuple(sweeps)
 
 
 def config_argv(directory, command, file_values, specs):
@@ -627,15 +658,60 @@ class TestCmdSweep:
 
     def test_an_overflowing_payoff_entry_names_the_cell_and_writes_nothing(self, tmp_path, capsys):
         # the cell loss_secondary=1e308 passes every field check, but its
-        # category-A entry a = -cost + roam overflows to -inf
+        # entry a = -cost + roam overflows to -inf
         out = tmp_path / "sweep.csv"
         assert main([
             "sweep", "--n-primary", "0", "--cost-secondary-switch", "1.7e308",
             "--sweep", "loss_secondary=0..1.7e308:1e308", "--out", str(out),
         ]) == 2
-        err = capsys.readouterr().err
-        assert "config error: sweep: loss_secondary=1e+308: category A game: payoff entry a" in err
+        assert capsys.readouterr() == ("", (
+            "config error: sweep: payoff entry a = -cost_secondary_switch + roam must be finite"
+            " (cost_secondary_switch=1.7e+308, gain_secondary=50.0, loss_secondary=1e+308, n_bands=10, n_primary=0)\n"
+        ))
         assert list(tmp_path.iterdir()) == []
+
+    def test_an_overflowing_cell_leaves_a_symlinked_out_as_it_was(self, tmp_path, capsys):
+        # cost_secondary_switch's last value, 1.7e308, overflows entry a; the
+        # grid is rejected before the first of its 3,401 cells is written
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"earlier results\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main([
+            "sweep", "--sweep", "cost_secondary_switch=0..1.7e308:5e304", "--loss-secondary", "1e308",
+            "--n-primary", "0", "--n-bands", "2", "--out", str(link),
+        ]) == 2
+        assert target.read_bytes() == b"earlier results\n"
+        assert link.is_symlink() and sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+        assert capsys.readouterr() == ("", (
+            "config error: sweep: payoff entry a = -cost_secondary_switch + roam must be finite"
+            " (cost_secondary_switch=1.7e+308, gain_secondary=50.0, loss_secondary=1e+308, n_bands=2, n_primary=0)\n"
+        ))
+
+    @given(small_grids())
+    # only the last value is invalid: entry a overflows to -inf
+    @example((NetworkConfig(2, 0, 1.7e308, 0.0, 0.0, 0.0, 0.0), (("loss_secondary", (0.0, 1e307)),)))
+    # only the first value is invalid: its range check, then entry a
+    @example((NetworkConfig(2, 0, 0.0, 0.0, 0.0, 0.0, 0.0), (("cost_secondary_switch", (-1.0, 0.0)),)))
+    @example((NetworkConfig(10, 0, 1.7e308, 0.0, 1.7e308, 0.0, 1.7e308), (("gain_secondary", (0.0, 1.7e308)),)))
+    @settings(max_examples=300, deadline=None)
+    def test_checking_the_ends_of_each_float_range_checks_every_cell(self, grid):
+        # _check_grid builds the int values times each float range's first and
+        # last value; the oracle builds every cell
+        network, sweeps = grid
+        names = [name for name, _values in sweeps]
+        failures = set()
+        for combo in itertools.product(*(values for _name, values in sweeps)):
+            try:
+                network._replace(**dict(zip(names, combo)))
+            except cli.ConfigError as exc:
+                failures.add(f"sweep: {exc}")
+        try:
+            cli._check_grid(network, sweeps)
+        except cli.ConfigError as exc:
+            assert str(exc) in failures  # the message of a cell that fails
+        else:
+            assert not failures
 
     @pytest.mark.parametrize(
         "first,second",
@@ -778,11 +854,8 @@ class TestCmdSweep:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "build_game", recording_build_game)
-            try:
-                cli.cmd_sweep(cfg)
-            except cli.ConfigError:  # a payoff entry overflows; the cells before it stand
-                pass
-        assert built
+            cli.cmd_sweep(cfg)  # an overflowing cell is a grid that _check_grid rejects
+        assert len(built) == 2 * len(grid)
         for network, combo in zip(built[::2], grid):
             assert type(network) is NetworkConfig
             assert network == NetworkConfig(*network) == cfg.network._replace(**dict(zip(names, combo)))
@@ -827,6 +900,14 @@ class TestOneDegenerateRule:
             assert {(row["err_p"] == "nan", row["err_q"] == "nan") for row in fp_rows} == {(degenerate,) * 2}
 
 
+#: What every command prints for ``--n-primary 0 --cost-secondary-switch
+#: 1.7e308 --loss-secondary 1.7e308``: finite fields whose entry a overflows.
+OVERFLOWING_ENTRY_ERROR = (
+    "config error: payoff entry a = -cost_secondary_switch + roam must be finite"
+    " (cost_secondary_switch=1.7e+308, gain_secondary=50.0, loss_secondary=1.7e+308, n_bands=10, n_primary=0)"
+)
+
+
 class TestExitCodes:
     def test_unwritable_output_path_is_an_io_error(self, tmp_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
@@ -853,15 +934,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["nash", "fp", "simulate"])
     def test_an_overflowing_payoff_entry_exits_two_and_writes_nothing(self, tmp_path, capsys, command):
-        # every field is finite, but category A's entry a = -cost + roam
-        # overflows to -inf
+        # every field is finite, but entry a = -cost + roam overflows to -inf
         out = tmp_path / "out.csv"
         assert main([
             command, "--n-primary", "0", "--cost-secondary-switch", "1.7e308",
             "--loss-secondary", "1.7e308", "--iterations", "10", "--slots", "10", "--out", str(out),
         ]) == 2
-        err = capsys.readouterr().err
-        assert "config error: category A game: payoff entry a must be finite" in err
+        assert capsys.readouterr() == ("", OVERFLOWING_ENTRY_ERROR + "\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, name", [("fp", "run_fp"), ("simulate", "run_simulation")])
@@ -976,17 +1055,15 @@ class TestFailurePaths:
 
     @pytest.mark.parametrize("command", list(SHORT_RUNS))
     def test_an_overflowing_payoff_entry_is_a_config_error(self, tmp_path, capsys, command):
-        # every field is finite, but category A's entry a = -cost + roam
-        # overflows to -inf
+        # every field is finite, but entry a = -cost + roam overflows to -inf;
+        # NetworkConfig says so alike for every command, sweep's first cell included
         out = tmp_path / "out.csv"
         out.write_bytes(b"earlier results\n")
         assert main([
             *SHORT_RUNS[command], "--n-primary", "0", "--cost-secondary-switch", "1.7e308",
             "--loss-secondary", "1.7e308", "--out", str(out),
         ]) == 2
-        cell = "sweep: gain_malicious=75.0: " if command == "sweep" else ""
-        message = f"config error: {cell}category A game: payoff entry a must be finite"
-        assert self.error_line(capsys) == message
+        assert self.error_line(capsys) == OVERFLOWING_ENTRY_ERROR
         assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
         assert out.read_bytes() == b"earlier results\n"
 

@@ -241,16 +241,6 @@ class TestBimatrixGame:
         assert outcome(BimatrixGame, *merged) == expected
         assert outcome(BimatrixGame(*[1.0] * 8)._replace, **changes) == expected
 
-    def test_an_overflowing_config_entry_is_rejected(self):
-        # -cost + roam passes -1.8e308 although every field is finite; the
-        # ConfigError names the category whose game overflowed
-        config = NetworkConfig(n_primary=0, cost_secondary_switch=1.7e308, loss_secondary=1.7e308)
-        for category in (Category.A, Category.B):
-            with pytest.raises(ConfigError) as error:
-                build_game(config, category)
-            assert str(error.value) == f"category {category.name} game: payoff entry a must be finite"
-
-
 #: A field over its whole accepted range, as ``test_cli.FIELD_VALUES`` draws
 #: it, plus the smallest subnormal and ints up to 1.7e308.
 extreme_field = st.one_of(
@@ -262,9 +252,74 @@ extreme_field = st.one_of(
 
 @st.composite
 def extreme_configs(draw):
+    """Field tuples, each field in its accepted range; entry ``a`` of some overflows."""
     n_bands = draw(st.sampled_from([2, 3, 10, 2**70]))
     n_primary = draw(st.sampled_from([0, 1, n_bands - 1, n_bands]))
-    return NetworkConfig(n_bands, n_primary, *(draw(extreme_field) for _ in range(5)))
+    return (n_bands, n_primary, *(draw(extreme_field) for _ in range(5)))
+
+
+def entry_a(n_bands, n_primary, c_s, c_m, g_s, g_m, l_s):
+    """Payoff entry ``a = -C_s + roam`` in floats, from README's formulas."""
+    p_primary = n_primary / n_bands
+    other = n_bands - 1
+    p_js = 1.0 - (1.0 / other + p_primary - p_primary / other)
+    p_sm = (1.0 / other) * (1.0 - p_primary)
+    return -c_s + (g_s * p_js - l_s * p_sm)
+
+
+def overflow_message(n_bands, n_primary, c_s, c_m, g_s, g_m, l_s):
+    return (
+        f"payoff entry a = -cost_secondary_switch + roam must be finite (cost_secondary_switch={c_s!r}, "
+        f"gain_secondary={g_s!r}, loss_secondary={l_s!r}, n_bands={n_bands!r}, n_primary={n_primary!r})"
+    )
+
+
+class TestOverflowingEntry:
+    """NetworkConfig rejects a config whose entry ``a``, the one payoff entry
+    that can overflow a float, does; so build_game never fails for one."""
+
+    @given(extreme_configs())
+    # test_cli's OVERFLOWING_SUMS: every entry finite, the indifference sums not
+    @example((2, 0, 0.0, 0.0, 1e307, 1.0, 1.7e308))
+    # test_cli's INFINITE_SLOT_PAYOFF: a is a finite -1.47e308
+    @example((3, 1, 1.7e308, 0.0, 8e307, 0.0, 1e307))
+    # a = -1.7e308 - 1.7e308 overflows to -inf
+    @example((2, 0, 1.7e308, 0.0, 0.0, 0.0, 1.7e308))
+    @settings(max_examples=500, deadline=None)
+    def test_a_config_is_rejected_exactly_when_entry_a_overflows(self, fields):
+        if not math.isfinite(entry_a(*fields)):
+            with pytest.raises(ConfigError) as error:
+                NetworkConfig(*fields)
+            assert str(error.value) == overflow_message(*fields)
+            return
+        config = NetworkConfig(*fields)
+        for category in (Category.A, Category.B):
+            game = build_game(config, category)
+            # every entry finite, as the per-entry check of BimatrixGame accepts unchanged
+            assert type(game) is BimatrixGame and len(game) == 8 and all(map(math.isfinite, game))
+            assert outcome(BimatrixGame, *game) == (list(game), list(map(type, game)))
+
+    def test_construction_make_and_replace_give_the_same_message(self):
+        # -cost + roam passes -1.8e308 although every field is finite
+        fields = (10, 0, 1.7e308, 2.0, 50.0, 75.0, 1.7e308)
+        message = overflow_message(*fields)
+        assert message == (
+            "payoff entry a = -cost_secondary_switch + roam must be finite (cost_secondary_switch=1.7e+308,"
+            " gain_secondary=50.0, loss_secondary=1.7e+308, n_bands=10, n_primary=0)"
+        )
+        for make in (
+            lambda: NetworkConfig(*fields),
+            lambda: NetworkConfig._make(fields),
+            lambda: NetworkConfig(n_primary=0)._replace(cost_secondary_switch=1.7e308, loss_secondary=1.7e308),
+        ):
+            with pytest.raises(ConfigError) as error:
+                make()
+            assert str(error.value) == message
+
+    def test_an_invalid_field_is_named_before_entry_a(self):
+        # the field checks come first: a negative gain would make a overflow too
+        with pytest.raises(ConfigError, match=r"^gain_secondary must be finite and >= 0 \(got -1\.7e\+308\)$"):
+            NetworkConfig(n_primary=0, cost_secondary_switch=1.7e308, gain_secondary=-1.7e308)
 
 
 class TestBuildGame:
@@ -360,26 +415,3 @@ class TestBuildGame:
             assert more.h > base.h
             assert (more.a, more.b, more.c, more.d) == (base.a, base.b, base.c, base.d)
 
-    @given(extreme_configs())
-    # test_cli's OVERFLOWING_SUMS: every entry finite, the indifference sums not
-    @example(NetworkConfig(2, 0, 0.0, 0.0, 1e307, 1.0, 1.7e308))
-    # test_cli's INFINITE_SLOT_PAYOFF: a is a finite -1.47e308
-    @example(NetworkConfig(3, 1, 1.7e308, 0.0, 8e307, 0.0, 1e307))
-    # a = -1.7e308 - 1.7e308 overflows to -inf
-    @example(NetworkConfig(2, 0, 1.7e308, 0.0, 0.0, 0.0, 1.7e308))
-    @settings(max_examples=500, deadline=None)
-    def test_only_entry_a_can_overflow(self, config):
-        # build_game checks entry a alone; every game it returns must be one
-        # that the per-entry check of BimatrixGame accepts unchanged
-        accepted = []
-        for category in (Category.A, Category.B):
-            try:
-                game = build_game(config, category)
-            except ConfigError as exc:
-                assert str(exc) == f"category {category.name} game: payoff entry a must be finite"
-                accepted.append(False)
-                continue
-            assert type(game) is BimatrixGame and all(map(math.isfinite, game))
-            assert outcome(BimatrixGame, *game) == (list(game), list(map(type, game)))
-            accepted.append(True)
-        assert accepted[0] == accepted[1]

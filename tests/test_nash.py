@@ -346,11 +346,11 @@ def wide_built_games(draw):
     """Games of configs over the whole range ``NetworkConfig`` accepts."""
     n_bands = draw(st.integers(2, 300))
     values = (draw(st.one_of(st.just(0.0), wide_magnitudes)) for _ in range(5))
-    config = NetworkConfig(n_bands, draw(st.integers(0, n_bands)), *values)
     try:
-        return build_game(config, draw(st.sampled_from([Category.A, Category.B])))
-    except ConfigError:  # a payoff entry overflows
+        config = NetworkConfig(n_bands, draw(st.integers(0, n_bands)), *values)
+    except ConfigError:  # payoff entry a overflows
         assume(False)
+    return build_game(config, draw(st.sampled_from([Category.A, Category.B])))
 
 
 def overflow_config_games(gain_secondary):

@@ -572,14 +572,26 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             run_simulation(REF, FP_BOTH, 0, seed=0)
 
-    def test_an_overflowing_payoff_entry_is_a_config_error_from_one_build(self):
-        # every field is finite, but category A's entry a = -cost + roam overflows
-        config = NetworkConfig(n_primary=0, cost_secondary_switch=1.7e308, loss_secondary=1.7e308)
+    def test_only_a_config_whose_payoff_entries_are_finite_reaches_the_run(self):
+        # every field is finite, but entry a = -cost + roam overflows: NetworkConfig
+        # rejects it, and a config it accepts builds each game once, with no check
+        fields = {"n_primary": 0, "cost_secondary_switch": 1.7e308, "loss_secondary": 1.7e308}
+        with pytest.raises(ConfigError, match=r"^payoff entry a = -cost_secondary_switch \+ roam must be finite \("):
+            NetworkConfig(**fields)
+        accepted = NetworkConfig(**{**fields, "loss_secondary": 1e307})  # a is a finite -1.71e308
         with mock.patch.object(simulate, "build_game", wraps=build_game) as built:
-            with pytest.raises(ConfigError) as error:
-                run_simulation(config, FP_BOTH, 10, seed=0)
-        assert str(error.value) == "category A game: payoff entry a must be finite"
-        assert built.call_args_list == [mock.call(config, Category.A)]
+            run_simulation(accepted, FP_BOTH, 10, seed=0)
+        assert built.call_args_list == [mock.call(accepted, Category.A), mock.call(accepted, Category.B)]
+
+    @pytest.mark.parametrize(
+        "policy", ["fp", "nash", None, 0.3, NashPolicy], ids=["fp-text", "nash-text", "none", "float", "nash-class"]
+    )
+    def test_an_unknown_policy_is_a_type_error_naming_it(self, policy):
+        # neither fixed nor fictitious play used to be taken for Nash play
+        for policies in ((policy, NashPolicy()), (NashPolicy(), policy)):
+            with pytest.raises(TypeError) as error:
+                run_simulation(REF, policies, 10, seed=0)
+            assert str(error.value).endswith(f"(got {policy!r})")
 
 
 #: Standard errors in the band of the long-run chain tests.
