@@ -295,12 +295,13 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         for (lo, p_a, q_a), (_lo, p_b, q_b) in zip(in_a, in_b):
             part = slice(lo, lo + _CHUNK)
             category = result.category[part]
+            payoff_s, payoff_m = result.payoffs(part)
             yield (
                 np.arange(lo, lo + len(category)), Labels(category, labels),
                 result.secondary_band[part], result.malicious_band[part], category == Category.C,
                 Labels(result.secondary_switch[part].view(np.uint8), _MOVES),
                 Labels(result.malicious_switch[part].view(np.uint8), _MOVES),
-                result.jam[part], result.secondary_payoff[part], result.malicious_payoff[part],
+                result.jam[part], payoff_s, payoff_m,
                 p_a, q_a, p_b, q_b,
             )
 

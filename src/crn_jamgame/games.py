@@ -193,9 +193,9 @@ def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
     Category B (secondary rows (switch, stay); jammer columns
     (stay, switch-to-secondary's-band)): same outcome rules, except the
     (switch, switch) cell carries no secondary switching cost. That
-    asymmetry is deliberate and load-bearing: the network simulator
-    mirrors this exact cost structure so that simulated slot averages
-    reproduce these entries.
+    asymmetry is deliberate and load-bearing: the simulator's payoff rule,
+    ``simulate.slot_payoffs``, mirrors this exact cost structure so that
+    simulated slot averages reproduce these entries.
 
     Unpacking the config and calling the cached ``_occupancy`` directly
     does the same float arithmetic on the same values as attribute reads.

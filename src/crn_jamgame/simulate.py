@@ -3,17 +3,20 @@
 Slot loop: the current state's category is A (players share a band and
 the jam revealed both positions), B (jammer elsewhere but has sensed the
 secondary's band) or C (a licensed user silences the secondary); draw
-both players' moves from their policies, settle movement and payoffs
-against freshly placed licensed users, classify the new state (the next
-slot's category), then update the per-category observation histories.
-The loop runs on plain ints and fills one row of the preallocated
-columns of :class:`SimulationResult` per slot.
+both players' moves from their policies, settle movement, licensed
+users and jam against freshly placed licensed users, classify the new
+state (the next slot's category), then update the per-category
+observation histories. The loop runs on plain ints and fills one row of
+the preallocated columns of :class:`SimulationResult` per slot.
 
-Settlement realizes each slot from actual band positions, never from the
-analytic payoff tables; the tables are reproduced as Monte Carlo averages
-of these ground-truth outcomes. Switching costs mirror the analytic
-tables' cost structure exactly, including the category-B (switch, switch)
-cell that charges the secondary nothing (see :func:`games.build_game`).
+Payoffs are not kept: :func:`slot_payoffs` derives a slot's from its
+category, both moves, ``jam`` and ``silenced``, vectorized over any
+slice of the record. Settlement realizes each slot from actual band
+positions, never from the analytic payoff tables; the tables are
+reproduced as Monte Carlo averages of these ground-truth outcomes.
+Switching costs mirror the analytic tables' cost structure exactly,
+including the category-B (switch, switch) cell that charges the
+secondary nothing (see :func:`games.build_game`).
 
 Observability is asymmetric: after an A or B slot whose successor is again
 A or B, the jammer always learns the secondary's move (it senses every
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import FIRST_IS_SWITCH, BimatrixGame, Category, NetworkConfig, build_game
-from .learning import best_response, final_share, fit_to_counts, running_share
+from .learning import COUNT_SLICE, best_response, final_share, fit_to_counts, running_share
 from .nash import EquilibriumReport, mixed_equilibrium, pure_equilibria
 
 __all__ = [
@@ -66,6 +69,7 @@ __all__ = [
     "plan_policies",
     "choose_actions",
     "settle_slot",
+    "slot_payoffs",
     "update_histories",
     "run_simulation",
 ]
@@ -223,44 +227,61 @@ def settle_slot(
     actions: tuple[bool, bool],
     config: NetworkConfig,
     rng: random.Random,
-) -> tuple[int, int, bool, bool, float, float]:
-    """Resolve movement, fresh licensed users, jam and realized payoffs.
+) -> tuple[int, int, bool, bool]:
+    """Resolve movement, fresh licensed users and the jam.
 
-    Returns ``(secondary_band, malicious_band, silenced, jam, payoff_s,
-    payoff_m)`` after the slot, where ``silenced`` says a licensed user
-    sits on the secondary's settled band. Draw order: the licensed-user
-    draw first (:func:`draw_silenced`), then the secondary's target band
-    (if it switches), then the jammer's (category A only; in category B a
-    switching jammer goes straight to the secondary's prior band). In
-    category C both players stay, as :func:`choose_actions` decides.
-
-    Payoffs come from the post-move occupancy: the secondary earns its
-    gain when transmitting unjammed, loses the jam loss when co-located
-    with the jammer on a licensed-user-free band, and earns zero under a
-    licensed user; the jammer earns its gain exactly on a jam. Switch
-    costs mirror the analytic tables: normal in category A, and in
-    category B the secondary's cost applies only when the jammer stays.
+    Returns ``(secondary_band, malicious_band, silenced, jam)`` after the
+    slot, where ``silenced`` says a licensed user sits on the secondary's
+    settled band and ``jam`` that the jammer does, with none there. Draw
+    order: the licensed-user draw first (:func:`draw_silenced`), then the
+    secondary's target band (if it switches), then the jammer's (category
+    A only; in category B a switching jammer goes straight to the
+    secondary's prior band). In category C both players stay, as
+    :func:`choose_actions` decides. The slot's payoffs follow from this
+    outcome and the moves, by :func:`slot_payoffs`.
     """
     switch_s, switch_m = actions
-    n_bands, _, cost_s, cost_m, gain_s, gain_m, loss_s = config
     silenced = draw_silenced(config, rng)
     sec_band = secondary_band
     mal_band = malicious_band
     if switch_s:
-        sec_band = _other_band(secondary_band, n_bands, rng)
+        sec_band = _other_band(secondary_band, config.n_bands, rng)
     if switch_m:
         if category == A:
-            mal_band = _other_band(malicious_band, n_bands, rng)
+            mal_band = _other_band(malicious_band, config.n_bands, rng)
         else:
             mal_band = secondary_band
-    jam = (not silenced) and mal_band == sec_band
-    payoff_s = 0.0 if silenced else (-loss_s if jam else gain_s)
-    payoff_m = gain_m if jam else 0.0
-    if switch_s and (category == A or not switch_m):
-        payoff_s -= cost_s
-    if switch_m:
-        payoff_m -= cost_m
-    return sec_band, mal_band, silenced, jam, payoff_s, payoff_m
+    return sec_band, mal_band, silenced, (not silenced) and mal_band == sec_band
+
+
+def slot_payoffs(
+    config: NetworkConfig,
+    category: np.ndarray,
+    secondary_switch: np.ndarray,
+    malicious_switch: np.ndarray,
+    jam: np.ndarray,
+    silenced: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The secondary's and the jammer's realized payoff in each slot of
+    equal-length columns, as :class:`SimulationResult` holds them.
+
+    The secondary earns its gain when transmitting unjammed, loses the
+    jam loss on a jam, and earns zero under a licensed user (silenced);
+    the jammer earns its gain exactly on a jam. Switch costs mirror the
+    analytic tables: each switch pays its cost, except that in category B
+    a switching secondary pays nothing when the jammer switches too (onto
+    the band the secondary left). An uncharged slot's payoff is never
+    touched, and a charge that overflows gives -inf, silently. The fields
+    are taken as floats, so an int field counts as its float.
+    """
+    cost_s, cost_m, gain_s, gain_m, loss_s = map(float, config[2:])
+    with np.errstate(over="ignore"):
+        payoff_s = np.where(silenced, 0.0, np.where(jam, -loss_s, gain_s))
+        charged = secondary_switch & ((category == A) | ~malicious_switch)
+        np.subtract(payoff_s, cost_s, out=payoff_s, where=charged)
+        payoff_m = np.where(jam, gain_m, 0.0)
+        np.subtract(payoff_m, cost_m, out=payoff_m, where=malicious_switch)
+    return payoff_s, payoff_m
 
 
 def update_histories(
@@ -300,41 +321,42 @@ def update_histories(
     return (True, True)
 
 
-def _total(payoffs: np.ndarray) -> float:
-    """Left-to-right sum from 0.0, the same float a running total gives:
-    ±inf when it overflows, and nan when it meets inf and -inf (a slot
-    pays -inf when its jam loss plus switching cost overflow)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 0.0 + float(np.cumsum(payoffs)[-1])
-
-
 @dataclass(eq=False)
 class SimulationResult:
-    """Column-oriented record of a run: row ``t`` is slot ``t``.
+    """Column-oriented record of a run of ``config``: row ``t`` is slot ``t``.
 
     ``category`` holds category codes (C exactly when a licensed user
     silenced the secondary). ``secondary_band`` and ``malicious_band``
     are the pre-action state; the switch flags are the players' moves;
-    ``jam`` and the payoffs are the settled outcome.
+    ``jam`` and ``silenced`` (a licensed user sits on the secondary's
+    settled band) are the settled outcome.
     ``seen_by_malicious`` marks the slots whose secondary move the jammer
     recorded, ``seen_by_secondary`` those whose jammer move the secondary
-    recorded. Running and final frequencies and the cumulative payoffs
-    are derived on demand.
+    recorded. Payoffs, running and final frequencies and the cumulative
+    payoffs are derived on demand.
     """
 
+    config: NetworkConfig
     category: np.ndarray
     secondary_band: np.ndarray
     malicious_band: np.ndarray
     secondary_switch: np.ndarray
     malicious_switch: np.ndarray
     jam: np.ndarray
-    secondary_payoff: np.ndarray
-    malicious_payoff: np.ndarray
+    silenced: np.ndarray
     seen_by_malicious: np.ndarray
     seen_by_secondary: np.ndarray
 
     def __len__(self) -> int:
         return int(self.category.shape[0])
+
+    def payoffs(self, part: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """The secondary's and the jammer's payoff in each slot of ``part``
+        (every slot by default), by :func:`slot_payoffs`."""
+        return slot_payoffs(
+            self.config, self.category[part], self.secondary_switch[part], self.malicious_switch[part],
+            self.jam[part], self.silenced[part],
+        )
 
     def _observed(self, category: int):
         """``(moves, first, recorded)`` of the secondary's, then the
@@ -368,8 +390,19 @@ class SimulationResult:
         return p_star, q_star
 
     def cumulative_payoffs(self) -> tuple[float, float]:
-        """The secondary's and the jammer's payoffs summed over the run."""
-        return _total(self.secondary_payoff), _total(self.malicious_payoff)
+        """The secondary's and the jammer's payoffs summed over the run, left
+        to right from 0.0, :data:`learning.COUNT_SLICE` slots at a time: ±inf
+        when a sum overflows, and nan when it meets inf and -inf (a slot pays
+        -inf when its jam loss plus switching cost overflow)."""
+        totals = (0.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, len(self), COUNT_SLICE):
+                # carried into a running sum, which np.sum's pairwise one is not
+                totals = tuple(
+                    np.cumsum(np.concatenate(([total], payoff)))[-1]
+                    for total, payoff in zip(totals, self.payoffs(slice(lo, lo + COUNT_SLICE)))
+                )
+        return float(totals[0]), float(totals[1])
 
 
 def run_simulation(
@@ -394,11 +427,9 @@ def run_simulation(
     band = np.min_scalar_type(config.n_bands - 1)
     secondary_band = np.empty(slots, band)
     malicious_band = np.empty(slots, band)
-    # one-byte columns fill bytearrays and the payoffs float views of them:
-    # their item stores cost a third and two thirds of NumPy's
-    secondary_payoff, malicious_payoff = (memoryview(bytearray(8 * slots)).cast("d") for _ in range(2))
-    category, secondary_switch, malicious_switch, jam, seen_by_malicious, seen_by_secondary = (
-        bytearray(slots) for _ in range(6)
+    # one-byte columns fill bytearrays: their item stores cost a third of NumPy's
+    category, secondary_switch, malicious_switch, jam, silenced, seen_by_malicious, seen_by_secondary = (
+        bytearray(slots) for _ in range(7)
     )
 
     sec = rng.randrange(config.n_bands)
@@ -411,18 +442,16 @@ def run_simulation(
         malicious_band[t] = mal
         actions = choose_actions(cat, plans, histories, rng)
         secondary_switch[t], malicious_switch[t] = actions
-        sec, mal, silenced, jam[t], secondary_payoff[t], malicious_payoff[t] = settle_slot(
-            cat, sec, mal, actions, config, rng
-        )
-        next_cat = classify_state(sec, mal, silenced)
+        sec, mal, silent, jam[t] = settle_slot(cat, sec, mal, actions, config, rng)
+        silenced[t] = silent
+        next_cat = classify_state(sec, mal, silent)
         seen_by_malicious[t], seen_by_secondary[t] = update_histories(
             cat, actions, next_cat, histories
         )
         cat = next_cat
     view = np.frombuffer
     return SimulationResult(
-        view(category, np.int8), secondary_band, malicious_band,
-        view(secondary_switch, bool), view(malicious_switch, bool), view(jam, bool),
-        view(secondary_payoff, np.float64), view(malicious_payoff, np.float64),
+        config, view(category, np.int8), secondary_band, malicious_band,
+        view(secondary_switch, bool), view(malicious_switch, bool), view(jam, bool), view(silenced, bool),
         view(seen_by_malicious, bool), view(seen_by_secondary, bool),
     )

@@ -27,7 +27,7 @@ from crn_jamgame import (
 from crn_jamgame.cli import main
 from crn_jamgame.games import FIRST_IS_SWITCH, BimatrixGame
 from crn_jamgame.nash import pure_equilibria
-from crn_jamgame.simulate import C, settle_slot
+from crn_jamgame.simulate import C, settle_slot, slot_payoffs
 from oracles import col_payoff, grid_accepts_near, grid_equilibria, row_payoff
 
 REF = NetworkConfig()
@@ -202,19 +202,16 @@ def test_criterion_5_settlement_reproduces_the_tables():
         for row in (1, 2):
             for col in (1, 2):
                 actions = ((row == 1) == first_s, (col == 1) == first_m)
-                total_s = total_m = sq_s = sq_m = 0.0
-                for _ in range(slots):
-                    *_, payoff_s, payoff_m = settle_slot(category, sec_band, mal_band, actions, REF, rng)
-                    total_s += payoff_s
-                    total_m += payoff_m
-                    sq_s += payoff_s * payoff_s
-                    sq_m += payoff_m * payoff_m
-                for total, sq, expected in (
-                    (total_s, sq_s, row_payoff(game, row, col)),
-                    (total_m, sq_m, col_payoff(game, row, col)),
-                ):
-                    mean = total / slots
-                    std_err = math.sqrt(max(sq / slots - mean * mean, 0.0) / slots)
+                silenced, jam = bytearray(slots), bytearray(slots)
+                for t in range(slots):
+                    _, _, silenced[t], jam[t] = settle_slot(category, sec_band, mal_band, actions, REF, rng)
+                payoffs = slot_payoffs(
+                    REF, np.full(slots, category, np.int8), np.full(slots, actions[0]), np.full(slots, actions[1]),
+                    np.frombuffer(jam, bool), np.frombuffer(silenced, bool),
+                )
+                for payoff, expected in zip(payoffs, (row_payoff(game, row, col), col_payoff(game, row, col))):
+                    mean = float(payoff.mean())
+                    std_err = math.sqrt(payoff.var() / slots)
                     gap = abs(mean - expected)
                     limit = max(3 * std_err, 1e-9)
                     all_ok = all_ok and gap <= limit

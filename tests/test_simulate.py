@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -19,7 +20,7 @@ from crn_jamgame import (
     mixed_equilibrium,
     run_simulation,
 )
-from crn_jamgame import learning, simulate
+from crn_jamgame import cli, learning, simulate
 from crn_jamgame.games import FIRST_IS_SWITCH, BimatrixGame, ConfigError
 from crn_jamgame.nash import pure_equilibria, strategy_utilities
 from crn_jamgame.simulate import (
@@ -34,6 +35,7 @@ from crn_jamgame.simulate import (
     settle_slot,
     update_histories,
 )
+import test_cli
 from oracles import (
     CHAIN_CATEGORIES,
     col_payoff,
@@ -230,23 +232,29 @@ class TestChooseActions:
         assert rng.getstate() == random.Random(0).getstate()  # no tie, no coin
 
 
+def settled_payoffs(category, actions, outcome, config):
+    """:func:`simulate.slot_payoffs` of one settled slot, as floats."""
+    _, _, silenced, jam = outcome
+    payoff_s, payoff_m = simulate.slot_payoffs(
+        config, np.array([category], np.int8), np.array([actions[0]]), np.array([actions[1]]),
+        np.array([jam]), np.array([silenced]),
+    )
+    return float(payoff_s[0]), float(payoff_m[0])
+
+
 class TestSettleSlot:
     def test_colocated_both_stay_is_a_certain_jam_without_primaries(self):
-        sec, mal, _, jam, payoff_s, payoff_m = settle_slot(
-            A, 2, 2, (STAY, STAY), NO_PRIMARIES, random.Random(0)
-        )
+        outcome = settle_slot(A, 2, 2, (STAY, STAY), NO_PRIMARIES, random.Random(0))
+        sec, mal, _, jam = outcome
         assert jam
-        assert payoff_s == -100.0
-        assert payoff_m == 75.0
+        assert settled_payoffs(A, (STAY, STAY), outcome, NO_PRIMARIES) == (-100.0, 75.0)
         assert sec == 2 and mal == 2
 
     def test_colocated_stay_switch_frees_the_secondary(self):
-        _, mal, _, jam, payoff_s, payoff_m = settle_slot(
-            A, 2, 2, (STAY, SWITCH), NO_PRIMARIES, random.Random(0)
-        )
+        outcome = settle_slot(A, 2, 2, (STAY, SWITCH), NO_PRIMARIES, random.Random(0))
+        _, mal, _, jam = outcome
         assert not jam
-        assert payoff_s == 50.0
-        assert payoff_m == -2.0
+        assert settled_payoffs(A, (STAY, SWITCH), outcome, NO_PRIMARIES) == (50.0, -2.0)
         assert mal != 2
 
     def test_category_b_switching_jammer_lands_on_the_secondarys_band(self):
@@ -262,20 +270,19 @@ class TestSettleSlot:
 
     def test_category_c_keeps_positions_and_pays_by_stay_rules(self):
         config = NetworkConfig(n_primary=10)  # saturated: always category C
-        sec, mal, _, jam, payoff_s, payoff_m = settle_slot(
-            C, 1, 5, (STAY, STAY), config, random.Random(3)
-        )
-        assert (payoff_s, payoff_m) == (0.0, 0.0)
-        assert not jam
+        outcome = settle_slot(C, 1, 5, (STAY, STAY), config, random.Random(3))
+        sec, mal, silenced, jam = outcome
+        assert silenced and not jam
+        assert settled_payoffs(C, (STAY, STAY), outcome, config) == (0.0, 0.0)
         assert sec == 1 and mal == 5
 
     def test_jam_flag_consistency(self):
         rng = random.Random(5)
         for _ in range(500):
-            sec, mal, silenced, jam, _, payoff_m = settle_slot(
-                A, 3, 3, (SWITCH, SWITCH), REF, rng
-            )
+            outcome = settle_slot(A, 3, 3, (SWITCH, SWITCH), REF, rng)
+            sec, mal, silenced, jam = outcome
             assert jam == (sec == mal and not silenced)
+            _, payoff_m = settled_payoffs(A, (SWITCH, SWITCH), outcome, REF)
             if jam:
                 assert payoff_m == REF.gain_malicious - REF.cost_malicious_switch
             else:
@@ -298,20 +305,15 @@ class TestSettleSlot:
         for row in (1, 2):
             for col in (1, 2):
                 actions = ((row == 1) == first_s, (col == 1) == first_m)
-                total_s = total_m = sq_s = sq_m = 0.0
-                for _ in range(trials):
-                    *_, payoff_s, payoff_m = settle_slot(category, *pre_state, actions, REF, rng)
-                    total_s += payoff_s
-                    total_m += payoff_m
-                    sq_s += payoff_s * payoff_s
-                    sq_m += payoff_m * payoff_m
-                for total, sq, expected in (
-                    (total_s, sq_s, row_payoff(game, row, col)),
-                    (total_m, sq_m, col_payoff(game, row, col)),
-                ):
-                    mean = total / trials
-                    std_err = math.sqrt(max(sq / trials - mean * mean, 0.0) / trials)
-                    assert abs(mean - expected) <= max(3 * std_err, 1e-9)
+                outcomes = [settle_slot(category, *pre_state, actions, REF, rng) for _ in range(trials)]
+                _, _, silenced, jam = map(np.array, zip(*outcomes))
+                payoffs = simulate.slot_payoffs(
+                    REF, np.full(trials, category, np.int8), np.full(trials, actions[0]),
+                    np.full(trials, actions[1]), jam, silenced,
+                )
+                for payoff, expected in zip(payoffs, (row_payoff(game, row, col), col_payoff(game, row, col))):
+                    std_err = math.sqrt(payoff.var() / trials)
+                    assert abs(payoff.mean() - expected) <= max(3 * std_err, 1e-9)
 
 
 class TestUpdateHistories:
@@ -378,6 +380,8 @@ def check_record(result):
     after_sec = result.secondary_band[1:]
     after_mal = result.malicious_band[1:]
     silenced = result.category[1:] == C  # C exactly when the settled band is silenced
+    assert np.array_equal(result.silenced[:-1], silenced)
+    assert not (result.silenced & result.jam).any()
     assert (after_sec[jam] == after_mal[jam]).all()
     assert not silenced[jam].any()
     assert np.array_equal(jam, (after_sec == after_mal) & ~silenced)
@@ -420,11 +424,15 @@ class TestRunSimulation:
         # past 2**64 bands the band columns hold Python ints
         config = NetworkConfig(n_bands=n_bands, n_primary=3)
         result = run_simulation(config, FP_BOTH, 2_000, seed=5)
-        dtypes = {field.name: getattr(result, field.name).dtype for field in dataclasses.fields(result)}
+        assert result.config == config
+        dtypes = {
+            field.name: getattr(result, field.name).dtype
+            for field in dataclasses.fields(result)
+            if field.name != "config"
+        }
         assert dtypes == {
             "category": np.int8, "secondary_band": band_dtype, "malicious_band": band_dtype,
-            "secondary_switch": bool, "malicious_switch": bool, "jam": bool,
-            "secondary_payoff": np.float64, "malicious_payoff": np.float64,
+            "secondary_switch": bool, "malicious_switch": bool, "jam": bool, "silenced": bool,
             "seen_by_malicious": bool, "seen_by_secondary": bool,
         }
         for column in (result.secondary_band, result.malicious_band):
@@ -544,10 +552,11 @@ class TestRunSimulation:
         game = GAMES[code]
         eq = mixed_equilibrium(game)
         u_s1, _, u_m1, _ = strategy_utilities(game, eq.p, eq.q)
+        payoff_s, payoff_m = result.payoffs()
         for values, expected in (
-            (result.secondary_payoff[here], u_s1),
-            (result.malicious_payoff[here], u_m1),
-            (result.secondary_payoff[switched], u_s1),
+            (payoff_s[here], u_s1),
+            (payoff_m[here], u_m1),
+            (payoff_s[switched], u_s1),
         ):
             n = len(values)
             assert n > 1_000
@@ -592,6 +601,118 @@ class TestRunSimulation:
             with pytest.raises(TypeError) as error:
                 run_simulation(REF, policies, 10, seed=0)
             assert str(error.value).endswith(f"(got {policy!r})")
+
+
+def scalar_payoffs(config, category, switch_s, switch_m, jam, silenced):
+    """One slot's payoffs by the scalar rule, in Python arithmetic, stored
+    as floats: the reference for slot_payoffs."""
+    _, _, cost_s, cost_m, gain_s, gain_m, loss_s = config
+    payoff_s = 0.0 if silenced else (-loss_s if jam else gain_s)
+    payoff_m = gain_m if jam else 0.0
+    if switch_s and (category == A or not switch_m):
+        payoff_s -= cost_s
+    if switch_m:
+        payoff_m -= cost_m
+    return float(payoff_s), float(payoff_m)
+
+
+def simulate_args(argv):
+    """(config, policies, slots) as the CLI resolves ``simulate ARGV``."""
+    cfg = cli.parse_config(cli._build_parser().parse_args(["simulate", *argv]))
+    return cfg.network, (cfg.policy_secondary, cfg.policy_malicious), cfg.slots
+
+
+def same_float(x, y):
+    """Equal with the same sign of zero, or both nan."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+LONG_RUN = 2 * learning.COUNT_SLICE + 1_000
+#: Runs whose payoffs are read four ways: (config, policies, slots).
+PAYOFF_RUNS = {
+    "reference-fp": (REF, FP_BOTH, LONG_RUN),
+    "reference-nash": (REF, (NashPolicy(), NashPolicy()), LONG_RUN),
+    # every secondary payoff is a zero, -0.0 on a jam
+    "signed-zeros": (
+        NetworkConfig(gain_secondary=0.0, loss_secondary=0.0, cost_secondary_switch=0.0, gain_malicious=-0.0),
+        (FixedPolicy(0.5), FixedPolicy(0.5)),
+        LONG_RUN,
+    ),
+    # inexact payoffs: a pairwise sum would round differently from a running one
+    "fractional": (
+        NetworkConfig(cost_secondary_switch=0.7, cost_malicious_switch=1e-3, gain_secondary=0.1,
+                      gain_malicious=1 / 3, loss_secondary=2 / 3),
+        FP_BOTH,
+        LONG_RUN,
+    ),
+    "int-fields": (
+        NetworkConfig(cost_secondary_switch=5, cost_malicious_switch=2, gain_secondary=50, gain_malicious=75,
+                      loss_secondary=100),
+        FP_BOTH,
+        LONG_RUN,
+    ),
+    # a slot pays -inf after the secondary's total reached +inf: seed 1's total is nan
+    "infinite-slot-payoff": (*simulate_args(test_cli.TestEveryAcceptedConfig.INFINITE_SLOT_PAYOFF)[:2], LONG_RUN),
+    # finite slot payoffs whose sum overflows to -inf
+    "overflowing-totals": simulate_args(test_cli.TestOverflowingTotals.ARGS[1:]),
+    "overflowing-totals-long": (*simulate_args(test_cli.TestOverflowingTotals.ARGS[1:])[:2], LONG_RUN),
+}
+
+
+class TestPayoffReadings:
+    @pytest.mark.parametrize("count_slice", [learning.COUNT_SLICE, 999])
+    @pytest.mark.parametrize("run", list(PAYOFF_RUNS))
+    def test_every_reading_gives_the_same_bits(self, run, count_slice):
+        config, policies, slots = PAYOFF_RUNS[run]
+        result = run_simulation(config, policies, slots, seed=1)
+        whole = result.payoffs()
+        blocks = [result.payoffs(slice(lo, lo + 1024)) for lo in range(0, slots, 1024)]
+        joined = tuple(np.concatenate(column) for column in zip(*blocks))
+        columns = (result.category, result.secondary_switch, result.malicious_switch, result.jam, result.silenced)
+        reference = np.array([scalar_payoffs(config, *slot) for slot in zip(*map(np.ndarray.tolist, columns))]).T
+        for payoff in (*whole, *joined):
+            assert payoff.dtype == np.float64 and payoff.shape == (slots,)
+        for reading in (joined, reference):
+            for payoff, expected in zip(whole, reading):
+                assert np.array_equal(payoff.view(np.uint64), expected.view(np.uint64))
+        with mock.patch.object(simulate, "COUNT_SLICE", count_slice):
+            totals = result.cumulative_payoffs()
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = tuple(0.0 + float(np.cumsum(payoff)[-1]) for payoff in whole)
+        assert all(map(same_float, totals, sums)), (totals, sums)
+        if run == "signed-zeros":
+            assert np.signbit(whole[0][result.jam]).all() and result.jam.any()
+        if run.startswith("infinite"):
+            assert math.isnan(totals[0])
+        if run.startswith("overflowing"):
+            assert totals[0] == -math.inf
+
+    def test_an_int_field_counts_as_its_float(self):
+        # a jammed switch pays -1.7e308 - 1e308: -inf from floats and from ints
+        # alike, where a payoff worked out in int arithmetic is too large for a float
+        ints = NetworkConfig(n_primary=0, loss_secondary=17 * 10**307, cost_secondary_switch=10**308)
+        floats = ints._replace(loss_secondary=1.7e308, cost_secondary_switch=1e308)
+        policies = (FixedPolicy(0.5), FixedPolicy(0.5))
+        as_ints, as_floats = (run_simulation(config, policies, 200, seed=1) for config in (ints, floats))
+        for payoff, expected in zip(as_ints.payoffs(), as_floats.payoffs()):
+            assert np.array_equal(payoff.view(np.uint64), expected.view(np.uint64))
+        assert as_ints.payoffs()[0].min() == -math.inf
+        assert as_ints.cumulative_payoffs() == as_floats.cumulative_payoffs()
+
+    def test_the_record_keeps_at_most_ten_bytes_per_slot(self):
+        # nine one-byte columns; two float payoff columns would add 16
+        slots = 20_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_simulation(NetworkConfig(), FP_BOTH, slots, seed=1)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result) == slots
+        assert retained / slots <= 10
 
 
 #: Standard errors in the band of the long-run chain tests.
