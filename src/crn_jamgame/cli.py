@@ -301,7 +301,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
                 result.secondary_band[part], result.malicious_band[part], category == Category.C,
                 Labels(result.secondary_switch[part].view(np.uint8), _MOVES),
                 Labels(result.malicious_switch[part].view(np.uint8), _MOVES),
-                result.jam[part], payoff_s, payoff_m,
+                result.settled[part] == Category.A, payoff_s, payoff_m,
                 p_a, q_a, p_b, q_b,
             )
 
@@ -314,7 +314,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
     dwell = np.bincount(result.category, minlength=len(Category))
     shares = " ".join(f"{cat.name}={n} ({n / slots:.6g})" for cat, n in zip(Category, dwell))
     print(f"category dwell: {shares}")
-    print(f"jams: {np.count_nonzero(result.jam)}")
+    print(f"jams: {np.count_nonzero(result.settled == Category.A)}")
     print(
         f"history totals: malicious={np.count_nonzero(result.seen_by_malicious)} "
         f"secondary={np.count_nonzero(result.seen_by_secondary)}"

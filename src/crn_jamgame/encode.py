@@ -20,9 +20,9 @@ the bytes that ``%`` formatting gives its value:
   ``format(x, '.6g')``; ±0, ±inf and nan have template cells of their own.
 - ints and bools, ``%d``: an int array whose values all lie in [0, 10**6)
   as one word per cell, the sum of two table words, one for the leading
-  and one for the trailing three digits; other int and bool arrays by
-  three-digit groups; Python ints that NumPy would hold as objects or
-  floats (outside int64) one by one with ``%d``.
+  and one for the trailing three digits; other non-negative int arrays
+  by three-digit groups; negative ints, and Python ints that NumPy would
+  hold as objects or floats (outside int64), one by one with ``%d``.
 - :class:`output.Labels` and strings, ``%s``: each label of the table is
   encoded once in UTF-8, its cells kept for the next block with the same
   table, and gathered by its code; or plain strings, each distinct one
@@ -278,31 +278,25 @@ def _ints(values):
     v = np.asarray(values)
     if v.dtype == bool:
         return _BOOLS.take(v.view(np.uint8), axis=0).T
-    if v.dtype.kind not in "iu" or len(v) == 0:  # Python ints NumPy holds as objects or floats
+    # Python ints NumPy holds as objects or floats, and negative ints, which no command writes
+    if v.dtype.kind not in "iu" or len(v) == 0 or v.min() < 0:
         return _cells([b"%d" % value for value in values]).T
-    if v.min() >= 0 and v.max() < 10**6:  # one word: the leading and the trailing three digits
+    if v.max() < 10**6:  # one word: the leading and the trailing three digits
         high, low = np.divmod(v.astype(np.intp), 1000)
         low += 1000 * (high > 0)
         return (_INT_HIGH.take(high) + _INT_LOW.take(low)).reshape(1, -1)
-    sign = int(v.min() < 0)
     mag = v.astype(np.uint64)
-    if sign:
-        negative = v < 0
-        mag = np.where(negative, np.negative(mag), mag)  # |int64 min| is 2**63
     ndigits = len(str(int(mag.max())))
-    words = (sign + ndigits) // 8 + 1
-    chars = np.full((len(mag), 8 * words), _PAD, np.uint8)
+    chars = np.full((len(mag), 8 * (ndigits // 8 + 1)), _PAD, np.uint8)
     chars[:, -1] = ord(",")
-    if sign:
-        chars[:, 0] = np.where(negative, ord("-"), _PAD)
     rest = mag
-    for end in range(sign + ndigits, sign, -3):  # three digits at a time, from the last
+    for end in range(ndigits, 0, -3):  # three digits at a time, from the last
         rest, group = np.divmod(rest, np.uint64(1000))
-        begin = max(end - 3, sign)
+        begin = max(end - 3, 0)
         chars[:, begin:end] = _ASCII.take(group.astype(np.intp), axis=0)[:, 3 - (end - begin) :]
     if len(str(int(mag.min()))) < ndigits:  # leading zeros become pad bytes
         lead = ndigits - np.searchsorted(_POW10_INT, mag, side="right").clip(1)
-        np.copyto(chars[:, sign : sign + ndigits], _PAD, where=np.arange(ndigits) < lead[:, None])
+        np.copyto(chars[:, :ndigits], _PAD, where=np.arange(ndigits) < lead[:, None])
     return chars.view(_WORD).T
 
 

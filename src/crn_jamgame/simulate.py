@@ -3,17 +3,17 @@
 Slot loop: the current state's category is A (players share a band and
 the jam revealed both positions), B (jammer elsewhere but has sensed the
 secondary's band) or C (a licensed user silences the secondary); draw
-both players' moves from their policies, settle movement, licensed
-users and jam against freshly placed licensed users, classify the new
-state (the next slot's category), then update the per-category
-observation histories. The loop runs on plain ints and fills one row of
-the preallocated columns of :class:`SimulationResult` per slot.
+both players' moves from their policies, settle movement against freshly
+placed licensed users, classify the new state (the category the slot
+settles into, the next slot's), then update the per-category observation
+histories. The loop runs on plain ints and fills one row of the
+preallocated columns of :class:`SimulationResult` per slot.
 
 Payoffs are not kept: :func:`slot_payoffs` derives a slot's from its
-category, both moves, ``jam`` and ``silenced``, vectorized over any
-slice of the record. Settlement realizes each slot from actual band
-positions, never from the analytic payoff tables; the tables are
-reproduced as Monte Carlo averages of these ground-truth outcomes.
+categories before and after it and both moves, vectorized over any slice
+of the record. Settlement realizes each slot from actual band positions,
+never from the analytic payoff tables; the tables are reproduced as
+Monte Carlo averages of these ground-truth outcomes.
 Switching costs mirror the analytic tables' cost structure exactly,
 including the category-B (switch, switch) cell that charges the
 secondary nothing (see :func:`games.build_game`).
@@ -227,18 +227,17 @@ def settle_slot(
     actions: tuple[bool, bool],
     config: NetworkConfig,
     rng: random.Random,
-) -> tuple[int, int, bool, bool]:
-    """Resolve movement, fresh licensed users and the jam.
+) -> tuple[int, int, bool]:
+    """Resolve movement and fresh licensed users.
 
-    Returns ``(secondary_band, malicious_band, silenced, jam)`` after the
-    slot, where ``silenced`` says a licensed user sits on the secondary's
-    settled band and ``jam`` that the jammer does, with none there. Draw
-    order: the licensed-user draw first (:func:`draw_silenced`), then the
-    secondary's target band (if it switches), then the jammer's (category
-    A only; in category B a switching jammer goes straight to the
-    secondary's prior band). In category C both players stay, as
-    :func:`choose_actions` decides. The slot's payoffs follow from this
-    outcome and the moves, by :func:`slot_payoffs`.
+    Returns ``(secondary_band, malicious_band, silenced)`` after the slot,
+    where ``silenced`` says a licensed user sits on the secondary's settled
+    band; :func:`classify_state` decides a jam. Draw order: the
+    licensed-user draw first (:func:`draw_silenced`), then the secondary's
+    target band (if it switches), then the jammer's (category A only; in
+    category B a switching jammer goes straight to the secondary's prior
+    band). In category C both players stay, as :func:`choose_actions`
+    decides.
     """
     switch_s, switch_m = actions
     silenced = draw_silenced(config, rng)
@@ -251,35 +250,35 @@ def settle_slot(
             mal_band = _other_band(malicious_band, config.n_bands, rng)
         else:
             mal_band = secondary_band
-    return sec_band, mal_band, silenced, (not silenced) and mal_band == sec_band
+    return sec_band, mal_band, silenced
 
 
 def slot_payoffs(
     config: NetworkConfig,
     category: np.ndarray,
+    settled: np.ndarray,
     secondary_switch: np.ndarray,
     malicious_switch: np.ndarray,
-    jam: np.ndarray,
-    silenced: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The secondary's and the jammer's realized payoff in each slot of
     equal-length columns, as :class:`SimulationResult` holds them.
 
-    The secondary earns its gain when transmitting unjammed, loses the
-    jam loss on a jam, and earns zero under a licensed user (silenced);
-    the jammer earns its gain exactly on a jam. Switch costs mirror the
-    analytic tables: each switch pays its cost, except that in category B
-    a switching secondary pays nothing when the jammer switches too (onto
-    the band the secondary left). An uncharged slot's payoff is never
-    touched, and a charge that overflows gives -inf, silently. The fields
-    are taken as floats, so an int field counts as its float.
+    By the settled category, the secondary loses the jam loss in A, earns
+    its gain in B and zero in C (silenced); the jammer earns its gain in A.
+    Switch costs mirror the analytic tables: each switch pays its cost,
+    except that in category B a switching secondary pays nothing when the
+    jammer switches too (onto the band the secondary left). An uncharged
+    slot's payoff is never touched, and a charge that overflows gives
+    -inf, silently. The fields are taken as floats, so an int field
+    counts as its float.
     """
     cost_s, cost_m, gain_s, gain_m, loss_s = map(float, config[2:])
     with np.errstate(over="ignore"):
-        payoff_s = np.where(silenced, 0.0, np.where(jam, -loss_s, gain_s))
+        # tables indexed by category code (A, B, C)
+        payoff_s = np.array((-loss_s, gain_s, 0.0)).take(settled)
         charged = secondary_switch & ((category == A) | ~malicious_switch)
         np.subtract(payoff_s, cost_s, out=payoff_s, where=charged)
-        payoff_m = np.where(jam, gain_m, 0.0)
+        payoff_m = np.array((gain_m, 0.0, 0.0)).take(settled)
         np.subtract(payoff_m, cost_m, out=payoff_m, where=malicious_switch)
     return payoff_s, payoff_m
 
@@ -325,11 +324,11 @@ def update_histories(
 class SimulationResult:
     """Column-oriented record of a run of ``config``: row ``t`` is slot ``t``.
 
-    ``category`` holds category codes (C exactly when a licensed user
-    silenced the secondary). ``secondary_band`` and ``malicious_band``
-    are the pre-action state; the switch flags are the players' moves;
-    ``jam`` and ``silenced`` (a licensed user sits on the secondary's
-    settled band) are the settled outcome.
+    ``category`` holds each slot's category code before its moves and
+    ``settled`` the one it settles into (A on a jam, C when silenced):
+    views of one buffer, ``settled[t]`` being ``category[t + 1]``.
+    ``secondary_band`` and ``malicious_band`` are the pre-action state;
+    the switch flags are the players' moves.
     ``seen_by_malicious`` marks the slots whose secondary move the jammer
     recorded, ``seen_by_secondary`` those whose jammer move the secondary
     recorded. Payoffs, running and final frequencies and the cumulative
@@ -338,12 +337,11 @@ class SimulationResult:
 
     config: NetworkConfig
     category: np.ndarray
+    settled: np.ndarray
     secondary_band: np.ndarray
     malicious_band: np.ndarray
     secondary_switch: np.ndarray
     malicious_switch: np.ndarray
-    jam: np.ndarray
-    silenced: np.ndarray
     seen_by_malicious: np.ndarray
     seen_by_secondary: np.ndarray
 
@@ -354,8 +352,8 @@ class SimulationResult:
         """The secondary's and the jammer's payoff in each slot of ``part``
         (every slot by default), by :func:`slot_payoffs`."""
         return slot_payoffs(
-            self.config, self.category[part], self.secondary_switch[part], self.malicious_switch[part],
-            self.jam[part], self.silenced[part],
+            self.config, self.category[part], self.settled[part], self.secondary_switch[part],
+            self.malicious_switch[part],
         )
 
     def _observed(self, category: int):
@@ -428,30 +426,30 @@ def run_simulation(
     secondary_band = np.empty(slots, band)
     malicious_band = np.empty(slots, band)
     # one-byte columns fill bytearrays: their item stores cost a third of NumPy's
-    category, secondary_switch, malicious_switch, jam, silenced, seen_by_malicious, seen_by_secondary = (
-        bytearray(slots) for _ in range(7)
-    )
+    secondary_switch, malicious_switch, seen_by_malicious, seen_by_secondary = (bytearray(slots) for _ in range(4))
+    states = bytearray(slots + 1)  # each slot's category, then the one the last slot settles into
 
     sec = rng.randrange(config.n_bands)
     mal = rng.randrange(config.n_bands)
     cat = classify_state(sec, mal, draw_silenced(config, rng))
     histories = ([0, 0, 0, 0], [0, 0, 0, 0])
     for t in range(slots):
-        category[t] = cat
+        states[t] = cat
         secondary_band[t] = sec
         malicious_band[t] = mal
         actions = choose_actions(cat, plans, histories, rng)
         secondary_switch[t], malicious_switch[t] = actions
-        sec, mal, silent, jam[t] = settle_slot(cat, sec, mal, actions, config, rng)
-        silenced[t] = silent
-        next_cat = classify_state(sec, mal, silent)
+        sec, mal, silenced = settle_slot(cat, sec, mal, actions, config, rng)
+        next_cat = classify_state(sec, mal, silenced)
         seen_by_malicious[t], seen_by_secondary[t] = update_histories(
             cat, actions, next_cat, histories
         )
         cat = next_cat
+    states[slots] = cat
     view = np.frombuffer
+    codes = view(states, np.int8)
     return SimulationResult(
-        config, view(category, np.int8), secondary_band, malicious_band,
-        view(secondary_switch, bool), view(malicious_switch, bool), view(jam, bool), view(silenced, bool),
+        config, codes[:-1], codes[1:], secondary_band, malicious_band,
+        view(secondary_switch, bool), view(malicious_switch, bool),
         view(seen_by_malicious, bool), view(seen_by_secondary, bool),
     )

@@ -27,7 +27,7 @@ from crn_jamgame import (
 from crn_jamgame.cli import main
 from crn_jamgame.games import FIRST_IS_SWITCH, BimatrixGame
 from crn_jamgame.nash import pure_equilibria
-from crn_jamgame.simulate import C, settle_slot, slot_payoffs
+from crn_jamgame.simulate import C, classify_state, settle_slot, slot_payoffs
 from oracles import col_payoff, grid_accepts_near, grid_equilibria, row_payoff
 
 REF = NetworkConfig()
@@ -202,12 +202,12 @@ def test_criterion_5_settlement_reproduces_the_tables():
         for row in (1, 2):
             for col in (1, 2):
                 actions = ((row == 1) == first_s, (col == 1) == first_m)
-                silenced, jam = bytearray(slots), bytearray(slots)
+                settled = bytearray(slots)
                 for t in range(slots):
-                    _, _, silenced[t], jam[t] = settle_slot(category, sec_band, mal_band, actions, REF, rng)
+                    settled[t] = classify_state(*settle_slot(category, sec_band, mal_band, actions, REF, rng))
                 payoffs = slot_payoffs(
-                    REF, np.full(slots, category, np.int8), np.full(slots, actions[0]), np.full(slots, actions[1]),
-                    np.frombuffer(jam, bool), np.frombuffer(silenced, bool),
+                    REF, np.full(slots, category, np.int8), np.frombuffer(settled, np.int8),
+                    np.full(slots, actions[0]), np.full(slots, actions[1]),
                 )
                 for payoff, expected in zip(payoffs, (row_payoff(game, row, col), col_payoff(game, row, col))):
                     mean = float(payoff.mean())

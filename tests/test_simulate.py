@@ -234,10 +234,9 @@ class TestChooseActions:
 
 def settled_payoffs(category, actions, outcome, config):
     """:func:`simulate.slot_payoffs` of one settled slot, as floats."""
-    _, _, silenced, jam = outcome
     payoff_s, payoff_m = simulate.slot_payoffs(
-        config, np.array([category], np.int8), np.array([actions[0]]), np.array([actions[1]]),
-        np.array([jam]), np.array([silenced]),
+        config, np.array([category], np.int8), np.array([classify_state(*outcome)], np.int8),
+        np.array([actions[0]]), np.array([actions[1]]),
     )
     return float(payoff_s[0]), float(payoff_m[0])
 
@@ -245,15 +244,15 @@ def settled_payoffs(category, actions, outcome, config):
 class TestSettleSlot:
     def test_colocated_both_stay_is_a_certain_jam_without_primaries(self):
         outcome = settle_slot(A, 2, 2, (STAY, STAY), NO_PRIMARIES, random.Random(0))
-        sec, mal, _, jam = outcome
-        assert jam
+        sec, mal, _ = outcome
+        assert classify_state(*outcome) == A  # a jam
         assert settled_payoffs(A, (STAY, STAY), outcome, NO_PRIMARIES) == (-100.0, 75.0)
         assert sec == 2 and mal == 2
 
     def test_colocated_stay_switch_frees_the_secondary(self):
         outcome = settle_slot(A, 2, 2, (STAY, SWITCH), NO_PRIMARIES, random.Random(0))
-        _, mal, _, jam = outcome
-        assert not jam
+        _, mal, _ = outcome
+        assert classify_state(*outcome) == B  # no jam, no licensed user
         assert settled_payoffs(A, (STAY, SWITCH), outcome, NO_PRIMARIES) == (50.0, -2.0)
         assert mal != 2
 
@@ -271,8 +270,8 @@ class TestSettleSlot:
     def test_category_c_keeps_positions_and_pays_by_stay_rules(self):
         config = NetworkConfig(n_primary=10)  # saturated: always category C
         outcome = settle_slot(C, 1, 5, (STAY, STAY), config, random.Random(3))
-        sec, mal, silenced, jam = outcome
-        assert silenced and not jam
+        sec, mal, silenced = outcome
+        assert silenced and classify_state(*outcome) == C
         assert settled_payoffs(C, (STAY, STAY), outcome, config) == (0.0, 0.0)
         assert sec == 1 and mal == 5
 
@@ -280,7 +279,8 @@ class TestSettleSlot:
         rng = random.Random(5)
         for _ in range(500):
             outcome = settle_slot(A, 3, 3, (SWITCH, SWITCH), REF, rng)
-            sec, mal, silenced, jam = outcome
+            sec, mal, silenced = outcome
+            jam = classify_state(*outcome) == A
             assert jam == (sec == mal and not silenced)
             _, payoff_m = settled_payoffs(A, (SWITCH, SWITCH), outcome, REF)
             if jam:
@@ -306,10 +306,10 @@ class TestSettleSlot:
             for col in (1, 2):
                 actions = ((row == 1) == first_s, (col == 1) == first_m)
                 outcomes = [settle_slot(category, *pre_state, actions, REF, rng) for _ in range(trials)]
-                _, _, silenced, jam = map(np.array, zip(*outcomes))
+                settled = np.array([classify_state(*outcome) for outcome in outcomes], np.int8)
                 payoffs = simulate.slot_payoffs(
-                    REF, np.full(trials, category, np.int8), np.full(trials, actions[0]),
-                    np.full(trials, actions[1]), jam, silenced,
+                    REF, np.full(trials, category, np.int8), settled, np.full(trials, actions[0]),
+                    np.full(trials, actions[1]),
                 )
                 for payoff, expected in zip(payoffs, (row_payoff(game, row, col), col_payoff(game, row, col))):
                     std_err = math.sqrt(payoff.var() / trials)
@@ -375,29 +375,28 @@ def c_run_lengths(category):
 
 def check_record(result):
     """The invariants of a simulation's record, slot by slot."""
-    # slot t's settled state is slot t + 1's pre-action state
-    jam = result.jam[:-1]
+    # each slot settles into the next slot's category, in one buffer of codes
+    assert np.shares_memory(result.category, result.settled)
+    assert np.array_equal(result.settled[:-1], result.category[1:])
+    jam = result.settled == A
+    # slot t's settled bands are slot t + 1's pre-action bands; a jam is
+    # a co-location with no licensed user on the secondary's band
     after_sec = result.secondary_band[1:]
     after_mal = result.malicious_band[1:]
-    silenced = result.category[1:] == C  # C exactly when the settled band is silenced
-    assert np.array_equal(result.silenced[:-1], silenced)
-    assert not (result.silenced & result.jam).any()
-    assert (after_sec[jam] == after_mal[jam]).all()
-    assert not silenced[jam].any()
-    assert np.array_equal(jam, (after_sec == after_mal) & ~silenced)
-    assert np.array_equal(jam, result.category[1:] == A)
+    assert (after_sec[jam[:-1]] == after_mal[jam[:-1]]).all()
+    assert np.array_equal(jam[:-1], (after_sec == after_mal) & (result.settled[:-1] != C))
     in_c = result.category == C
     assert not result.secondary_switch[in_c].any()
     assert not result.malicious_switch[in_c].any()
-    # the observation rule of update_histories, for every slot with a
-    # recorded successor: nothing is seen from or into category C; else
-    # the jammer sees every move, the secondary unless it switched unjammed
-    silent = in_c[:-1] | silenced
-    seen_m = result.seen_by_malicious[:-1]
-    seen_s = result.seen_by_secondary[:-1]
+    # the observation rule of update_histories, for every slot: nothing is
+    # seen from or into category C; else the jammer sees every move, the
+    # secondary unless it switched unjammed
+    silent = in_c | (result.settled == C)
+    seen_m = result.seen_by_malicious
+    seen_s = result.seen_by_secondary
     assert not seen_m[silent].any() and not seen_s[silent].any()
     assert seen_m[~silent].all()
-    informative = ~result.secondary_switch[:-1] | (result.category[1:] == A)
+    informative = ~result.secondary_switch | jam
     assert np.array_equal(seen_s[~silent], informative[~silent])
     assert (np.cumsum(result.seen_by_malicious) >= np.cumsum(result.seen_by_secondary)).all()
 
@@ -431,8 +430,8 @@ class TestRunSimulation:
             if field.name != "config"
         }
         assert dtypes == {
-            "category": np.int8, "secondary_band": band_dtype, "malicious_band": band_dtype,
-            "secondary_switch": bool, "malicious_switch": bool, "jam": bool, "silenced": bool,
+            "category": np.int8, "settled": np.int8, "secondary_band": band_dtype, "malicious_band": band_dtype,
+            "secondary_switch": bool, "malicious_switch": bool,
             "seen_by_malicious": bool, "seen_by_secondary": bool,
         }
         for column in (result.secondary_band, result.malicious_band):
@@ -448,6 +447,28 @@ class TestRunSimulation:
             finals = first.final_frequencies(code), second.final_frequencies(code)
             assert np.array_equal(*finals, equal_nan=True)
         assert np.array_equal(first.cumulative_payoffs(), second.cumulative_payoffs(), equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "policies,slots,seed,last",
+        [
+            ((FixedPolicy(0.3), FixedPolicy(0.6)), 1_000, 0, B),
+            ((NashPolicy(), NashPolicy()), 1_000, 0, C),
+            (FP_BOTH, 1_000, 2, B),
+            (FP_BOTH, 2, 1, C),
+        ],
+        ids=["fixed", "nash", "fp", "fp-two-slots"],
+    )
+    def test_a_run_is_the_first_slots_of_a_longer_one(self, policies, slots, seed, last):
+        # fit_to_counts leaves the default games as they are, so the run
+        # length changes no draw; the last slot settles into B or C, never
+        # into the A a buffer's unwritten zero would read as
+        result = run_simulation(REF, policies, slots, seed)
+        longer = run_simulation(REF, policies, slots + 1, seed)
+        for field in dataclasses.fields(SimulationResult):
+            if field.name != "config":
+                assert np.array_equal(getattr(result, field.name), getattr(longer, field.name)[:slots])
+        assert result.settled[-1] == longer.category[slots] == last
+        assert np.shares_memory(result.category, result.settled)
 
     def test_record_invariants(self):
         nash = (NashPolicy(), NashPolicy())
@@ -574,7 +595,7 @@ class TestRunSimulation:
         )
         first = run_simulation(huge, FP_BOTH, 5_000, seed=5)
         second = run_simulation(scaled, FP_BOTH, 5_000, seed=5)
-        for name in ("category", "secondary_switch", "malicious_switch", "jam"):
+        for name in ("category", "settled", "secondary_switch", "malicious_switch"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
 
     def test_rejects_zero_slots(self):
@@ -603,12 +624,12 @@ class TestRunSimulation:
             assert str(error.value).endswith(f"(got {policy!r})")
 
 
-def scalar_payoffs(config, category, switch_s, switch_m, jam, silenced):
+def scalar_payoffs(config, category, settled, switch_s, switch_m):
     """One slot's payoffs by the scalar rule, in Python arithmetic, stored
     as floats: the reference for slot_payoffs."""
     _, _, cost_s, cost_m, gain_s, gain_m, loss_s = config
-    payoff_s = 0.0 if silenced else (-loss_s if jam else gain_s)
-    payoff_m = gain_m if jam else 0.0
+    payoff_s = 0.0 if settled == C else (-loss_s if settled == A else gain_s)
+    payoff_m = gain_m if settled == A else 0.0
     if switch_s and (category == A or not switch_m):
         payoff_s -= cost_s
     if switch_m:
@@ -670,7 +691,7 @@ class TestPayoffReadings:
         whole = result.payoffs()
         blocks = [result.payoffs(slice(lo, lo + 1024)) for lo in range(0, slots, 1024)]
         joined = tuple(np.concatenate(column) for column in zip(*blocks))
-        columns = (result.category, result.secondary_switch, result.malicious_switch, result.jam, result.silenced)
+        columns = (result.category, result.settled, result.secondary_switch, result.malicious_switch)
         reference = np.array([scalar_payoffs(config, *slot) for slot in zip(*map(np.ndarray.tolist, columns))]).T
         for payoff in (*whole, *joined):
             assert payoff.dtype == np.float64 and payoff.shape == (slots,)
@@ -683,7 +704,8 @@ class TestPayoffReadings:
             sums = tuple(0.0 + float(np.cumsum(payoff)[-1]) for payoff in whole)
         assert all(map(same_float, totals, sums)), (totals, sums)
         if run == "signed-zeros":
-            assert np.signbit(whole[0][result.jam]).all() and result.jam.any()
+            jam = result.settled == A
+            assert np.signbit(whole[0][jam]).all() and jam.any()
         if run.startswith("infinite"):
             assert math.isnan(totals[0])
         if run.startswith("overflowing"):
@@ -702,7 +724,7 @@ class TestPayoffReadings:
         assert as_ints.cumulative_payoffs() == as_floats.cumulative_payoffs()
 
     def test_the_record_keeps_at_most_ten_bytes_per_slot(self):
-        # nine one-byte columns; two float payoff columns would add 16
+        # seven one-byte columns; two float payoff columns would add 16
         slots = 20_000
         tracemalloc.start()
         try:
@@ -742,9 +764,9 @@ def assert_long_run(result, config, switch_a, switch_b):
         share, band = long_run_share(chain, indicator, slots, CHAIN_Z)
         measured = np.count_nonzero(result.category == Category[name]) / slots
         assert abs(measured - share) <= band, (name, measured, share, band)
-    # slot t jams exactly when slot t + 1 is A: the A share one slot later
+    # a slot jams exactly when it settles into A: the A share one slot later
     share, band = long_run_share(chain, CHAIN_CATEGORIES["A"], slots, CHAIN_Z)
-    measured = np.count_nonzero(result.jam) / slots
+    measured = np.count_nonzero(result.settled == A) / slots
     assert abs(measured - share) <= band, ("jam", measured, share, band)
 
 
