@@ -485,6 +485,7 @@ class TestCmdSimulate:
         st.integers(1, 3000),
         st.integers(0, 2**32),
     )
+    @example(5, "fp", "fp", 100_000, 1)  # the default config over a long run
     @settings(max_examples=100, deadline=None)
     def test_printed_lines_agree_with_the_csv(self, n_primary, secondary, malicious, slots, seed):
         # cmd_simulate computes its printed lines from the record, apart from the CSV
@@ -502,9 +503,8 @@ class TestCmdSimulate:
         lines = dict(line.partition(": ")[::2] for line in printed.getvalue().splitlines())
         assert int(lines["slots"]) == len(rows) == slots
         for side, column in (("secondary", "payoff_s"), ("malicious", "payoff_m")):
-            total = sum(float(row[column]) for row in rows)
-            printed_total = float(lines[f"cumulative payoff {side}"])
-            assert math.isclose(printed_total, total, rel_tol=1e-5, abs_tol=1e-12)  # 6 digits
+            total = math.fsum(float(row[column]) for row in rows)
+            assert float(f"{total:.6g}") == float(lines[f"cumulative payoff {side}"])  # 6 digits
         dwell = re.findall(r"(\w)=(\d+) \((\S+)\)", lines["category dwell"])
         in_csv = Counter(row["category"] for row in rows)
         assert [name for name, _count, _share in dwell] == ["A", "B", "C"]
@@ -512,6 +512,9 @@ class TestCmdSimulate:
             assert int(count) == in_csv[name]
             assert share == f"{in_csv[name] / slots:.6g}"
         assert int(lines["jams"]) == sum(int(row["jam"]) for row in rows)
+        for row, after in zip(rows, rows[1:]):
+            # a slot jams exactly when it settles into A, the next slot's category
+            assert (row["jam"] == "1") == (after["category"] == "A"), row["slot"]
         finals = re.fullmatch(
             r"A p\*=(\S+) q\*=(\S+); B p\*=(\S+) q\*=(\S+)", lines["final frequencies"]
         ).groups()
@@ -672,21 +675,26 @@ class TestCmdSweep:
 
     def test_an_overflowing_cell_leaves_a_symlinked_out_as_it_was(self, tmp_path, capsys):
         # cost_secondary_switch's last value, 1.7e308, overflows entry a; the
-        # grid is rejected before the first of its 3,401 cells is written
+        # grid is rejected before the first of its 3,401 cells is written,
+        # through a symlink or, in a fresh interpreter, through /dev/stdout
+        grid = [
+            "sweep", "--sweep", "cost_secondary_switch=0..1.7e308:5e304", "--loss-secondary", "1e308",
+            "--n-primary", "0", "--n-bands", "2",
+        ]
+        error = (
+            "config error: sweep: payoff entry a = -cost_secondary_switch + roam must be finite"
+            " (cost_secondary_switch=1.7e+308, gain_secondary=50.0, loss_secondary=1e+308, n_bands=2, n_primary=0)\n"
+        )
         target = tmp_path / "target.csv"
         target.write_bytes(b"earlier results\n")
         link = tmp_path / "link.csv"
         link.symlink_to(target)
-        assert main([
-            "sweep", "--sweep", "cost_secondary_switch=0..1.7e308:5e304", "--loss-secondary", "1e308",
-            "--n-primary", "0", "--n-bands", "2", "--out", str(link),
-        ]) == 2
+        assert main([*grid, "--out", str(link)]) == 2
         assert target.read_bytes() == b"earlier results\n"
         assert link.is_symlink() and sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "target.csv"]
-        assert capsys.readouterr() == ("", (
-            "config error: sweep: payoff entry a = -cost_secondary_switch + roam must be finite"
-            " (cost_secondary_switch=1.7e+308, gain_secondary=50.0, loss_secondary=1e+308, n_bands=2, n_primary=0)\n"
-        ))
+        assert capsys.readouterr() == ("", error)
+        done = run_cli([*grid, "--out", "/dev/stdout"], subprocess.PIPE)
+        assert (done.returncode, done.stdout, done.stderr.decode()) == (2, b"", error)
 
     @given(small_grids())
     # only the last value is invalid: entry a overflows to -inf
@@ -926,18 +934,21 @@ class TestExitCodes:
         assert main(["nash", *self.OVERFLOWING_SUMS]) == 0
         out, err = capsys.readouterr()
         assert err == ""
-        for category in "AB":
-            assert f"category {category}: p=0.5 q=0.5 " in out
+        assert re.findall(r"^category (\w): p=0\.5 q=0\.5 ", out, re.MULTILINE) == ["A", "B"]
         assert main(["fp", "--iterations", "200", "--out", str(tmp_path / "fp.csv"), *self.OVERFLOWING_SUMS]) == 0
         out, err = capsys.readouterr()
         assert err == "" and "(equilibrium p=0.5 q=0.5)" in out
 
-    @pytest.mark.parametrize("command", ["nash", "fp", "simulate"])
+    @pytest.mark.parametrize(
+        "command", [["nash"], ["fp"], ["fp", "--category", "B"], ["simulate"]],
+        ids=["nash", "fp", "fp-category-B", "simulate"],
+    )
     def test_an_overflowing_payoff_entry_exits_two_and_writes_nothing(self, tmp_path, capsys, command):
-        # every field is finite, but entry a = -cost + roam overflows to -inf
+        # every field is finite, but entry a = -cost + roam overflows to -inf;
+        # the message does not depend on the command or the category
         out = tmp_path / "out.csv"
         assert main([
-            command, "--n-primary", "0", "--cost-secondary-switch", "1.7e308",
+            *command, "--n-primary", "0", "--cost-secondary-switch", "1.7e308",
             "--loss-secondary", "1.7e308", "--iterations", "10", "--slots", "10", "--out", str(out),
         ]) == 2
         assert capsys.readouterr() == ("", OVERFLOWING_ENTRY_ERROR + "\n")
@@ -1032,8 +1043,8 @@ class TestFailurePaths:
 
     @pytest.mark.parametrize(
         "out",
-        ["existing", "missing" + os.sep, f"existing{os.sep}.", f"missing{os.sep}."],
-        ids=["existing", "trailing-separator", "existing-dot", "missing-dot"],
+        ["existing", "existing" + os.sep, "missing" + os.sep, f"existing{os.sep}.", f"missing{os.sep}."],
+        ids=["existing", "existing-trailing-separator", "trailing-separator", "existing-dot", "missing-dot"],
     )
     @pytest.mark.parametrize("command", list(SHORT_RUNS))
     def test_a_directory_is_an_io_error_before_any_work(self, tmp_path, monkeypatch, capsys, command, out):
@@ -1251,7 +1262,7 @@ class TestOverflowingTotals:
         done = run_cli([*self.ARGS, "--out", str(tmp_path / "sim.csv")], subprocess.PIPE)
         assert done.returncode == 0
         assert done.stderr == b""
-        assert b"cumulative payoff secondary: -inf\n" in done.stdout
+        assert b"cumulative payoff secondary: -inf" in done.stdout.splitlines()
 
     def test_a_total_that_meets_both_infinities_is_nan(self, tmp_path, capsys):
         # the secondary's total reaches +inf, then a jammed switch pays

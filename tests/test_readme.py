@@ -1,12 +1,15 @@
-"""The README's Library example runs as written, and its CLI usage block
-and config-file key list name exactly the settings the CLI has.
+"""The README's Library example and CLI examples run as written, and its
+CLI usage block and config-file key list name exactly the settings the CLI
+has.
 
-The block is executed verbatim, so a name it imports that leaves the
-package's top level, or a return value it unpacks that changes shape,
-fails here.
+The Library block is executed verbatim, so a name it imports that leaves
+the package's top level, or a return value it unpacks that changes shape,
+fails here. Each CLI example line goes through ``cli.main``, the function
+behind the ``crn-jamgame`` console script.
 """
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,16 @@ def test_library_example_runs_verbatim():
     assert abs(p_star - 0.948) <= 0.03 and abs(q_star - 0.84) <= 0.03  # as its comment says
     p_star, q_star = namespace["result"].final_frequencies(namespace["A"])
     assert abs(p_star - 0.948) <= 0.05 and abs(q_star - 0.84) <= 0.05
+
+
+def test_cli_examples_run_as_written(tmp_path, monkeypatch):
+    block = re.search(r"\nExamples:\n\n```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert block, "README CLI section has no Examples sh block"
+    monkeypatch.chdir(tmp_path)
+    for line in block.group(1).replace("\\\n", " ").splitlines():
+        argv = shlex.split(line)
+        assert argv[0] == "crn-jamgame", line
+        assert cli.main(argv[1:]) == 0, line
 
 
 def test_config_file_keys_are_the_settings_table():
