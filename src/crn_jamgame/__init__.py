@@ -7,15 +7,16 @@ on observed action counts, and simulates the full discrete-time
 band-hopping network.
 """
 
-from .games import Category, NetworkConfig, build_game, derived_probabilities
-from .learning import run_fp
-from .nash import mixed_equilibrium, verify_equilibrium
-from .simulate import (
+from .games import (
+    Category,
     FictitiousPlayPolicy,
     FixedPolicy,
     NashPolicy,
-    run_simulation,
+    NetworkConfig,
+    build_game,
+    derived_probabilities,
 )
+from .nash import mixed_equilibrium, verify_equilibrium
 
 __version__ = "0.1.0"
 
@@ -33,3 +34,15 @@ __all__ = [
     "run_simulation",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # run_fp and run_simulation import their modules on first access, so
+    # that a command which runs neither never compiles them
+    if name == "run_fp":
+        from .learning import run_fp as value
+    elif name == "run_simulation":
+        from .simulate import run_simulation as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return value

@@ -20,13 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .games import FIRST_IS_SWITCH, Category, ConfigError, NetworkConfig, build_game
-from .learning import run_fp
+from .games import (
+    FIRST_IS_SWITCH, Category, ConfigError, FictitiousPlayPolicy, FixedPolicy, NashPolicy, NetworkConfig, Policy,
+    build_game,
+)
 from .nash import mixed_equilibrium, pure_equilibria, strategy_utilities
 from .output import Labels, reject_directory, write_csv
-from .simulate import (
-    FictitiousPlayPolicy, FixedPolicy, NashPolicy, Policy, run_simulation,
-)
 
 MAX_SEED = 2**64 - 1
 SEED_ENV_VAR = "CRN_JAMGAME_SEED"
@@ -61,9 +60,10 @@ def _policy(text, key: str) -> Policy:
             prob = float(text.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"{key}: fixed policy needs a number (got {text!r})") from None
-        if not 0.0 <= prob <= 1.0:
-            raise ConfigError(f"{key}: fixed probability must lie in [0, 1] (got {prob!r})")
-        return FixedPolicy(prob)
+        try:
+            return FixedPolicy(prob)
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     raise ConfigError(f"{key}: expected 'fixed:P', 'nash' or 'fp' (got {text!r})")
 
 
@@ -199,6 +199,27 @@ def parse_config(args: argparse.Namespace) -> argparse.Namespace:
     return argparse.Namespace(network=network, sweeps=sweeps, iterations_given=iterations_given, **values)
 
 
+# The learner and the simulator are imported only by the commands that run
+# them: a run compiles each module it imports when no bytecode is cached, so
+# ``nash`` and ``sweep`` load neither. The commands call these two names as
+# module globals, which the traced benchmark replaces, and import the module
+# before the first call, so that a timed call loads no module.
+
+
+def run_fp(game, iterations: int, seed: int):
+    """:func:`learning.run_fp`, imported when called."""
+    from .learning import run_fp
+
+    return run_fp(game, iterations, seed)
+
+
+def run_simulation(config: NetworkConfig, policies: tuple[Policy, Policy], slots: int, seed: int):
+    """:func:`simulate.run_simulation`, imported when called."""
+    from .simulate import run_simulation
+
+    return run_simulation(config, policies, slots, seed)
+
+
 #: Rows per block that a command hands ``write_csv``. A block's arrays and
 #: line buffer are the writer's transient memory, which grows with it. A
 #: block's float columns are encoded in one pass, several thousand values
@@ -247,6 +268,8 @@ FP_COLUMNS = ("iteration", "secondary_action", "malicious_action", "p_star", "q_
 
 def cmd_fp(cfg: argparse.Namespace) -> int:
     """Run learning on the chosen category's game; one CSV row per stage."""
+    from . import learning  # loaded before run_fp is called
+
     game = build_game(cfg.network, cfg.category)
     reference = mixed_equilibrium(game)
     trace = run_fp(game, cfg.iterations, cfg.seed)
@@ -287,6 +310,8 @@ SIMULATE_COLUMNS = (
 
 def cmd_simulate(cfg: argparse.Namespace) -> int:
     """Full network run; per-slot trace CSV plus a printed summary."""
+    from . import simulate  # loaded before run_simulation is called
+
     result = run_simulation(cfg.network, (cfg.policy_secondary, cfg.policy_malicious), cfg.slots, cfg.seed)
 
     def blocks():
@@ -359,6 +384,8 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     names = [name for name, _values in cfg.sweeps]
     value_lists = [values for _name, values in cfg.sweeps]
     with_fp = cfg.iterations_given
+    if with_fp:
+        from . import learning  # loaded before run_fp is called
     _check_grid(cfg.network, cfg.sweeps)
 
     def rows():

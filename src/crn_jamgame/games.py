@@ -17,6 +17,11 @@ switching costs, the transmission gain, and the jamming gain/loss.
 A :class:`NetworkConfig` raises :class:`ConfigError` for an invalid field,
 or when payoff entry ``a = -cost_secondary_switch + roam``, the only one
 that can, overflows a float: so :func:`build_game` never raises it for one.
+
+A player's policy in these games (:class:`FixedPolicy`, :class:`NashPolicy`
+or :class:`FictitiousPlayPolicy`) is declared here, beside the categories
+and :data:`FIRST_IS_SWITCH` that give its strategies their moves, so that
+the CLI builds one without loading the simulator that plays it.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import functools
 import math
 import sys
 from collections import namedtuple
+from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
@@ -37,6 +43,9 @@ __all__ = [
     "BimatrixGame",
     "derived_probabilities",
     "build_game",
+    "FixedPolicy",
+    "NashPolicy",
+    "FictitiousPlayPolicy",
 ]
 
 
@@ -64,6 +73,35 @@ _FLOAT_MAX = sys.float_info.max
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field or payoff
     entry, and is what the CLI reports."""
+
+
+@dataclass(frozen=True, slots=True)
+class FixedPolicy:
+    """Play strategy 1 with a set probability, in every category. A
+    probability outside [0, 1], or nan, is a ConfigError."""
+
+    probability_first: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.probability_first <= 1.0:
+            raise ConfigError(f"fixed probability must lie in [0, 1] (got {self.probability_first!r})")
+
+
+@dataclass(frozen=True, slots=True)
+class NashPolicy:
+    """Sample the analytic mixed equilibrium of the current category's game.
+
+    Plays the game's first :func:`nash.pure_equilibria` profile when the
+    game is degenerate, which only a game with a pure equilibrium is.
+    """
+
+
+@dataclass(frozen=True, slots=True)
+class FictitiousPlayPolicy:
+    """Best-respond to the opponent counts observed in the current category."""
+
+
+Policy = FixedPolicy | NashPolicy | FictitiousPlayPolicy
 
 
 class NetworkConfig(

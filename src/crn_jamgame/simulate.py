@@ -9,6 +9,11 @@ settles into, the next slot's), then update the per-category observation
 histories. The loop runs on plain ints and fills one row of the
 preallocated columns of :class:`SimulationResult` per slot.
 
+The policies the players follow are declared in :mod:`games`
+(:class:`games.FixedPolicy`, :class:`games.NashPolicy`,
+:class:`games.FictitiousPlayPolicy`) and imported here;
+:func:`plan_policies` resolves them into draws once per run.
+
 Payoffs are not kept: :func:`slot_payoffs` derives a slot's from its
 categories before and after it and both moves, vectorized over any slice
 of the record. Settlement realizes each slot from actual band positions,
@@ -52,7 +57,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import FIRST_IS_SWITCH, BimatrixGame, Category, NetworkConfig, build_game
+from .games import (
+    FIRST_IS_SWITCH, BimatrixGame, Category, FictitiousPlayPolicy, FixedPolicy, NashPolicy, NetworkConfig, Policy,
+    build_game,
+)
 from .learning import COUNT_SLICE, best_response, final_share, fit_to_counts, running_share
 from .nash import EquilibriumReport, mixed_equilibrium, pure_equilibria
 
@@ -60,9 +68,6 @@ __all__ = [
     "A",
     "B",
     "C",
-    "FixedPolicy",
-    "NashPolicy",
-    "FictitiousPlayPolicy",
     "SimulationResult",
     "draw_silenced",
     "classify_state",
@@ -78,36 +83,6 @@ __all__ = [
 #: plain ints equal to the ``Category`` codes, whose compares and tuple
 #: indexing the interpreter specialises, as it does not for an IntEnum.
 A, B, C = map(int, Category)
-
-
-@dataclass(frozen=True, slots=True)
-class FixedPolicy:
-    """Play strategy 1 with a set probability, in every category."""
-
-    probability_first: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.probability_first <= 1.0:
-            raise ValueError(
-                f"probability_first must lie in [0, 1] (got {self.probability_first!r})"
-            )
-
-
-@dataclass(frozen=True, slots=True)
-class NashPolicy:
-    """Sample the analytic mixed equilibrium of the current category's game.
-
-    Plays the game's first :func:`nash.pure_equilibria` profile when the
-    game is degenerate, which only a game with a pure equilibrium is.
-    """
-
-
-@dataclass(frozen=True, slots=True)
-class FictitiousPlayPolicy:
-    """Best-respond to the opponent counts observed in the current category."""
-
-
-Policy = FixedPolicy | NashPolicy | FictitiousPlayPolicy
 
 
 def draw_silenced(config: NetworkConfig, rng: random.Random) -> bool:

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from crn_jamgame import cli
 from crn_jamgame.cli import main
-from crn_jamgame.games import Category, NetworkConfig, build_game
+from crn_jamgame.games import (
+    Category, FictitiousPlayPolicy, FixedPolicy, NashPolicy, NetworkConfig, build_game,
+)
 from crn_jamgame.nash import mixed_equilibrium, pure_equilibria, strategy_utilities
 from crn_jamgame.output import write_csv
-from crn_jamgame.simulate import FictitiousPlayPolicy, FixedPolicy, NashPolicy
 
 REFERENCE_DEFAULTS = {
     "n_bands": 10,
@@ -85,19 +86,28 @@ def read_csv(path):
     return header, rows
 
 
+def fresh_python(code, *args):
+    """The words of the last line that ``python -c code ARGS`` prints, run
+    in a fresh interpreter with the package on its path."""
+    import crn_jamgame
+
+    env = dict(os.environ, PYTHONPATH=str(Path(crn_jamgame.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1].split()
+
+
 class TestParseConfig:
     def test_importing_the_cli_loads_no_json(self):
-        # json is imported by the one reader of a --config file, when it runs
-        import crn_jamgame
-
+        # json is imported by the one reader of a --config file, when it runs,
+        # and the learner and the simulator by the commands that run them
         probe = (
             "import sys; before = 'json' in sys.modules; import crn_jamgame.cli; "
-            "print(before, 'json' in sys.modules)"
+            "print(before, *(name in sys.modules for name in "
+            "('json', 'numpy', 'crn_jamgame.learning', 'crn_jamgame.simulate')))"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(crn_jamgame.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, timeout=60)
-        assert done.returncode == 0, done.stderr
-        before, after = done.stdout.split()
+        before, after, *loaded = fresh_python(probe)
+        assert loaded == [b"True", b"False", b"False"]
         if before == b"True":
             pytest.skip("the interpreter loads json at start-up")
         assert after == b"False"
@@ -178,10 +188,15 @@ class TestParseConfig:
             (b'{"out": "\xff"}', "cannot read"),
             (b'[{"seed": 1}]', "top-level JSON value must be an object"),
             (b'{"policy_secondary": "fixed:x"}', "policy_secondary: fixed policy needs a number"),
-            (b'{"policy_malicious": "fixed:2"}', "policy_malicious: fixed probability must lie in [0, 1]"),
+            *(
+                (b'{"policy_malicious": "fixed:%s"}' % text,
+                 f"config error: policy_malicious: fixed probability must lie in [0, 1] (got {value!r})\n")
+                for text, value in ((b"2", 2.0), (b"-0.1", -0.1), (b"1.5", 1.5), (b"nan", math.nan))
+            ),
         ],
         ids=["int-over-float-range", "bands-over-float-range", "int-over-digit-limit",
-             "deep-nesting", "not-utf8", "not-an-object", "fixed-not-a-number", "fixed-out-of-range"],
+             "deep-nesting", "not-utf8", "not-an-object", "fixed-not-a-number", "fixed-out-of-range",
+             "fixed-below-zero", "fixed-above-one", "fixed-nan"],
     )
     def test_unusable_config_file_exits_two_and_writes_nothing(self, tmp_path, capsys, content, named):
         config = tmp_path / "config.json"
@@ -218,6 +233,86 @@ class TestParseConfig:
         expected = ["work"] if file_out is None else ["config.json", "work"]
         assert sorted(path.name for path in tmp_path.iterdir()) == expected
         assert not any(work.iterdir())
+
+
+#: Run in a fresh interpreter as ``python -c STUBBED_LAYER_CALLS ARGV``: the
+#: CLI with ``cli.run_fp`` and ``cli.run_simulation``, which the traced
+#: benchmark wraps, replaced by stubs that record each call (its name, the
+#: count of positional arguments, the keyword names, the iterations or slots,
+#: and whether the called module was loaded) and return the real call's
+#: result for seed + 1. Prints the exit code and the records as JSON.
+STUBBED_LAYER_CALLS = """
+import importlib, json, sys
+from crn_jamgame import cli
+
+calls = []
+
+def stub(module, name):
+    module = "crn_jamgame." + module
+
+    def record(*args, **kwargs):
+        calls.append([name, len(args), sorted(kwargs), args[-2], module in sys.modules])
+        *rest, seed = args
+        return getattr(importlib.import_module(module), name)(*rest, seed + 1)
+
+    return record
+
+cli.run_fp = stub("learning", "run_fp")
+cli.run_simulation = stub("simulate", "run_simulation")
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, calls], separators=(",", ":")))
+"""
+
+
+class TestLazyImports:
+    # with no bytecode cached, a run compiles every module it imports; a
+    # command loads the learner or the simulator only if it runs it
+    @pytest.mark.parametrize(
+        "args, loaded",
+        [
+            (["nash"], [b"False", b"False"]),
+            (["sweep", "--sweep", "n_primary=0..1"], [b"False", b"False"]),
+            (["fp", "--iterations", "10"], [b"True", b"False"]),
+            (["sweep", "--sweep", "n_primary=0..1", "--iterations", "10"], [b"True", b"False"]),
+            (["simulate", "--slots", "10"], [b"True", b"True"]),
+        ],
+        ids=["nash", "sweep", "fp", "sweep-learning", "simulate"],
+    )
+    def test_a_command_loads_only_the_modules_it_runs(self, args, loaded):
+        probe = (
+            "import sys; from crn_jamgame.cli import main; code = main(sys.argv[1:]); "
+            "print(code, *(name in sys.modules for name in ('crn_jamgame.learning', 'crn_jamgame.simulate')))"
+        )
+        assert fresh_python(probe, *args, "--out", os.devnull) == [b"0", *loaded]
+
+    @pytest.mark.parametrize("name, module", [("run_fp", "learning"), ("run_simulation", "simulate")])
+    def test_the_package_loads_a_runner_on_first_access(self, name, module):
+        probe = (
+            f"import sys, crn_jamgame; module = 'crn_jamgame.{module}'; before = module in sys.modules; "
+            f"run = crn_jamgame.{name}; print(before, run is getattr(sys.modules[module], {name!r}), "
+            f"{name!r} in crn_jamgame.__all__, hasattr(crn_jamgame, 'no_such_name'))"
+        )
+        assert fresh_python(probe) == [b"False", b"True", b"True", b"False"]
+
+    @pytest.mark.parametrize(
+        "args, name, calls",
+        [
+            (["fp", "--iterations", "50"], "run_fp", 1),
+            (["sweep", "--sweep", "n_primary=0..2", "--iterations", "50"], "run_fp", 6),
+            (["simulate", "--slots", "50"], "run_simulation", 1),
+        ],
+        ids=["fp", "sweep-learning", "simulate"],
+    )
+    def test_the_traced_layer_calls_are_positional_and_import_nothing(self, tmp_path, args, name, calls):
+        # the traced benchmark reads iterations and slots as positional
+        # arguments, and times a call that must not include its module's import
+        stubbed, plain = tmp_path / "stubbed.csv", tmp_path / "plain.csv"
+        (printed,) = fresh_python(STUBBED_LAYER_CALLS, *args, "--seed", "7", "--out", str(stubbed))
+        positional = 3 if name == "run_fp" else 4
+        assert json.loads(printed) == [0, [[name, positional, [], 50, True]] * calls]
+        # the command writes what the stubs returned: the run at seed 8
+        assert main([*args, "--seed", "8", "--out", str(plain)]) == 0
+        assert stubbed.read_bytes() == plain.read_bytes()
 
 
 # JSON values of every type, with ints past 2**64 and past a float's range

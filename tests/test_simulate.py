@@ -122,7 +122,8 @@ class TestClassifyState:
 class TestFixedPolicy:
     @pytest.mark.parametrize("probability", [-0.1, 1.5, math.nan, math.inf])
     def test_a_probability_outside_the_unit_interval_is_rejected(self, probability):
-        with pytest.raises(ValueError, match="probability_first"):
+        # the message the CLI reports after the policy's key
+        with pytest.raises(ConfigError, match=rf"^fixed probability must lie in \[0, 1\] \(got {probability!r}\)$"):
             FixedPolicy(probability)
 
     @pytest.mark.parametrize("probability", [0.0, 1.0])
