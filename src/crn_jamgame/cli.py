@@ -82,7 +82,6 @@ class Setting(NamedTuple):
     default: object
     check: Callable | None = None
     help: str | None = None
-    choices: tuple[str, ...] | None = None
 
 
 _NETWORK_ROWS = tuple(Setting(k, type(v), v) for k, v in NetworkConfig._field_defaults.items())
@@ -94,7 +93,7 @@ SETTINGS = (
     Setting("seed", int, None, partial(_integer, 0, MAX_SEED), "64-bit unsigned RNG seed"),
     Setting("iterations", int, 20000, partial(_integer, 1, None), "learning stages (fp, sweep)"),
     Setting("slots", int, 10000, partial(_integer, 1, None), "simulated time slots (simulate)"),
-    Setting("category", str, "A", _category, "which game to learn (fp)", ("A", "B")),
+    Setting("category", str, "A", _category, "A or B: which game to learn (fp)"),
     Setting("policy_secondary", str, "fp", _policy, "fixed:P | nash | fp (simulate)"),
     Setting("policy_malicious", str, "fp", _policy, "fixed:P | nash | fp (simulate)"),
     # None: the command's default file, or no CSV for nash
@@ -389,14 +388,14 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     _check_grid(cfg.network, cfg.sweeps)
 
     def rows():
-        # every cell is valid (_check_grid), so it is built unchecked: one itemgetter puts
-        # its swept, then its unswept values in field order, the tuple _replace would make
+        # every cell is valid (_check_grid), so it is the plain tuple that build_game unpacks:
+        # one itemgetter puts its swept, then its unswept values in field order, as _replace would
         unswept = [name for name in NetworkConfig._fields if name not in names]
         in_field_order = operator.itemgetter(*map([*names, *unswept].index, NetworkConfig._fields))
         rest = tuple(getattr(cfg.network, name) for name in unswept)
         cat_a, cat_b = Category.A, Category.B
         for index, combo in enumerate(itertools.product(*value_lists)):
-            network = tuple.__new__(NetworkConfig, in_field_order(combo + rest))
+            network = in_field_order(combo + rest)
             game_a, game_b = build_game(network, cat_a), build_game(network, cat_b)
             report_a, report_b = mixed_equilibrium(game_a), mixed_equilibrium(game_b)
             row = combo + report_a + report_b  # a report is the tuple (p, q, degenerate)
@@ -430,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="flat JSON config file; flags override its values")
     for row in SETTINGS:
         flag = f"--{row.key.replace('_', '-')}"
-        common.add_argument(flag, dest=row.key, type=row.type, choices=row.choices, help=row.help)
+        common.add_argument(flag, dest=row.key, type=row.type, help=row.help)
     sub = parser.add_subparsers(dest="cmd", required=True)
     sub.add_parser("nash", parents=[common], help="solve both category games")
     sub.add_parser("fp", parents=[common], help="learning run on one category's game")

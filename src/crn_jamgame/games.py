@@ -235,8 +235,9 @@ def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
     ``simulate.slot_payoffs``, mirrors this exact cost structure so that
     simulated slot averages reproduce these entries.
 
-    Unpacking the config and calling the cached ``_occupancy`` directly
-    does the same float arithmetic on the same values as attribute reads.
+    ``config`` is a NetworkConfig, or its seven values in field order (a
+    sweep cell, which ``cli._check_grid`` checked); unpacking it and calling
+    the cached ``_occupancy`` does the float arithmetic of attribute reads.
 
     No entry is checked: every one but ``a = -cost_secondary_switch + roam``
     is a field times a probability in [0, 1], or the difference of two such

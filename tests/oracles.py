@@ -260,6 +260,63 @@ def csv_line(row):
     return ",".join(cells) + "\n"
 
 
+class _NextDraw(Exception):
+    """A draw was asked for past the scripted values; ``args[0]`` is its bit count."""
+
+
+class _ScriptedRandom:
+    """Stand-in generator that has only ``getrandbits``: it returns the
+    scripted values in turn, then raises :class:`_NextDraw`."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def getrandbits(self, k):
+        value = next(self._values, None)
+        if value is None:
+            raise _NextDraw(k)
+        return value
+
+
+def enumerate_draws(fn):
+    """Every result of ``fn(rng)`` over all values of its ``rng.getrandbits``
+    draws, with its exact probability: a list of ``(Fraction weight, result)``,
+    one per accepted tuple of draw values.
+
+    ``fn`` must draw only through ``getrandbits``, each draw in a rejection
+    loop (draw again while the value is at least n >= 1) whose bound and
+    whose entry do not depend on the values drawn. ``fn`` is re-run on each
+    prefix of values, depth first, each next draw of k bits branching over
+    all 2**k values. The all-zero path, which every such loop accepts at
+    once, makes one draw per loop; a path that needs more draws redrew in
+    some loop and is dropped. Every kept path then draws the same bits, so
+    normalizing over the kept paths gives each its exact probability.
+    """
+
+    def attempt(values):
+        try:
+            return True, fn(_ScriptedRandom(values))
+        except _NextDraw as draw:
+            return False, draw.args[0]
+
+    loops = 0
+    while not attempt((0,) * loops)[0]:
+        loops += 1
+    paths = []
+
+    def walk(values, bits):
+        done, got = attempt(values)
+        if done:
+            paths.append((bits, got))
+        elif len(values) < loops:
+            for value in range(2**got):
+                walk((*values, value), bits + got)
+
+    walk((), 0)
+    total = sum(Fraction(1, 2**bits) for bits, _result in paths)
+    return [(Fraction(1, 2**bits) / total, result) for bits, result in paths]
+
+
 def exact_equilibrium(entries):
     """The indifference construction's (p, q) of a 2x2 game in exact
     rational arithmetic, each a ``Fraction``, or None where its

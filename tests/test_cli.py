@@ -152,6 +152,21 @@ class TestParseConfig:
         assert main(["simulate", "--policy-secondary", "random"]) == 2
         assert "policy_secondary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "key"])
+    def test_a_bad_category_is_one_config_error_from_the_flag_or_the_key(self, tmp_path, capsys, source):
+        # cli._category is the one check of both: argparse has no choices to reject the flag first
+        args = ["--category", "C"] if source == "flag" else ["--config", write_config(tmp_path, category="C")]
+        before = tree(tmp_path)
+        assert main(["fp", *args, "--out", str(tmp_path / "fp.csv")]) == 2
+        assert capsys.readouterr() == ("", "config error: category must be 'A' or 'B' (got 'C')\n")
+        assert tree(tmp_path) == before
+
+    def test_the_category_help_names_its_values(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "120")  # so that argparse wraps no help line
+        with pytest.raises(SystemExit):
+            main(["fp", "--help"])
+        assert "A or B: which game to learn (fp)" in capsys.readouterr().out
+
     def test_out_of_range_seed_rejected(self, capsys):
         assert main(["nash", "--seed", "-3"]) == 2
         assert "seed" in capsys.readouterr().err
@@ -935,9 +950,9 @@ class TestCmdSweep:
     ])
     @settings(max_examples=200, deadline=None)
     def test_each_cell_is_the_config_that_a_checked_build_gives(self, specs):
-        # cmd_sweep builds its cells unchecked, since _check_grid has checked
-        # the whole grid, by reordering each cell's values into field order:
-        # each must be what NetworkConfig would have built
+        # cmd_sweep passes build_game each cell as the plain tuple of its values
+        # in field order, since _check_grid has checked the whole grid: each
+        # must be what NetworkConfig would have built
         argv = ["sweep", *(f"--sweep={spec}" for spec in specs), "--out", os.devnull]
         try:
             cfg = cli.parse_config(cli._build_parser().parse_args(argv))
@@ -960,8 +975,16 @@ class TestCmdSweep:
             cli.cmd_sweep(cfg)  # an overflowing cell is a grid that _check_grid rejects
         assert len(built) == 2 * len(grid)
         for network, combo in zip(built[::2], grid):
-            assert type(network) is NetworkConfig
             assert network == NetworkConfig(*network) == cfg.network._replace(**dict(zip(names, combo)))
+
+    @pytest.mark.parametrize(
+        "spec, step", [("n_primary=0..3:0", "n_primary step must be > 0 (got 0)"),
+                       ("gain_malicious=1..2:-0.5", "gain_malicious step must be > 0 (got -0.5)")],
+    )
+    def test_a_step_that_is_not_positive_is_a_config_error(self, tmp_path, capsys, spec, step):
+        assert main(["sweep", "--sweep", spec, "--out", str(tmp_path / "sweep.csv")]) == 2
+        assert capsys.readouterr() == ("", f"config error: sweep: {step}\n")
+        assert not any(tmp_path.iterdir())
 
     def test_missing_sweep_flag_is_a_config_error(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path / "x.csv")]) == 2

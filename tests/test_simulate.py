@@ -1,8 +1,11 @@
 import dataclasses
+import functools
+import itertools
 import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -39,6 +42,7 @@ import test_cli
 from oracles import (
     CHAIN_CATEGORIES,
     col_payoff,
+    enumerate_draws,
     interior_equilibrium,
     long_run_share,
     row_payoff,
@@ -50,6 +54,8 @@ NO_PRIMARIES = NetworkConfig(n_primary=0)
 GAMES = (build_game(REF, Category.A), build_game(REF, Category.B))
 FP_BOTH = (FictitiousPlayPolicy(), FictitiousPlayPolicy())
 STAY, SWITCH = False, True  # switch flags
+#: The (secondary, jammer) moves of a slot.
+MOVES = ((STAY, STAY), (STAY, SWITCH), (SWITCH, STAY), (SWITCH, SWITCH))
 
 
 #: Band counts whose written-out draws are checked against ``randrange``:
@@ -317,6 +323,23 @@ class TestSettleSlot:
                     assert abs(payoff.mean() - expected) <= max(3 * std_err, 1e-9)
 
 
+#: (category before, category after) -> the (jammer saw, secondary saw)
+#: flags for each of ``MOVES``, by the README's observation model. Nothing is
+#: learned into or out of C. The jammer senses every band; the secondary
+#: learns the jammer's move when it stayed, or when the slot ends in a jam.
+OBSERVED = {
+    (A, A): ((1, 1), (1, 1), (1, 1), (1, 1)),
+    (A, B): ((1, 1), (1, 1), (1, 0), (1, 0)),
+    (A, C): ((0, 0),) * 4,
+    (B, A): ((1, 1), (1, 1), (1, 1), (1, 1)),
+    (B, B): ((1, 1), (1, 1), (1, 0), (1, 0)),
+    (B, C): ((0, 0),) * 4,
+    (C, A): ((0, 0),) * 4,
+    (C, B): ((0, 0),) * 4,
+    (C, C): ((0, 0),) * 4,
+}
+
+
 class TestUpdateHistories:
     # each category's counts: secondary switch, secondary stay (as seen by
     # the jammer), jammer switch, jammer stay (as seen by the secondary)
@@ -353,6 +376,90 @@ class TestUpdateHistories:
         assert update_histories(B, (STAY, STAY), B, histories) == (True, True)
         assert histories[A] == [0, 0, 0, 0]
         assert histories[B] == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("before, after", list(OBSERVED), ids=lambda code: "ABC"[code])
+    def test_each_case_of_the_observation_model(self, before, after):
+        for moves, (jammer_saw, secondary_saw) in zip(MOVES, OBSERVED[before, after]):
+            histories = fresh_histories()
+            assert update_histories(before, moves, after, histories) == (jammer_saw, secondary_saw)
+            expected = fresh_histories()
+            if jammer_saw:
+                expected[before][0 if moves[0] else 1] += 1
+            if secondary_saw:
+                expected[before][2 if moves[1] else 3] += 1
+            assert histories == expected, moves
+
+
+#: The states of ``oracles.slot_chain`` (A, B, C together, C apart) as a
+#: slot's category and its (secondary, jammer) bands before the moves.
+CHAIN_STATES = ((A, 0, 0), (B, 0, 1), (C, 0, 0), (C, 0, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def slot_law(n_bands, n_primary, state, actions):
+    """The exact law of one slot of ``NetworkConfig(n_bands, n_primary)``
+    from ``CHAIN_STATES[state]``: ``(weight, (secondary band, jammer band,
+    silenced))`` over every draw of ``settle_slot``, one per accepted tuple of
+    draw values."""
+    category, sec, mal = CHAIN_STATES[state]
+    config = NetworkConfig(n_bands, n_primary)
+    law = enumerate_draws(lambda rng: settle_slot(category, sec, mal, actions, config, rng))
+    # by the documented draw order: the licensed user unless certain, then a
+    # switching secondary's target band, then a switching jammer's in A
+    loops = (n_bands if 0 < n_primary < n_bands else 1) * (n_bands - 1) ** (actions[0] + (category == A) * actions[1])
+    assert len(law) == loops
+    return law
+
+
+class TestExactSlotLaw:
+    """Settlement checked exactly by enumerating every draw
+    (:func:`oracles.enumerate_draws`), for every small network."""
+
+    @pytest.mark.parametrize("n_bands", range(2, 10))
+    def test_expected_slot_payoffs_are_the_payoff_tables(self, n_bands):
+        for n_primary, category in itertools.product(range(n_bands + 1), (Category.A, Category.B)):
+            config = NetworkConfig(n_bands, n_primary)
+            game = build_game(config, category)
+            first_s, first_m = FIRST_IS_SWITCH[category]
+            # relative to the largest entry: entry a can cancel to 0, and its float to an ulp of its terms
+            tolerance = 1e-12 * max(map(abs, game))
+            for row, col in itertools.product((1, 2), repeat=2):
+                actions = ((row == 1) == first_s, (col == 1) == first_m)
+                law = slot_law(n_bands, n_primary, category, actions)  # a category code is its state
+                settled = np.array([classify_state(*outcome) for _weight, outcome in law], np.int8)
+                payoffs = simulate.slot_payoffs(
+                    config, np.full(len(law), category, np.int8), settled, np.full(len(law), actions[0]),
+                    np.full(len(law), actions[1]),
+                )
+                for paid, entry in zip(payoffs, (row_payoff(game, row, col), col_payoff(game, row, col))):
+                    mean = sum(weight * Fraction(x) for (weight, _outcome), x in zip(law, paid.tolist()))
+                    assert abs(mean - Fraction(entry)) <= tolerance, (n_primary, category, row, col)
+
+    @pytest.mark.parametrize("n_bands", range(2, 10))
+    def test_the_law_of_the_next_state_is_the_chains_row(self, n_bands):
+        for n_primary, (state, (category, _sec, _mal)) in itertools.product(
+            range(n_bands + 1), enumerate(CHAIN_STATES)
+        ):
+            for actions in MOVES if category != C else [(STAY, STAY)]:  # in C both stay
+                law = [Fraction(0)] * 4  # A, B, C together, C apart
+                for weight, (sec, mal, silenced) in slot_law(n_bands, n_primary, state, actions):
+                    settled = classify_state(sec, mal, silenced)
+                    law[settled + (settled == C and sec != mal)] += weight
+                switch = tuple(map(float, actions))
+                row = slot_chain(n_bands, n_primary, switch, switch)[state]
+                assert np.abs(np.array(law, float) - row).max() <= 1e-15, (n_primary, state, actions)
+
+    @pytest.mark.parametrize("n_bands", range(2, 10))
+    def test_the_licensed_user_and_target_band_draws(self, n_bands):
+        for n_primary in range(n_bands + 1):
+            config = NetworkConfig(n_bands, n_primary)
+            law = enumerate_draws(lambda rng: draw_silenced(config, rng))
+            assert len(law) == (n_bands if 0 < n_primary < n_bands else 1)
+            assert sum(weight for weight, silenced in law if silenced) == Fraction(n_primary, n_bands)
+        for current in range(n_bands):
+            law = enumerate_draws(lambda rng: simulate._other_band(current, n_bands, rng))
+            assert sorted(band for _weight, band in law) == [band for band in range(n_bands) if band != current]
+            assert {weight for weight, _band in law} == {Fraction(1, n_bands - 1)}
 
 
 def running_frequencies(result, code):
