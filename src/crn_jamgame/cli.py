@@ -353,9 +353,7 @@ def _check_grid(network: NetworkConfig, sweeps) -> None:
     """Raise ConfigError unless every cell of the sweep grid is a valid config.
 
     Checks each swept int value times only the ends of each ascending float
-    range: each float check is monotone in its field (a range, or entry ``a``,
-    which falls as ``cost_secondary_switch`` or ``loss_secondary`` rises and
-    moves one way with ``gain_secondary``, IEEE rounding being monotone).
+    range: each float field's check is a range of its own.
     """
     names = [name for name, _values in sweeps]
     ends = [values if _NETWORK_TYPES[name] is int else values[:: len(values) - 1 or 1] for name, values in sweeps]

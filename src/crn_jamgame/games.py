@@ -14,9 +14,10 @@ Categories A and B each induce a 2x2 bimatrix game over {switch, stay}
 decisions; :func:`build_game` assembles their payoff entries from the
 switching costs, the transmission gain, and the jamming gain/loss.
 
-A :class:`NetworkConfig` raises :class:`ConfigError` for an invalid field,
-or when payoff entry ``a = -cost_secondary_switch + roam``, the only one
-that can, overflows a float: so :func:`build_game` never raises it for one.
+A :class:`NetworkConfig` raises :class:`ConfigError` for an invalid field;
+a payoff field lies in ``[0, MAX_ENTRY / 2]``, so each entry of its games
+lies in ``[-MAX_ENTRY, MAX_ENTRY]``, as every :class:`BimatrixGame` entry
+must: no sum of four entries, and no slot payoff, overflows a float.
 
 A player's policy in these games (:class:`FixedPolicy`, :class:`NashPolicy`
 or :class:`FictitiousPlayPolicy`) is declared here, beside the categories
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
@@ -38,6 +38,7 @@ __all__ = [
     "Category",
     "ConfigError",
     "FIRST_IS_SWITCH",
+    "MAX_ENTRY",
     "NetworkConfig",
     "DerivedProbabilities",
     "BimatrixGame",
@@ -68,6 +69,11 @@ FIRST_IS_SWITCH = ((True, True), (True, False))
 
 
 _FLOAT_MAX = sys.float_info.max
+
+#: Largest payoff entry magnitude, 2**1021: a sum of four entries is at
+#: most 2**1023, below the largest float, and a payoff field, at most half
+#: of it, makes no entry larger (IEEE rounding being monotone).
+MAX_ENTRY = 2.0**1021
 
 
 class ConfigError(ValueError):
@@ -115,14 +121,14 @@ class NetworkConfig(
     """Static network parameters. Defaults are the reference scenario.
 
     A checked named tuple: the constructor, ``_make`` and ``_replace`` raise
-    ConfigError for an invalid field, or for a payoff entry ``a`` that overflows.
+    ConfigError for an invalid field. A payoff field lies in [0, 2**1020].
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> NetworkConfig:
         self = super().__new__(cls, *args, **kwargs)
-        n_bands, n_primary, c_s, _c_m, g_s, _g_m, l_s = self
+        n_bands, n_primary = self[:2]
         if not isinstance(n_bands, int) or n_bands < 2:
             raise ConfigError(
                 f"n_bands must be an integer >= 2 (got {n_bands!r}); "
@@ -135,14 +141,9 @@ class NetworkConfig(
         for name, value in zip(self._fields[2:], self[2:]):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be a number (got {value!r})")
-            # false for NaN, infinities and an int too large for a float alike
-            if not 0 <= value <= _FLOAT_MAX:
-                raise ConfigError(f"{name} must be finite and >= 0 (got {value!r})")
-        if not math.isfinite(build_game(self, _A).a):  # the same a as category B's
-            raise ConfigError(
-                f"payoff entry a = -cost_secondary_switch + roam must be finite (cost_secondary_switch={c_s!r},"
-                f" gain_secondary={g_s!r}, loss_secondary={l_s!r}, n_bands={n_bands!r}, n_primary={n_primary!r})"
-            )
+            # false for NaN, infinities and an int past the bound alike
+            if not 0 <= value <= MAX_ENTRY / 2:
+                raise ConfigError(f"{name} must lie in [0, 2**1020] (got {value!r})")
         return self
 
     @classmethod
@@ -196,10 +197,11 @@ class BimatrixGame(namedtuple("BimatrixGame", "a b c d e f g h")):
     (1,2) -> (b, f), (2,1) -> (c, g), (2,2) -> (d, h), with the first
     component paid to the secondary and the second to the jammer.
     Which strategy is a switch is :data:`FIRST_IS_SWITCH`'s to say.
-    Every entry must be finite (else ConfigError, naming the first that is
-    not). An immutable named tuple: a frozen dataclass would pay a guarded
-    setattr per field on every build. :func:`build_game` skips this check:
-    of its entries only ``a`` can overflow, and NetworkConfig checks that.
+    Every entry must lie in [-MAX_ENTRY, MAX_ENTRY] (else ConfigError,
+    naming the first that does not; nan and infinities never do). An
+    immutable named tuple: a frozen dataclass would pay a guarded setattr
+    per field on every build. :func:`build_game` skips this check, as a
+    NetworkConfig's fields keep its entries in range.
     """
 
     __slots__ = ()
@@ -208,9 +210,9 @@ class BimatrixGame(namedtuple("BimatrixGame", "a b c d e f g h")):
         cls, a: float, b: float, c: float, d: float, e: float, f: float, g: float, h: float
     ) -> BimatrixGame:
         entries = (a, b, c, d, e, f, g, h)
-        if not all(map(math.isfinite, entries)):
-            bad = "abcdefgh"[[math.isfinite(x) for x in entries].index(False)]
-            raise ConfigError(f"payoff entry {bad} must be finite")
+        for name, x in zip("abcdefgh", entries):
+            if not abs(x) <= MAX_ENTRY:
+                raise ConfigError(f"payoff entry {name} must lie in [-2**1021, 2**1021] (got {x!r})")
         return tuple.__new__(cls, entries)
 
     @classmethod
@@ -239,9 +241,10 @@ def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
     sweep cell, which ``cli._check_grid`` checked); unpacking it and calling
     the cached ``_occupancy`` does the float arithmetic of attribute reads.
 
-    No entry is checked: every one but ``a = -cost_secondary_switch + roam``
-    is a field times a probability in [0, 1], or the difference of two such
-    non-negative terms, and NetworkConfig rejects a config whose ``a`` overflows.
+    No entry is checked: each is a field times a probability in [0, 1], the
+    sum of two such terms, or ``a``, with ``|a| <= cost_secondary_switch +
+    max(gain_secondary, loss_secondary)``; so no field above ``MAX_ENTRY / 2``
+    means no entry above ``MAX_ENTRY`` in magnitude.
     """
     n_bands, n_primary, c_s, c_m, g_s, g_m, l_s = config
     p_primary, p_just_secondary, p_secondary_and_malicious = _occupancy(n_bands, n_primary)

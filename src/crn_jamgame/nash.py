@@ -76,33 +76,22 @@ def mixed_equilibrium(game: BimatrixGame) -> EquilibriumReport:
     pure equilibrium both of a player's differences have one strict sign,
     so their sum cannot cancel and the result is interior; with opposite
     signs the result lies outside [0, 1] or is exactly 0 or 1, and rounding
-    keeps those signs. So the flag does not depend on the payoff scale. A
-    denominator that overflows is solved once more with its player's four
-    payoffs quartered: that keeps the player's indifference point, is exact
-    for normal floats, and leaves no sum of four quarters that can overflow.
+    keeps those signs. So the flag does not depend on the payoff scale.
+    With entries in [-MAX_ENTRY, MAX_ENTRY] (:class:`games.BimatrixGame`),
+    no difference or denominator overflows.
     """
     a, b, c, d, e, f, g, h = game
-    quartered = False
-    while True:
-        num_q = d - b
-        num_p = h - g
-        denom_q = a - c + num_q
-        denom_p = e - f + num_p
-        if denom_q == 0.0 or denom_p == 0.0:
-            return _DEGENERATE
-        q = num_q / denom_q
-        p = num_p / denom_p
-        if 0.0 < p < 1.0 and 0.0 < q < 1.0:
-            return _new(EquilibriumReport, (p, q, False))
-        # a denominator that overflowed (inf or nan; it holds its numerator)
-        # leaves q at ±0, nan or |q| > 1, likewise p: only this path looks
-        if quartered or (denom_q - denom_q == 0.0 and denom_p - denom_p == 0.0):
-            return _new(EquilibriumReport, (p, q, False)) if 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0 else _DEGENERATE
-        quartered = True
-        if denom_q - denom_q != 0.0:
-            a, b, c, d = a * 0.25, b * 0.25, c * 0.25, d * 0.25
-        if denom_p - denom_p != 0.0:
-            e, f, g, h = e * 0.25, f * 0.25, g * 0.25, h * 0.25
+    num_q = d - b
+    num_p = h - g
+    denom_q = a - c + num_q
+    denom_p = e - f + num_p
+    if denom_q == 0.0 or denom_p == 0.0:
+        return _DEGENERATE
+    q = num_q / denom_q
+    p = num_p / denom_p
+    if 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0:
+        return _new(EquilibriumReport, (p, q, False))
+    return _DEGENERATE
 
 
 def verify_equilibrium(game: BimatrixGame, p: float, q: float, tolerance: float = 1e-6) -> bool:

@@ -243,18 +243,17 @@ def slot_payoffs(
     Switch costs mirror the analytic tables: each switch pays its cost,
     except that in category B a switching secondary pays nothing when the
     jammer switches too (onto the band the secondary left). An uncharged
-    slot's payoff is never touched, and a charge that overflows gives
-    -inf, silently. The fields are taken as floats, so an int field
-    counts as its float.
+    slot's payoff is never touched. The fields are taken as floats, so an
+    int field counts as its float; each is at most 2**1020, so every payoff
+    is finite.
     """
     cost_s, cost_m, gain_s, gain_m, loss_s = map(float, config[2:])
-    with np.errstate(over="ignore"):
-        # tables indexed by category code (A, B, C)
-        payoff_s = np.array((-loss_s, gain_s, 0.0)).take(settled)
-        charged = secondary_switch & ((category == A) | ~malicious_switch)
-        np.subtract(payoff_s, cost_s, out=payoff_s, where=charged)
-        payoff_m = np.array((gain_m, 0.0, 0.0)).take(settled)
-        np.subtract(payoff_m, cost_m, out=payoff_m, where=malicious_switch)
+    # tables indexed by category code (A, B, C)
+    payoff_s = np.array((-loss_s, gain_s, 0.0)).take(settled)
+    charged = secondary_switch & ((category == A) | ~malicious_switch)
+    np.subtract(payoff_s, cost_s, out=payoff_s, where=charged)
+    payoff_m = np.array((gain_m, 0.0, 0.0)).take(settled)
+    np.subtract(payoff_m, cost_m, out=payoff_m, where=malicious_switch)
     return payoff_s, payoff_m
 
 
@@ -365,10 +364,9 @@ class SimulationResult:
     def cumulative_payoffs(self) -> tuple[float, float]:
         """The secondary's and the jammer's payoffs summed over the run, left
         to right from 0.0, :data:`learning.COUNT_SLICE` slots at a time: ±inf
-        when a sum overflows, and nan when it meets inf and -inf (a slot pays
-        -inf when its jam loss plus switching cost overflow)."""
+        when a sum overflows, never nan, as every slot's payoff is finite."""
         totals = (0.0, 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             for lo in range(0, len(self), COUNT_SLICE):
                 # carried into a running sum, which np.sum's pairwise one is not
                 totals = tuple(

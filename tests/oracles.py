@@ -327,3 +327,147 @@ def exact_equilibrium(entries):
     den_p = e - f + h - g
     den_q = a - c + d - b
     return (h - g) / den_p if den_p else None, (d - b) / den_q if den_q else None
+
+
+def game_entries(config, category):
+    """The payoff entries ``(a, ..., h)`` of category ``"A"`` or ``"B"``'s
+    game, from the README's formulas: ``p_primary = n_primary / n_bands``,
+    ``p_js`` and ``p_sm`` the chances that a switch target holds neither a
+    licensed user nor the jammer, or the jammer alone, and ``a = -C_s +
+    roam``. A switcher pays its cost; a licensed user on the secondary's
+    band zeroes the slot; in category B the secondary's (switch, switch)
+    cell costs it nothing."""
+    n_bands, n_primary, c_s, c_m, g_s, g_m, l_s = config
+    p_primary = n_primary / n_bands
+    p_js = 1.0 - (1.0 / (n_bands - 1) + p_primary - p_primary / (n_bands - 1))
+    p_sm = (1.0 / (n_bands - 1)) * (1.0 - p_primary)
+    clear = 1.0 - p_primary
+    a = -c_s + (g_s * p_js - l_s * p_sm)
+    if category == "A":  # both players over (switch, stay)
+        return (a, -c_s + g_s * clear, g_s * clear, -l_s * clear,
+                -c_m + g_m * p_sm, 0.0, -c_m, g_m * clear)
+    # the secondary over (switch, stay), the jammer over (stay, switch to the secondary's band)
+    return (a, g_s * clear, g_s * clear, -l_s * clear,
+            g_m * p_sm, -c_m, 0.0, g_m * clear - c_m)
+
+
+#: Whether strategy 1 is a switch, by category and player (secondary,
+#: jammer): only category B's jammer lists staying first.
+FIRST_SWITCHES = {"A": (True, True), "B": (True, False)}
+
+
+def reference_run(config, policies, slots, seed):
+    """The slot loop replayed from the ``simulate`` docstring and the
+    README, on one ``random.Random(seed)`` through ``randrange`` and
+    ``random`` only.
+
+    ``config`` is the seven network fields in order; ``policies`` the
+    (secondary, jammer) pair, each ``"fixed:P"``, ``"nash"`` or ``"fp"``.
+    Draws, in order: the secondary's band, the jammer's band and the
+    licensed-user draw (``randrange(n_bands) < n_primary``); then per slot
+    not in C the secondary's move, the jammer's move, then the
+    licensed-user draw, the secondary's target (uniform over the other
+    bands) if it switches and, in category A, the jammer's if it does (in B
+    it goes to the secondary's band). A move or licensed user that is
+    certain draws nothing. Fixed and Nash play pick strategy 1 when
+    ``random()`` is below its probability; Nash play takes (p, q) from
+    :func:`exact_equilibrium`, and a degenerate game (a zero denominator or
+    a result outside [0, 1]) its first :func:`brute_force_pure_equilibria`
+    profile. Fictitious play best-responds, by
+    :func:`formula_best_response`, to the rival's recorded moves in the
+    category, with payoffs scaled as :func:`fp_replay` scales them for
+    ``slots`` stages. After an A or B slot that ends in A or B, the jammer
+    records the secondary's move; the secondary records the jammer's when
+    it stayed or the slot ends in A.
+
+    Returns ``(columns, last, state)``: lists of each slot's category
+    (``"A"``, ``"B"``, ``"C"``), secondary band, jammer band, secondary
+    switch, jammer switch, whether the jammer recorded the secondary's move
+    and whether the secondary recorded the jammer's; then the category the
+    last slot settles into, and the generator's state after the last draw.
+    """
+    n_bands, n_primary = config[0], config[1]
+    rng = random.Random(seed)
+    games = {category: game_entries(config, category) for category in "AB"}
+
+    def silenced():
+        return rng.randrange(n_bands) < n_primary if 0 < n_primary < n_bands else n_primary > 0
+
+    def other_band(band):
+        pick = rng.randrange(n_bands - 1)
+        return pick + 1 if pick >= band else pick
+
+    def classify(sec, mal, quiet):
+        return "C" if quiet else "A" if sec == mal else "B"
+
+    # the moves each player recorded of its rival, by category: [switches, stays]
+    records = {category: {"secondary": [0, 0], "jammer": [0, 0]} for category in "AB"}
+
+    def chooser(policy, player, category):
+        """A function of nothing that gives the player's switch flag in ``category``."""
+        entries = games[category]
+        first_switches = FIRST_SWITCHES[category][player]
+        as_switch = {1: first_switches, 2: not first_switches}
+        if policy == "fp":
+            top = max(abs(x) for x in entries)
+            scale = 1.0
+            if top * slots > 2.0**1020:
+                scale = 2.0 ** -(math.frexp(top)[1] + math.frexp(slots)[1] - 1020)
+            rival_first_switches = FIRST_SWITCHES[category][1 - player]
+            # the player's own payoff in cell (own strategy, rival strategy)
+            own = (lambda i, j: entries[2 * (i - 1) + (j - 1)]) if player == 0 else (
+                lambda i, j: entries[4 + 2 * (j - 1) + (i - 1)])
+            seen = records[category]["secondary" if player == 0 else "jammer"]
+
+            def learn():
+                # the rival's strategy counts, from its recorded switches and stays
+                counts = {1: seen[0], 2: seen[1]} if rival_first_switches else {1: seen[1], 2: seen[0]}
+                u1, u2 = (sum(own(i, j) * scale * counts[j] for j in (1, 2)) for i in (1, 2))
+                return as_switch[formula_best_response(u1, u2, rng.random)]
+
+            return learn
+        if policy == "nash":
+            exact = exact_equilibrium(entries)
+            if None in exact or not all(0 <= x <= 1 for x in exact):
+                first = 1.0 if brute_force_pure_equilibria(entries)[0][player] == 1 else 0.0
+            else:
+                first = float(exact[player])
+        else:
+            first = float(policy.split(":", 1)[1])
+        if first in (0.0, 1.0):
+            return lambda: as_switch[1 if first == 1.0 else 2]
+        return lambda: as_switch[1 if rng.random() < first else 2]
+
+    choose = {
+        category: tuple(chooser(policy, player, category) for player, policy in enumerate(policies))
+        for category in "AB"
+    }
+    columns = tuple([] for _ in range(7))
+    sec = rng.randrange(n_bands)
+    mal = rng.randrange(n_bands)
+    category = classify(sec, mal, silenced())
+    for _ in range(slots):
+        if category == "C":
+            switch_s = switch_m = False
+        else:
+            choose_s, choose_m = choose[category]
+            switch_s = choose_s()
+            switch_m = choose_m()
+        quiet = silenced()
+        new_sec, new_mal = sec, mal
+        if switch_s:
+            new_sec = other_band(sec)
+        if switch_m:
+            new_mal = other_band(mal) if category == "A" else sec
+        settled = classify(new_sec, new_mal, quiet)
+        seen_by_jammer = seen_by_secondary = False
+        if category != "C" and settled != "C":
+            seen_by_jammer = True
+            records[category]["jammer"][0 if switch_s else 1] += 1
+            if not switch_s or settled == "A":
+                seen_by_secondary = True
+                records[category]["secondary"][0 if switch_m else 1] += 1
+        for column, value in zip(columns, (category, sec, mal, switch_s, switch_m, seen_by_jammer, seen_by_secondary)):
+            column.append(value)
+        category, sec, mal = settled, new_sec, new_mal
+    return columns, category, rng.getstate()

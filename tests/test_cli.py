@@ -196,7 +196,7 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "content, named",
         [
-            (b'{"gain_secondary": 1' + b"0" * 400 + b"}", "gain_secondary must be finite"),
+            (b'{"gain_secondary": 1' + b"0" * 400 + b"}", "gain_secondary must lie in [0, 2**1020] (got 1000"),
             (b'{"n_bands": 1' + b"0" * 400 + b', "n_primary": 0}', "n_bands must be finite"),
             (b'{"seed": 1' + b"0" * 5000 + b"}", "not valid JSON"),
             (b"[" * 100_000, "not valid JSON"),
@@ -373,9 +373,11 @@ grid_specs = st.builds(
     st.sampled_from([1, 2, 3]),
 )
 
-#: Float range ends: invalid, zero, the smallest subnormal, and magnitudes at
-#: which entry a overflows or nearly does.
-GRID_FLOAT_ENDS = [-1.0, 0.0, 5e-324, 1e307, 8e307, 8.98e307, 1.7e308, sys.float_info.max]
+#: Float range ends: invalid, zero, the smallest subnormal, the bound 2**1020,
+#: the next float past it and larger ones.
+GRID_FLOAT_ENDS = [
+    -1.0, 0.0, 5e-324, 1e307, 2.0**1020, math.nextafter(2.0**1020, math.inf), 1.7e308, sys.float_info.max,
+]
 
 
 @st.composite
@@ -769,32 +771,33 @@ class TestCmdSweep:
         assert "sweep: n_primary range holds more than" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_an_overflowing_payoff_entry_names_the_cell_and_writes_nothing(self, tmp_path, capsys):
-        # the cell loss_secondary=1e308 passes every field check, but its
-        # entry a = -cost + roam overflows to -inf
+    def test_a_last_cell_past_the_bound_names_its_field_and_writes_nothing(self, tmp_path, capsys):
+        # the first cell, 2**1020, is accepted; the last is the next float
         out = tmp_path / "sweep.csv"
         assert main([
-            "sweep", "--n-primary", "0", "--cost-secondary-switch", "1.7e308",
-            "--sweep", "loss_secondary=0..1.7e308:1e308", "--out", str(out),
+            "sweep", "--n-primary", "0",
+            "--sweep", "loss_secondary=1.1235582092889474e307..1.1235582092889477e307:2.4948003869184e291",
+            "--out", str(out),
         ]) == 2
-        assert capsys.readouterr() == ("", (
-            "config error: sweep: payoff entry a = -cost_secondary_switch + roam must be finite"
-            " (cost_secondary_switch=1.7e+308, gain_secondary=50.0, loss_secondary=1e+308, n_bands=10, n_primary=0)\n"
-        ))
+        assert capsys.readouterr() == (
+            "", "config error: sweep: loss_secondary must lie in [0, 2**1020] (got 1.1235582092889477e+307)\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
-    def test_an_overflowing_cell_leaves_a_symlinked_out_as_it_was(self, tmp_path, capsys):
-        # cost_secondary_switch's last value, 1.7e308, overflows entry a; the
-        # grid is rejected before the first of its 3,401 cells is written,
+    def test_a_grid_up_to_the_bound_runs(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        spec = "loss_secondary=0..1.1235582092889474e307:1.1235582092889474e307"
+        assert main(["sweep", "--n-primary", "0", "--sweep", spec, "--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"2 combinations -> {out}\n", "")
+        _, rows = read_csv(out)
+        assert [row["loss_secondary"] for row in rows] == ["0", "1.12356e+307"]
+
+    def test_a_cell_past_the_bound_leaves_a_symlinked_out_as_it_was(self, tmp_path, capsys):
+        # cost_secondary_switch's last value, 1.6e307, passes 2**1020; the
+        # grid is rejected before the first of its 4,001 cells is written,
         # through a symlink or, in a fresh interpreter, through /dev/stdout
-        grid = [
-            "sweep", "--sweep", "cost_secondary_switch=0..1.7e308:5e304", "--loss-secondary", "1e308",
-            "--n-primary", "0", "--n-bands", "2",
-        ]
-        error = (
-            "config error: sweep: payoff entry a = -cost_secondary_switch + roam must be finite"
-            " (cost_secondary_switch=1.7e+308, gain_secondary=50.0, loss_secondary=1e+308, n_bands=2, n_primary=0)\n"
-        )
+        grid = ["sweep", "--sweep", "cost_secondary_switch=0..1.6e307:4e303", "--n-primary", "0", "--n-bands", "2"]
+        error = "config error: sweep: cost_secondary_switch must lie in [0, 2**1020] (got 1.6e+307)\n"
         target = tmp_path / "target.csv"
         target.write_bytes(b"earlier results\n")
         link = tmp_path / "link.csv"
@@ -807,11 +810,12 @@ class TestCmdSweep:
         assert (done.returncode, done.stdout, done.stderr.decode()) == (2, b"", error)
 
     @given(small_grids())
-    # only the last value is invalid: entry a overflows to -inf
-    @example((NetworkConfig(2, 0, 1.7e308, 0.0, 0.0, 0.0, 0.0), (("loss_secondary", (0.0, 1e307)),)))
-    # only the first value is invalid: its range check, then entry a
+    # only the last value is invalid: the next float past 2**1020
+    @example((NetworkConfig(2, 0, 2.0**1020, 0.0, 0.0, 0.0, 0.0),
+              (("loss_secondary", (0.0, math.nextafter(2.0**1020, math.inf))),)))
+    # only the first value is invalid
     @example((NetworkConfig(2, 0, 0.0, 0.0, 0.0, 0.0, 0.0), (("cost_secondary_switch", (-1.0, 0.0)),)))
-    @example((NetworkConfig(10, 0, 1.7e308, 0.0, 1.7e308, 0.0, 1.7e308), (("gain_secondary", (0.0, 1.7e308)),)))
+    @example((NetworkConfig(10, 0, 2.0**1020, 0.0, 2.0**1020, 0.0, 2.0**1020), (("gain_secondary", (0.0, 2.0**1020)),)))
     @settings(max_examples=300, deadline=None)
     def test_checking_the_ends_of_each_float_range_checks_every_cell(self, grid):
         # _check_grid builds the int values times each float range's first and
@@ -972,7 +976,7 @@ class TestCmdSweep:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "build_game", recording_build_game)
-            cli.cmd_sweep(cfg)  # an overflowing cell is a grid that _check_grid rejects
+            cli.cmd_sweep(cfg)  # an invalid cell is a grid that _check_grid rejects
         assert len(built) == 2 * len(grid)
         for network, combo in zip(built[::2], grid):
             assert network == NetworkConfig(*network) == cfg.network._replace(**dict(zip(names, combo)))
@@ -1026,12 +1030,9 @@ class TestOneDegenerateRule:
             assert {(row["err_p"] == "nan", row["err_q"] == "nan") for row in fp_rows} == {(degenerate,) * 2}
 
 
-#: What every command prints for ``--n-primary 0 --cost-secondary-switch
-#: 1.7e308 --loss-secondary 1.7e308``: finite fields whose entry a overflows.
-OVERFLOWING_ENTRY_ERROR = (
-    "config error: payoff entry a = -cost_secondary_switch + roam must be finite"
-    " (cost_secondary_switch=1.7e+308, gain_secondary=50.0, loss_secondary=1.7e+308, n_bands=10, n_primary=0)"
-)
+#: A cost one float past the bound 2**1020, and what every command prints for it.
+PAST_THE_BOUND = ["--cost-secondary-switch", "1.1235582092889477e307"]
+PAST_THE_BOUND_ERROR = "config error: cost_secondary_switch must lie in [0, 2**1020] (got 1.1235582092889477e+307)"
 
 
 class TestExitCodes:
@@ -1040,20 +1041,20 @@ class TestExitCodes:
         assert main(["fp", "--iterations", "10", "--out", str(missing_dir)]) == 4
         assert "i/o error" in capsys.readouterr().err
 
-    #: Every field is accepted, but a - c + d - b overflows in both games,
-    #: whose one equilibrium is the fully mixed (0.5, 0.5).
-    OVERFLOWING_SUMS = [
+    #: Gain and loss at the bound 2**1020: a - c + d - b is -2**1022 in both
+    #: games, whose one equilibrium is the fully mixed (0.5, 0.5).
+    LARGEST_SUMS = [
         "--n-bands", "2", "--n-primary", "0", "--cost-secondary-switch", "0",
-        "--cost-malicious-switch", "0", "--gain-secondary", "1e307", "--gain-malicious", "1",
-        "--loss-secondary", "1.7e308",
+        "--cost-malicious-switch", "0", "--gain-secondary", "1.1235582092889474e307", "--gain-malicious", "1",
+        "--loss-secondary", "1.1235582092889474e307",
     ]
 
-    def test_an_overflowing_indifference_sum_still_has_an_equilibrium(self, tmp_path, capsys):
-        assert main(["nash", *self.OVERFLOWING_SUMS]) == 0
+    def test_the_largest_indifference_sums_still_have_an_equilibrium(self, tmp_path, capsys):
+        assert main(["nash", *self.LARGEST_SUMS]) == 0
         out, err = capsys.readouterr()
         assert err == ""
         assert re.findall(r"^category (\w): p=0\.5 q=0\.5 ", out, re.MULTILINE) == ["A", "B"]
-        assert main(["fp", "--iterations", "200", "--out", str(tmp_path / "fp.csv"), *self.OVERFLOWING_SUMS]) == 0
+        assert main(["fp", "--iterations", "200", "--out", str(tmp_path / "fp.csv"), *self.LARGEST_SUMS]) == 0
         out, err = capsys.readouterr()
         assert err == "" and "(equilibrium p=0.5 q=0.5)" in out
 
@@ -1061,16 +1062,16 @@ class TestExitCodes:
         "command", [["nash"], ["fp"], ["fp", "--category", "B"], ["simulate"]],
         ids=["nash", "fp", "fp-category-B", "simulate"],
     )
-    def test_an_overflowing_payoff_entry_exits_two_and_writes_nothing(self, tmp_path, capsys, command):
-        # every field is finite, but entry a = -cost + roam overflows to -inf;
-        # the message does not depend on the command or the category
+    def test_a_field_past_the_bound_exits_two_and_writes_nothing(self, tmp_path, capsys, command):
+        # one float past 2**1020: the message does not depend on the command or the category
         out = tmp_path / "out.csv"
-        assert main([
-            *command, "--n-primary", "0", "--cost-secondary-switch", "1.7e308",
-            "--loss-secondary", "1.7e308", "--iterations", "10", "--slots", "10", "--out", str(out),
-        ]) == 2
-        assert capsys.readouterr() == ("", OVERFLOWING_ENTRY_ERROR + "\n")
+        assert main([*command, *PAST_THE_BOUND, "--iterations", "10", "--slots", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", PAST_THE_BOUND_ERROR + "\n")
         assert list(tmp_path.iterdir()) == []
+        # the bound itself runs
+        assert main([*command, "--cost-secondary-switch", "1.1235582092889474e307", "--iterations", "10",
+                     "--slots", "10", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command, name", [("fp", "run_fp"), ("simulate", "run_simulation")])
     def test_a_plain_value_error_in_a_command_is_not_a_config_error(
@@ -1183,16 +1184,12 @@ class TestFailurePaths:
         assert self.error_line(capsys) == "i/o error: [Errno 28] No space left on device"
 
     @pytest.mark.parametrize("command", list(SHORT_RUNS))
-    def test_an_overflowing_payoff_entry_is_a_config_error(self, tmp_path, capsys, command):
-        # every field is finite, but entry a = -cost + roam overflows to -inf;
+    def test_a_field_past_the_bound_is_a_config_error(self, tmp_path, capsys, command):
         # NetworkConfig says so alike for every command, sweep's first cell included
         out = tmp_path / "out.csv"
         out.write_bytes(b"earlier results\n")
-        assert main([
-            *SHORT_RUNS[command], "--n-primary", "0", "--cost-secondary-switch", "1.7e308",
-            "--loss-secondary", "1.7e308", "--out", str(out),
-        ]) == 2
-        assert self.error_line(capsys) == OVERFLOWING_ENTRY_ERROR
+        assert main([*SHORT_RUNS[command], *PAST_THE_BOUND, "--out", str(out)]) == 2
+        assert self.error_line(capsys) == PAST_THE_BOUND_ERROR
         assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
         assert out.read_bytes() == b"earlier results\n"
 
@@ -1297,11 +1294,10 @@ class TestClosedPipe:
         assert done.stderr == b""
 
 
-#: Magnitudes log-uniform up to 1.7e308, exact zeros and values whose
-#: payoff entries or indifference sums overflow among them.
+#: Magnitudes log-uniform up to the bound 2**1020, exact zeros and the bound.
 FIELD_VALUES = st.one_of(
-    st.sampled_from([0.0, 1e307, 8e307, 1.7e308]),
-    st.floats(-300.0, math.log10(1.7e308)).map(lambda x: min(10.0**x, 1.7e308)),
+    st.sampled_from([0.0, 1e307, 2.0**1020]),
+    st.floats(-300.0, math.log10(2.0**1020)).map(lambda x: min(10.0**x, 2.0**1020)),
 )
 
 
@@ -1317,20 +1313,21 @@ def accepted_configs(draw):
 
 
 class TestEveryAcceptedConfig:
-    #: A slot's loss plus cost is -inf after the secondary's total reached +inf.
-    INFINITE_SLOT_PAYOFF = [
-        "--n-bands", "3", "--n-primary", "1", "--cost-secondary-switch", "1.7e308",
-        "--cost-malicious-switch", "0", "--gain-secondary", "8e307", "--gain-malicious", "0",
-        "--loss-secondary", "1e307",
+    #: Every payoff field at the bound: a jammed switch pays -2**1021, and
+    #: the secondary's total can overflow either way.
+    BOUND_SLOT_PAYOFF = [
+        "--n-bands", "3", "--n-primary", "1", "--cost-secondary-switch", "1.1235582092889474e307",
+        "--cost-malicious-switch", "1.1235582092889474e307", "--gain-secondary", "1.1235582092889474e307",
+        "--gain-malicious", "1.1235582092889474e307", "--loss-secondary", "1.1235582092889474e307",
     ]
 
     @given(accepted_configs())
     @settings(max_examples=150, deadline=None)
-    @example((2, TestExitCodes.OVERFLOWING_SUMS))
-    @example((3, INFINITE_SLOT_PAYOFF))
-    def test_each_command_runs_clean_or_is_a_config_error(self, config):
-        # in process, with warnings as errors: exit 0 and an empty stderr,
-        # or exit 2 and one config error line; never another code
+    @example((2, TestExitCodes.LARGEST_SUMS))
+    @example((3, BOUND_SLOT_PAYOFF))
+    def test_each_command_runs_clean(self, config):
+        # in process, with warnings as errors: exit 0 and an empty stderr;
+        # simulate's slot payoffs are finite and no total is nan
         n_bands, flags = config
         runs = (
             ["nash"],
@@ -1340,25 +1337,27 @@ class TestEveryAcceptedConfig:
         )
         with tempfile.TemporaryDirectory() as directory, warnings.catch_warnings():
             warnings.simplefilter("error")
+            path = os.path.join(directory, "out.csv")
             for argv in runs:
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main([*argv, *flags, "--out", os.path.join(directory, "out.csv")])
-                if code == 0:
-                    assert err.getvalue() == ""
-                else:
-                    assert code == 2
-                    assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
+                    code = main([*argv, *flags, "--out", path])
+                assert (code, err.getvalue()) == (0, "")
+                if argv[0] == "simulate":
+                    _, rows = read_csv(Path(path))
+                    assert all(math.isfinite(float(row[name])) for row in rows for name in ("payoff_s", "payoff_m"))
+                    totals = re.findall(r"^cumulative payoff \w+: (.*)$", out.getvalue(), re.MULTILINE)
+                    assert len(totals) == 2 and "nan" not in totals
 
 
 class TestFreshInterpreterStderr:
     # the installed CLI runs without -W error, so only stderr shows a
-    # warning: one run per command on configs at the edge of the float range
+    # warning: one run per command on configs at the payoff bound
     @pytest.mark.parametrize("args", [
-        ["nash", *TestExitCodes.OVERFLOWING_SUMS],
-        ["fp", "--iterations", "200", *TestExitCodes.OVERFLOWING_SUMS],
-        ["sweep", "--sweep", "n_bands=2..3", *TestExitCodes.OVERFLOWING_SUMS],
-        ["simulate", "--slots", "200", *TestEveryAcceptedConfig.INFINITE_SLOT_PAYOFF],
+        ["nash", *TestExitCodes.LARGEST_SUMS],
+        ["fp", "--iterations", "200", *TestExitCodes.LARGEST_SUMS],
+        ["sweep", "--sweep", "n_bands=2..3", *TestExitCodes.LARGEST_SUMS],
+        ["simulate", "--slots", "200", *TestEveryAcceptedConfig.BOUND_SLOT_PAYOFF],
     ], ids=["nash", "fp", "sweep", "simulate"])
     def test_each_command_exits_zero_with_nothing_on_stderr(self, tmp_path, args):
         done = run_cli([*args, "--out", str(tmp_path / "out.csv")], subprocess.PIPE)
@@ -1369,7 +1368,7 @@ class TestFreshInterpreterStderr:
 class TestOverflowingTotals:
     # every slot's payoff is finite, but the secondary's sum overflows:
     # the summary prints -inf and nothing reaches stderr
-    ARGS = ["simulate", "--n-primary", "0", "--loss-secondary", "1e308", "--slots", "2000"]
+    ARGS = ["simulate", "--n-primary", "0", "--loss-secondary", "1.1235582092889474e307", "--slots", "2000"]
 
     def test_in_process_with_warnings_as_errors(self, tmp_path, capsys):
         assert main([*self.ARGS, "--out", str(tmp_path / "sim.csv")]) == 0
@@ -1382,25 +1381,22 @@ class TestOverflowingTotals:
         assert done.stderr == b""
         assert b"cumulative payoff secondary: -inf" in done.stdout.splitlines()
 
-    def test_a_total_that_meets_both_infinities_is_nan(self, tmp_path, capsys):
-        # the secondary's total reaches +inf, then a jammed switch pays
-        # -1e307 - 1.7e308 = -inf
+    def test_a_cost_that_could_make_a_slot_pay_minus_inf_is_a_config_error(self, tmp_path, capsys):
+        # the ROADMAP's -inf reproduction: with this cost a jammed switch would pay
+        # -1e307 - 1.7e308 = -inf after the secondary's total reached +inf, a nan total
         args = ["simulate", "--n-bands", "3", "--n-primary", "1", "--cost-secondary-switch", "1.7e308",
                 "--gain-secondary", "8e307", "--loss-secondary", "1e307", "--slots", "200"]
-        assert main([*args, "--out", str(tmp_path / "sim.csv")]) == 0
-        out, err = capsys.readouterr()
-        assert err == "" and "cumulative payoff secondary: nan\n" in out
+        assert main([*args, "--out", str(tmp_path / "sim.csv")]) == 2
+        error = "config error: cost_secondary_switch must lie in [0, 2**1020] (got 1.7e+308)\n"
+        assert capsys.readouterr() == ("", error)
+        assert list(tmp_path.iterdir()) == []
 
 
 #: Each failure's extra arguments and documented exit code, run in a
 #: directory that holds ``earlier.csv`` and an empty directory ``empty``.
 FAILURES = {
     "config-error": (["--n-bands", "1", "--out", "earlier.csv"], 2),
-    "overflowing-payoff": (
-        ["--n-primary", "0", "--cost-secondary-switch", "1.7e308", "--loss-secondary", "1.7e308",
-         "--out", "earlier.csv"],
-        2,
-    ),
+    "field-past-the-bound": ([*PAST_THE_BOUND, "--out", "earlier.csv"], 2),
     "unwritable-out": (["--out", os.path.join("missing", "out.csv")], 4),
     "full-device": (["--out", "/dev/full"], 4),
     "closed-pipe": (["--out", "/dev/stdout"], 141),

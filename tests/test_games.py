@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -112,8 +113,19 @@ class TestConfigValidation:
             NetworkConfig(**{field: float("inf")})
         with pytest.raises(ValueError, match=field):
             NetworkConfig(**{field: float("nan")})
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        with pytest.raises(ValueError, match=rf"^{field} must lie in \[0, 2\*\*1020\] \(got 10+\)$"):
             NetworkConfig(**{field: 10**400})  # an int too large for a float
+
+    @pytest.mark.parametrize("field", NetworkConfig._fields[2:])
+    def test_a_payoff_field_is_accepted_up_to_2_to_the_1020(self, field):
+        # the bound itself, as a float and as an int, is accepted
+        for top in (2.0**1020, 2**1020):
+            assert getattr(NetworkConfig(**{field: top}), field) == top
+        # the next float above it, the next int and the largest float are not, with one message naming the field
+        for over in (math.nextafter(2.0**1020, math.inf), 2**1020 + 1, 1.7e308, sys.float_info.max):
+            with pytest.raises(ConfigError) as error:
+                NetworkConfig(**{field: over})
+            assert str(error.value) == f"{field} must lie in [0, 2**1020] (got {over!r})"
 
 
 class TestNetworkConfigTuple:
@@ -168,9 +180,9 @@ class TestCategory:
 def per_entry_rule(*entries):
     """The entries as a tuple, after the per-entry test: the reference
     that BimatrixGame's construction and ``_replace`` must agree with."""
-    if not all(map(math.isfinite, entries)):
-        bad = "abcdefgh"[[math.isfinite(x) for x in entries].index(False)]
-        raise ConfigError(f"payoff entry {bad} must be finite")
+    for name, x in zip("abcdefgh", entries):
+        if not -(2.0**1021) <= x <= 2.0**1021:
+            raise ConfigError(f"payoff entry {name} must lie in [-2**1021, 2**1021] (got {x!r})")
     return entries
 
 
@@ -183,13 +195,16 @@ def outcome(build, *args, **kwargs):
     return list(result), list(map(type, result))
 
 
+#: The bound 2**1021 and the next float past it.
+OVER_ENTRY = math.nextafter(2.0**1021, math.inf)
+
 # finite and non-finite floats, ints and bools, and ints too large for a float
 any_entry = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 0.0, -0.0]),
+    st.sampled_from([2.0**1021, -(2.0**1021), OVER_ENTRY, -OVER_ENTRY, 1e308, -1.7e308, 0.0, -0.0]),
     st.integers(-(10**6), 10**6),
     st.booleans(),
-    st.sampled_from([10**308, -(10**308), 2**1024, -(2**1024), 10**400]),
+    st.sampled_from([2**1021, -(2**1021), 2**1021 + 1, 10**308, 2**1024, -(2**1024), 10**400]),
 )
 
 
@@ -199,23 +214,24 @@ class TestBimatrixGame:
         assert game._fields == tuple("abcdefgh")
         assert tuple(game) == tuple(getattr(game, x) for x in "abcdefgh")
 
-    def test_a_non_finite_entry_is_named(self):
+    def test_an_entry_past_2_to_the_1021_is_named(self):
         for index, name in enumerate("abcdefgh"):
-            for bad in (float("inf"), float("-inf"), float("nan")):
+            for bad in (float("inf"), float("-inf"), float("nan"), OVER_ENTRY, -OVER_ENTRY, 2**1021 + 1):
                 entries = [1.0] * 8
                 entries[index] = bad
-                with pytest.raises(ValueError, match=f"payoff entry {name} must be finite"):
-                    BimatrixGame(*entries)
-                with pytest.raises(ValueError, match=f"payoff entry {name} must be finite"):
-                    BimatrixGame(*[1.0] * 8)._replace(**{name: bad})
+                message = f"payoff entry {name} must lie in [-2**1021, 2**1021] (got {bad!r})"
+                for make in (lambda: BimatrixGame(*entries), lambda: BimatrixGame(*[1.0] * 8)._replace(**{name: bad})):
+                    with pytest.raises(ConfigError) as error:
+                        make()
+                    assert str(error.value) == message
 
     @pytest.mark.parametrize(
         "entries",
         [
-            [1e308] * 8, [-1.7e308] * 8, [1.7e308, -1.7e308, -1.7e308, 1.7e308] * 2, [1e308, 2] * 4,
-            [np.float64(1e308)] * 8,
+            [2.0**1021] * 8, [-(2.0**1021)] * 8, [2.0**1021, -(2.0**1021), -(2.0**1021), 2.0**1021] * 2,
+            [2.0**1021, 2**1021] * 4, [np.float64(2.0**1021)] * 8,
         ],
-        ids=["eight-1e308", "eight-minus-1.7e308", "mixed-signs", "floats-and-ints", "numpy-scalars"],
+        ids=["eight-at-the-bound", "eight-at-minus-the-bound", "mixed-signs", "floats-and-ints", "numpy-scalars"],
     )
     def test_finite_entries_whose_sum_overflows_are_kept(self, entries):
         # each entry is finite though their sum is not: kept, with no warning
@@ -231,6 +247,7 @@ class TestBimatrixGame:
     @example([float("nan"), 10**400] + [1.0] * 6, [True] * 8)  # nan before a huge int
     @example([float("inf"), float("-inf")] + [1.0] * 6, [True] * 8)  # a sum of nan
     @example([True, False, 3, -4, 10**308, 10**308, 0.5, 1.0], [True] * 8)
+    @example([2.0**1021, -(2.0**1021), 2**1021, -(2**1021), OVER_ENTRY, 1.0, 1.0, 1.0], [True] * 8)
     @settings(max_examples=500, deadline=None)
     def test_construction_and_replace_follow_the_per_entry_rule(self, entries, replaced):
         # construction and _replace accept exactly what the per-entry test
@@ -242,84 +259,61 @@ class TestBimatrixGame:
         assert outcome(BimatrixGame(*[1.0] * 8)._replace, **changes) == expected
 
 #: A field over its whole accepted range, as ``test_cli.FIELD_VALUES`` draws
-#: it, plus the smallest subnormal and ints up to 1.7e308.
+#: it, plus the smallest subnormal and ints up to the bound 2**1020.
 extreme_field = st.one_of(
-    st.sampled_from([0.0, 5e-324, 1e307, 8e307, 1.7e308]),
-    st.integers(0, 17 * 10**307),
-    st.floats(-300.0, math.log10(1.7e308)).map(lambda x: min(10.0**x, 1.7e308)),
+    st.sampled_from([0.0, 5e-324, 1e307, 2.0**1020]),
+    st.integers(0, 2**1020),
+    st.floats(-300.0, math.log10(2.0**1020)).map(lambda x: min(10.0**x, 2.0**1020)),
 )
 
 
 @st.composite
 def extreme_configs(draw):
-    """Field tuples, each field in its accepted range; entry ``a`` of some overflows."""
+    """Field tuples, each field in its accepted range."""
     n_bands = draw(st.sampled_from([2, 3, 10, 2**70]))
     n_primary = draw(st.sampled_from([0, 1, n_bands - 1, n_bands]))
     return (n_bands, n_primary, *(draw(extreme_field) for _ in range(5)))
 
 
-def entry_a(n_bands, n_primary, c_s, c_m, g_s, g_m, l_s):
-    """Payoff entry ``a = -C_s + roam`` in floats, from README's formulas."""
-    p_primary = n_primary / n_bands
-    other = n_bands - 1
-    p_js = 1.0 - (1.0 / other + p_primary - p_primary / other)
-    p_sm = (1.0 / other) * (1.0 - p_primary)
-    return -c_s + (g_s * p_js - l_s * p_sm)
-
-
-def overflow_message(n_bands, n_primary, c_s, c_m, g_s, g_m, l_s):
-    return (
-        f"payoff entry a = -cost_secondary_switch + roam must be finite (cost_secondary_switch={c_s!r}, "
-        f"gain_secondary={g_s!r}, loss_secondary={l_s!r}, n_bands={n_bands!r}, n_primary={n_primary!r})"
-    )
-
-
-class TestOverflowingEntry:
-    """NetworkConfig rejects a config whose entry ``a``, the one payoff entry
-    that can overflow a float, does; so build_game never fails for one."""
+class TestEntryBound:
+    """Every payoff field at most 2**1020 keeps every entry of both games
+    within 2**1021, so no sum of four entries overflows; build_game never
+    fails for a NetworkConfig."""
 
     @given(extreme_configs())
-    # test_cli's OVERFLOWING_SUMS: every entry finite, the indifference sums not
-    @example((2, 0, 0.0, 0.0, 1e307, 1.0, 1.7e308))
-    # test_cli's INFINITE_SLOT_PAYOFF: a is a finite -1.47e308
-    @example((3, 1, 1.7e308, 0.0, 8e307, 0.0, 1e307))
-    # a = -1.7e308 - 1.7e308 overflows to -inf
-    @example((2, 0, 1.7e308, 0.0, 0.0, 0.0, 1.7e308))
+    # a = -2**1020 - 2**1020 * 1 reaches -2**1021 exactly (p_js = 0, p_sm = 1)
+    @example((2, 0, 2.0**1020, 0.0, 0.0, 0.0, 2.0**1020))
+    @example((2, 0, 2**1020, 2**1020, 2**1020, 2**1020, 2**1020))
+    @example((3, 1, 2.0**1020, 2.0**1020, 2.0**1020, 2.0**1020, 2.0**1020))
     @settings(max_examples=500, deadline=None)
-    def test_a_config_is_rejected_exactly_when_entry_a_overflows(self, fields):
-        if not math.isfinite(entry_a(*fields)):
-            with pytest.raises(ConfigError) as error:
-                NetworkConfig(*fields)
-            assert str(error.value) == overflow_message(*fields)
-            return
+    def test_every_entry_lies_within_2_to_the_1021(self, fields):
         config = NetworkConfig(*fields)
         for category in (Category.A, Category.B):
             game = build_game(config, category)
-            # every entry finite, as the per-entry check of BimatrixGame accepts unchanged
-            assert type(game) is BimatrixGame and len(game) == 8 and all(map(math.isfinite, game))
+            assert type(game) is BimatrixGame and len(game) == 8
+            assert all(abs(x) <= 2.0**1021 for x in game)
+            # as the per-entry check of BimatrixGame accepts unchanged
             assert outcome(BimatrixGame, *game) == (list(game), list(map(type, game)))
+            a, b, c, d, e, f, g, h = game
+            assert math.isfinite(a - c + (d - b)) and math.isfinite(e - f + (h - g))
 
     def test_construction_make_and_replace_give_the_same_message(self):
-        # -cost + roam passes -1.8e308 although every field is finite
-        fields = (10, 0, 1.7e308, 2.0, 50.0, 75.0, 1.7e308)
-        message = overflow_message(*fields)
-        assert message == (
-            "payoff entry a = -cost_secondary_switch + roam must be finite (cost_secondary_switch=1.7e+308,"
-            " gain_secondary=50.0, loss_secondary=1.7e+308, n_bands=10, n_primary=0)"
-        )
+        over = math.nextafter(2.0**1020, math.inf)
+        fields = (10, 0, over, 2.0, 50.0, 75.0, 100.0)
+        message = "cost_secondary_switch must lie in [0, 2**1020] (got 1.1235582092889477e+307)"
         for make in (
             lambda: NetworkConfig(*fields),
             lambda: NetworkConfig._make(fields),
-            lambda: NetworkConfig(n_primary=0)._replace(cost_secondary_switch=1.7e308, loss_secondary=1.7e308),
+            lambda: NetworkConfig(n_primary=0)._replace(cost_secondary_switch=over),
         ):
             with pytest.raises(ConfigError) as error:
                 make()
             assert str(error.value) == message
 
-    def test_an_invalid_field_is_named_before_entry_a(self):
-        # the field checks come first: a negative gain would make a overflow too
-        with pytest.raises(ConfigError, match=r"^gain_secondary must be finite and >= 0 \(got -1\.7e\+308\)$"):
+    def test_the_first_invalid_field_is_named(self):
+        with pytest.raises(ConfigError) as error:
             NetworkConfig(n_primary=0, cost_secondary_switch=1.7e308, gain_secondary=-1.7e308)
+        assert str(error.value) == "cost_secondary_switch must lie in [0, 2**1020] (got 1.7e+308)"
 
 
 class TestBuildGame:

@@ -27,18 +27,18 @@ GAME_A = build_game(NetworkConfig(), Category.A)
 GAME_B = build_game(NetworkConfig(), Category.B)
 EQ_A = mixed_equilibrium(GAME_A)
 EQ_B = mixed_equilibrium(GAME_B)
-#: Payoffs near the float maximum: count-weighted sums overflow unscaled.
-HUGE = NetworkConfig(gain_malicious=1e308, loss_secondary=1e308, gain_secondary=1e308)
+#: Payoff fields at the bound 2**1020: count-weighted sums overflow unscaled.
+HUGE = NetworkConfig(gain_malicious=2.0**1020, loss_secondary=2.0**1020, gain_secondary=2.0**1020)
 DOMINANCE_GAME = BimatrixGame(a=1, b=1, c=0, d=0, e=1, f=0, g=1, h=0)
 
 entries = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
-# payoffs whose count-weighted sums overflow to +-inf (and to nan as
-# inf - inf), underflow to subnormals, or are signed zeros
+# payoffs up to the bound 2**1021 whose count-weighted sums would overflow
+# unscaled, underflow to subnormals, or are signed zeros
 extreme_entries = st.one_of(
     st.sampled_from(
-        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1e308, -1e308, 1.7976931348623157e308]
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1e307, -1e307, 2.0**1021, -(2.0**1021)]
     ),
-    st.floats(-1.7976931348623157e308, 1.7976931348623157e308, allow_nan=False, allow_infinity=False),
+    st.floats(-(2.0**1021), 2.0**1021, allow_nan=False, allow_infinity=False),
     st.floats(-1e-300, 1e-300),
 )
 
@@ -417,8 +417,8 @@ class TestRunFp:
         assert trace.actions_malicious.tolist() == actions_m
 
     @given(games(source=extreme_entries), st.integers(0, 2**32))
-    @example(BimatrixGame(*[1e308, -1e308] * 4), 1)  # nan utilities from the third stage
-    @example(BimatrixGame(*[1.7976931348623157e308] * 8), 2)  # +inf on both sides
+    @example(BimatrixGame(*[2.0**1021, -(2.0**1021)] * 4), 1)  # opposite signs at the bound
+    @example(BimatrixGame(*[2.0**1021] * 8), 2)  # the bound on both sides
     @example(BimatrixGame(*[5e-324, -0.0, -5e-324, 0.0] * 2), 3)  # subnormal gaps
     @settings(max_examples=100, deadline=None)
     def test_matches_stepwise_execution_on_extreme_magnitudes(self, game, seed):
@@ -477,7 +477,7 @@ class TestRunFp:
 
     @pytest.mark.parametrize("category", [Category.A, Category.B], ids=["Category.A", "Category.B"])
     def test_overflowing_games_learn_like_their_scaled_copies(self, category):
-        # counts times 1e308 overflow; the same game scaled by 2**-1000 does not
+        # counts times 2**1020 overflow; the same game scaled by 2**-1000 does not
         game = build_game(HUGE, category)
         small = BimatrixGame(*(math.ldexp(getattr(game, x), -1000) for x in "abcdefgh"))
         for seed in (1, 2, 3):
@@ -486,8 +486,8 @@ class TestRunFp:
             assert np.array_equal(trace.actions_malicious, twin.actions_malicious)
 
     def test_overflowing_games_converge_through_the_cli(self, tmp_path, capsys):
-        argv = ["fp", "--iterations", "2000", "--gain-malicious", "1e308",
-                "--loss-secondary", "1e308", "--gain-secondary", "1e308"]
+        argv = ["fp", "--iterations", "2000", "--gain-malicious", "1.1235582092889474e307",
+                "--loss-secondary", "1.1235582092889474e307", "--gain-secondary", "1.1235582092889474e307"]
         assert main(argv + ["--out", str(tmp_path / "fp.csv")]) == 0
         line = capsys.readouterr().out
         values = dict(re.findall(r"(p\*?|q\*?)=([0-9.e+-]+)", line))
@@ -504,6 +504,12 @@ class TestRunFp:
         assert math.frexp(factor)[0] == 0.5  # a power of two
         assert all(getattr(scaled, x) == getattr(big, x) * factor for x in "abcdefgh")
         assert scaled.a * 2**40 <= 2.0**1020
+        # entries at the bound 2**1021 over 16 stages: the unscaled weighted sums overflow
+        top = BimatrixGame(*[2.0**1021, -(2.0**1021)] * 4)
+        assert math.isinf(top.a * 8 + top.a * 8)
+        scaled = learning.fit_to_counts(top, 16)
+        assert list(scaled) == [x * 2.0**-7 for x in top]
+        assert math.isfinite(scaled.a * 8 + scaled.a * 8) and math.isfinite(scaled.a * 16 - scaled.b * 16)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

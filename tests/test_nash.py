@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crn_jamgame import Category, NetworkConfig, build_game, mixed_equilibrium, nash, verify_equilibrium
-from crn_jamgame.games import BimatrixGame, ConfigError
+from crn_jamgame.games import BimatrixGame
 from crn_jamgame.nash import EquilibriumReport, pure_equilibria, strategy_utilities
 from oracles import (
     brute_force_pure_equilibria,
@@ -25,13 +25,12 @@ GAME_B = build_game(NetworkConfig(), Category.B)
 ZERO_GAME = BimatrixGame(a=0, b=0, c=0, d=0, e=0, f=0, g=0, h=0)
 # row strategy 1 and column strategy 1 strictly dominant
 DOMINANCE_GAME = BimatrixGame(a=1, b=1, c=0, d=0, e=1, f=0, g=1, h=0)
-# every field accepted, but category A's a - c + d - b overflows to -inf:
-# solved again with the secondary's payoffs quartered
-OVERFLOWING_SUM_CONFIG = NetworkConfig(
-    n_bands=2, n_primary=0, cost_secondary_switch=0.0, cost_malicious_switch=0.0,
-    gain_secondary=0.0, gain_malicious=1.0, loss_secondary=1.7e308,
-)
-QUARTERED_GAME = build_game(OVERFLOWING_SUM_CONFIG, Category.A)
+# every field at the bound 2**1020: category A's a reaches -2**1021 and
+# a - c + d - b reaches -2**1022, a finite sum
+BOUND_CONFIG = NetworkConfig(2, 0, *[2.0**1020] * 5)
+BOUND_GAME = build_game(BOUND_CONFIG, Category.A)
+# every entry at +-2**1021, with the signs that make both indifference sums +-2**1023
+WORST_SIGN_GAME = BimatrixGame(*[2.0**1021, -(2.0**1021), -(2.0**1021), 2.0**1021] * 2)
 # q = (d - b) / (a - c + d - b) is exactly 0: an equilibrium on the boundary
 BOUNDARY_GAME = BimatrixGame(a=1, b=0, c=0, d=0, e=1, f=0, g=0, h=1)
 
@@ -128,11 +127,11 @@ class TestMixedEquilibrium:
 
     @pytest.mark.parametrize(
         "game",
-        [GAME_A, DOMINANCE_GAME, ZERO_GAME, QUARTERED_GAME, BOUNDARY_GAME],
-        ids=["mixed", "pure", "zero", "quartered", "boundary"],
+        [GAME_A, DOMINANCE_GAME, ZERO_GAME, BOUND_GAME, WORST_SIGN_GAME, BOUNDARY_GAME],
+        ids=["mixed", "pure", "zero", "fields-at-the-bound", "entries-at-the-bound", "boundary"],
     )
     def test_the_report_is_exactly_an_equilibrium_report(self, game):
-        # degenerate, interior, interior after quartering, and on the boundary
+        # degenerate, interior, at the payoff bounds, and on the boundary
         report = mixed_equilibrium(game)
         assert type(report) is EquilibriumReport
         # repr, as nan != nan: the same values as the generated constructor gives
@@ -173,14 +172,15 @@ class TestMixedEquilibrium:
         assert (repr(other.p), repr(other.q)) == (repr(report.p), repr(report.q))
         assert other.degenerate is report.degenerate
 
-    def test_an_overflowing_indifference_sum_keeps_the_mixed_equilibrium(self):
-        # a - c + d - b overflows to -inf, where (d - b) / -inf would be q = 0
-        for category in (Category.A, Category.B):
-            game = build_game(OVERFLOWING_SUM_CONFIG, category)
-            a, b, c, d, e, f, g, h = map(Fraction, game)  # exact for a float
-            assert ((h - g) / (e - f + h - g), (d - b) / (a - c + d - b)) == (0.5, 0.5)
-            report = mixed_equilibrium(game)
-            assert (report.p, report.q, report.degenerate) == (0.5, 0.5, False)
+    @pytest.mark.parametrize("jammer_sign", [1, -1], ids=["coordination", "pennies"])
+    def test_the_largest_indifference_sums_keep_the_mixed_equilibrium(self, jammer_sign):
+        # entries at +-2**1021 whose indifference sums are +-2**1023, the
+        # largest the bound allows, and finite: (0.5, 0.5) with or without a pure equilibrium
+        top = 2.0**1021
+        game = BimatrixGame(top, -top, -top, top, *(jammer_sign * x for x in (top, -top, -top, top)))
+        a, b, c, d, e, f, g, h = game
+        assert abs(a - c + (d - b)) == abs(e - f + (h - g)) == 2.0**1023
+        assert mixed_equilibrium(game) == (0.5, 0.5, False)
 
 
 class TestVerifyEquilibrium:
@@ -330,13 +330,17 @@ class TestPureEquilibriaCompleteness:
         assert masks == set(range(16))
 
 
-#: Magnitudes log-uniform from 1e-300 up to 1.7e308, and the ones whose
-#: differences and sums overflow.
-wide_magnitudes = st.one_of(
-    st.floats(-300.0, math.log10(1.7e308)).map(lambda x: min(10.0**x, 1.7e308)),
-    st.sampled_from([1.0, 1e307, 8e307, 1.7e308]),
-)
-wide_entries = st.one_of(st.just(0.0), wide_magnitudes, wide_magnitudes.map(operator.neg))
+
+def wide_magnitudes(top):
+    """Magnitudes log-uniform from 1e-300 up to ``top``, and ``top`` itself."""
+    return st.one_of(
+        st.floats(-300.0, math.log10(top)).map(lambda x: min(10.0**x, top)),
+        st.sampled_from([1.0, 1e307, top]),
+    )
+
+
+#: Entries over the whole range a BimatrixGame accepts, [-2**1021, 2**1021].
+wide_entries = st.one_of(st.just(0.0), wide_magnitudes(2.0**1021), wide_magnitudes(2.0**1021).map(operator.neg))
 #: Below this an exact probability is not a normal float; it is checked to the absolute value.
 SMALLEST_NORMAL = Fraction(2.0**-1022)
 
@@ -345,18 +349,16 @@ SMALLEST_NORMAL = Fraction(2.0**-1022)
 def wide_built_games(draw):
     """Games of configs over the whole range ``NetworkConfig`` accepts."""
     n_bands = draw(st.integers(2, 300))
-    values = (draw(st.one_of(st.just(0.0), wide_magnitudes)) for _ in range(5))
-    try:
-        config = NetworkConfig(n_bands, draw(st.integers(0, n_bands)), *values)
-    except ConfigError:  # payoff entry a overflows
-        assume(False)
+    values = (draw(st.one_of(st.just(0.0), wide_magnitudes(2.0**1020))) for _ in range(5))
+    config = NetworkConfig(n_bands, draw(st.integers(0, n_bands)), *values)
     return build_game(config, draw(st.sampled_from([Category.A, Category.B])))
 
 
-def overflow_config_games(gain_secondary):
+def bound_config_games(gain_secondary):
+    """Both games of a config whose cost and loss are at the bound 2**1020."""
     config = NetworkConfig(
-        n_bands=2, n_primary=0, cost_secondary_switch=0.0, cost_malicious_switch=0.0,
-        gain_secondary=gain_secondary, gain_malicious=1.0, loss_secondary=1.7e308,
+        n_bands=2, n_primary=0, cost_secondary_switch=2.0**1020, cost_malicious_switch=0.0,
+        gain_secondary=gain_secondary, gain_malicious=1.0, loss_secondary=2.0**1020,
     )
     return [build_game(config, category) for category in (Category.A, Category.B)]
 
@@ -381,12 +383,14 @@ class TestExactOracle:
 
     @given(games(wide_entries))
     @settings(max_examples=500)
-    # the secondary's sums overflow: q = 0 from a finite report, or no report at all
-    @example(overflow_config_games(0.0)[0])
-    @example(overflow_config_games(1e307)[0])
-    # the jammer's sums overflow, and neither game has a pure equilibrium
-    @example(BimatrixGame(0.0, 1.0, 1.0, 0.0, 1.7e308, -1.7e308, -1.7e308, 1.7e308))
-    @example(BimatrixGame(0.0, 1.0, 1.0, 0.0, 1e307, -1.7e308, -1.7e308, 1e307))
+    # the secondary's entry a at -2**1021, its sums near -2**1022
+    @example(bound_config_games(0.0)[0])
+    @example(bound_config_games(2.0**1020)[1])
+    # every entry at +-2**1021 with the worst signs: both indifference sums are +-2**1023
+    @example(WORST_SIGN_GAME)
+    @example(BimatrixGame(*WORST_SIGN_GAME[:4], *(-x for x in WORST_SIGN_GAME[4:])))  # no pure equilibrium
+    # the jammer's sums near the bound, and neither game has a pure equilibrium
+    @example(BimatrixGame(0.0, 1.0, 1.0, 0.0, 2.0**1021, -(2.0**1021), -(2.0**1021), 1e307))
     # d and b close and large beside a - c: ((a - c) + d) - b would round a - c away
     @example(BimatrixGame(200.0, 2.0**60 - 256, 0.0, 2.0**60, 1.0, 0.0, 0.0, 1.0))
     def test_games_of_every_magnitude(self, game):

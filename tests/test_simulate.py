@@ -43,8 +43,11 @@ from oracles import (
     CHAIN_CATEGORIES,
     col_payoff,
     enumerate_draws,
+    exact_equilibrium,
+    game_entries,
     interior_equilibrium,
     long_run_share,
+    reference_run,
     row_payoff,
     slot_chain,
 )
@@ -692,8 +695,8 @@ class TestRunSimulation:
             assert abs(values.mean() - expected) <= z * math.sqrt(values.var() / n)
 
     def test_overflowing_games_learn_like_their_scaled_copies(self):
-        # counts times 1e308 overflow; the same network scaled by 2**-1000 does not
-        huge = NetworkConfig(gain_malicious=1e308, loss_secondary=1e308, gain_secondary=1e308)
+        # counts times 2**1020 overflow; the same network scaled by 2**-1000 does not
+        huge = NetworkConfig(gain_malicious=2.0**1020, loss_secondary=2.0**1020, gain_secondary=2.0**1020)
         scaled = NetworkConfig(
             **{
                 name: math.ldexp(getattr(huge, name), -1000)
@@ -710,13 +713,13 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             run_simulation(REF, FP_BOTH, 0, seed=0)
 
-    def test_only_a_config_whose_payoff_entries_are_finite_reaches_the_run(self):
-        # every field is finite, but entry a = -cost + roam overflows: NetworkConfig
-        # rejects it, and a config it accepts builds each game once, with no check
-        fields = {"n_primary": 0, "cost_secondary_switch": 1.7e308, "loss_secondary": 1.7e308}
-        with pytest.raises(ConfigError, match=r"^payoff entry a = -cost_secondary_switch \+ roam must be finite \("):
-            NetworkConfig(**fields)
-        accepted = NetworkConfig(**{**fields, "loss_secondary": 1e307})  # a is a finite -1.71e308
+    def test_only_a_config_within_the_bound_reaches_the_run(self):
+        # a field one float past 2**1020 is rejected by NetworkConfig, and a
+        # config it accepts builds each game once, with no check
+        fields = {"n_primary": 0, "cost_secondary_switch": 2.0**1020, "loss_secondary": 2.0**1020}
+        with pytest.raises(ConfigError, match=r"^loss_secondary must lie in \[0, 2\*\*1020\] \("):
+            NetworkConfig(**{**fields, "loss_secondary": math.nextafter(2.0**1020, math.inf)})
+        accepted = NetworkConfig(**fields)  # a is -2**1021
         with mock.patch.object(simulate, "build_game", wraps=build_game) as built:
             run_simulation(accepted, FP_BOTH, 10, seed=0)
         assert built.call_args_list == [mock.call(accepted, Category.A), mock.call(accepted, Category.B)]
@@ -730,6 +733,99 @@ class TestRunSimulation:
             with pytest.raises(TypeError) as error:
                 run_simulation(REF, policies, 10, seed=0)
             assert str(error.value).endswith(f"(got {policy!r})")
+
+
+class TestFpVersusFpShares:
+    def test_the_readme_shares_on_the_default_config(self):
+        # README, Observation model: over 200,000 slots with seeds 1-3, the
+        # jammer plays strategy 1 in 0.51-0.53 of its A slots and 0.71 of its
+        # B slots, where its recorded q* reads 0.84 and 0.85; each bound below
+        # is the interval that rounds to the README's two digits
+        for seed in (1, 2, 3):
+            result = run_simulation(REF, FP_BOTH, 200_000, seed)
+            in_a, in_b = result.category == A, result.category == B
+            played_a = np.count_nonzero(result.malicious_switch[in_a]) / np.count_nonzero(in_a)
+            played_b = np.count_nonzero(~result.malicious_switch[in_b]) / np.count_nonzero(in_b)  # B's 1 is a stay
+            recorded_a, recorded_b = result.final_frequencies(A)[1], result.final_frequencies(B)[1]
+            assert 0.505 <= played_a < 0.535 and 0.705 <= played_b < 0.715, (seed, played_a, played_b)
+            assert 0.835 <= recorded_a < 0.845 and 0.845 <= recorded_b < 0.855, (seed, recorded_a, recorded_b)
+
+
+#: The policies of ``oracles.reference_run`` by name, as ``run_simulation`` takes them.
+POLICIES = {
+    "fixed:0": FixedPolicy(0.0), "fixed:1": FixedPolicy(1.0), "fixed:0.3": FixedPolicy(0.3),
+    "nash": NashPolicy(), "fp": FictitiousPlayPolicy(),
+}
+
+
+@st.composite
+def reference_configs(draw):
+    """Networks of 2-6 or 32 bands, every n_primary, payoff fields over
+    the whole accepted range (``test_cli.FIELD_VALUES``)."""
+    n_bands = draw(st.sampled_from([2, 3, 4, 5, 6, 32]))
+    fields = (draw(test_cli.FIELD_VALUES) for _ in range(5))
+    return NetworkConfig(n_bands, draw(st.integers(0, n_bands)), *fields)
+
+
+class TestReferenceRun:
+    """``run_simulation`` against ``oracles.reference_run``, a slot loop
+    written from the documented rules: every drawn column, exactly, and the
+    generator's state after the run."""
+
+    @given(
+        reference_configs(),
+        st.tuples(st.sampled_from(list(POLICIES)), st.sampled_from(list(POLICIES))),
+        st.one_of(st.integers(1, 2_000), st.integers(1_000, 2_000)),  # long runs often
+        st.integers(0, 2**64 - 1),
+    )
+    @example(REF, ("fp", "fp"), 2_000, 1)
+    @example(REF, ("nash", "nash"), 2_000, 2)
+    @example(REF, ("fixed:0.3", "fp"), 2_000, 3)
+    @example(REF, ("nash", "fp"), 2_000, 4)
+    @example(NetworkConfig(32, 24), ("nash", "nash"), 2_000, 5)
+    @example(NetworkConfig(2, 1), ("fp", "fp"), 2_000, 6)
+    @example(NetworkConfig(3, 0), ("fp", "fixed:0.3"), 2_000, 7)
+    @example(NetworkConfig(5, 5), ("fp", "fp"), 50, 8)  # every slot C: no licensed-user draw
+    @example(NetworkConfig(2, 0, *[2.0**1020] * 5), ("fp", "nash"), 2_000, 9)
+    @settings(max_examples=200, deadline=None)
+    def test_every_drawn_column_matches(self, config, policies, slots, seed):
+        generators = []
+
+        class Recorded(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                generators.append(self)
+
+        with mock.patch.object(simulate.random, "Random", Recorded):
+            result = run_simulation(config, tuple(POLICIES[name] for name in policies), slots, seed)
+        expected, last, state = reference_run(config, policies, slots, seed)
+        # the same draws: no more, as where a move or a licensed user is certain
+        assert len(generators) == 1 and generators[0].getstate() == state
+        names = ("category", "secondary_band", "malicious_band", "secondary_switch", "malicious_switch",
+                 "seen_by_malicious", "seen_by_secondary")
+        for name, want in zip(names, expected):
+            got = getattr(result, name).tolist()
+            if name == "category":
+                got = [Category(code).name for code in got]
+            # the first slot that differs, not a diff of two long lists
+            first = next((t for t, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+            assert first is None and len(got) == len(want) == slots, (name, first)
+        assert Category(int(result.settled[-1])).name == last
+
+    @given(reference_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_the_oracle_plays_the_games_and_equilibria_of_the_library(self, config):
+        # the oracle's entries are build_game's, bit for bit; its exact (p, q)
+        # are the solver's to a relative 1e-12 (the solver rounds twice), or
+        # to 2**-1022 below the normal range
+        for category in (Category.A, Category.B):
+            game = build_game(config, category)
+            assert tuple(game) == game_entries(config, category.name)
+            report = mixed_equilibrium(game)
+            if not report.degenerate:
+                for got, exact in zip((report.p, report.q), exact_equilibrium(game)):
+                    error = abs(Fraction(got) - exact)
+                    assert error <= abs(exact) / 10**12 or error <= Fraction(2.0**-1022) > abs(exact)
 
 
 def scalar_payoffs(config, category, settled, switch_s, switch_m):
@@ -782,8 +878,8 @@ PAYOFF_RUNS = {
         FP_BOTH,
         LONG_RUN,
     ),
-    # a slot pays -inf after the secondary's total reached +inf: seed 1's total is nan
-    "infinite-slot-payoff": (*simulate_args(test_cli.TestEveryAcceptedConfig.INFINITE_SLOT_PAYOFF)[:2], LONG_RUN),
+    # every field at the bound: a jammed switch pays -2**1021, and seed 1's total overflows
+    "bound-slot-payoff": (*simulate_args(test_cli.TestEveryAcceptedConfig.BOUND_SLOT_PAYOFF)[:2], LONG_RUN),
     # finite slot payoffs whose sum overflows to -inf
     "overflowing-totals": simulate_args(test_cli.TestOverflowingTotals.ARGS[1:]),
     "overflowing-totals-long": (*simulate_args(test_cli.TestOverflowingTotals.ARGS[1:])[:2], LONG_RUN),
@@ -808,27 +904,28 @@ class TestPayoffReadings:
                 assert np.array_equal(payoff.view(np.uint64), expected.view(np.uint64))
         with mock.patch.object(simulate, "COUNT_SLICE", count_slice):
             totals = result.cumulative_payoffs()
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             sums = tuple(0.0 + float(np.cumsum(payoff)[-1]) for payoff in whole)
         assert all(map(same_float, totals, sums)), (totals, sums)
+        assert all(np.isfinite(payoff).all() for payoff in whole) and not any(map(math.isnan, totals))
         if run == "signed-zeros":
             jam = result.settled == A
             assert np.signbit(whole[0][jam]).all() and jam.any()
-        if run.startswith("infinite"):
-            assert math.isnan(totals[0])
+        if run == "bound-slot-payoff":
+            assert whole[0].min() == -(2.0**1021) and math.isinf(totals[0])
         if run.startswith("overflowing"):
             assert totals[0] == -math.inf
 
     def test_an_int_field_counts_as_its_float(self):
-        # a jammed switch pays -1.7e308 - 1e308: -inf from floats and from ints
-        # alike, where a payoff worked out in int arithmetic is too large for a float
-        ints = NetworkConfig(n_primary=0, loss_secondary=17 * 10**307, cost_secondary_switch=10**308)
-        floats = ints._replace(loss_secondary=1.7e308, cost_secondary_switch=1e308)
+        # ints that no float holds exactly pay as their floats do, a jammed
+        # switch the sum of the two floats
+        ints = NetworkConfig(n_primary=0, loss_secondary=2**1020 - 1, cost_secondary_switch=3**640)
+        floats = ints._replace(loss_secondary=float(2**1020 - 1), cost_secondary_switch=float(3**640))
         policies = (FixedPolicy(0.5), FixedPolicy(0.5))
         as_ints, as_floats = (run_simulation(config, policies, 200, seed=1) for config in (ints, floats))
         for payoff, expected in zip(as_ints.payoffs(), as_floats.payoffs()):
             assert np.array_equal(payoff.view(np.uint64), expected.view(np.uint64))
-        assert as_ints.payoffs()[0].min() == -math.inf
+        assert as_ints.payoffs()[0].min() == -(2.0**1020) - float(3**640)
         assert as_ints.cumulative_payoffs() == as_floats.cumulative_payoffs()
 
     def test_the_record_keeps_at_most_ten_bytes_per_slot(self):
