@@ -15,8 +15,8 @@ decisions; :func:`build_game` assembles their payoff entries from the
 switching costs, the transmission gain, and the jamming gain/loss.
 
 A :class:`NetworkConfig` raises :class:`ConfigError` for an invalid field;
-a payoff field lies in ``[0, MAX_ENTRY / 2]``, so each entry of its games
-lies in ``[-MAX_ENTRY, MAX_ENTRY]``, as every :class:`BimatrixGame` entry
+a payoff field lies in ``[0, 2**1020]``, so each entry of its games
+lies in ``[-2**1021, 2**1021]``, as every :class:`BimatrixGame` entry
 must: no sum of four entries, and no slot payoff, overflows a float.
 
 A player's policy in these games (:class:`FixedPolicy`, :class:`NashPolicy`
@@ -38,7 +38,6 @@ __all__ = [
     "Category",
     "ConfigError",
     "FIRST_IS_SWITCH",
-    "MAX_ENTRY",
     "NetworkConfig",
     "DerivedProbabilities",
     "BimatrixGame",
@@ -73,7 +72,7 @@ _FLOAT_MAX = sys.float_info.max
 #: Largest payoff entry magnitude, 2**1021: a sum of four entries is at
 #: most 2**1023, below the largest float, and a payoff field, at most half
 #: of it, makes no entry larger (IEEE rounding being monotone).
-MAX_ENTRY = 2.0**1021
+_MAX_ENTRY = 2.0**1021
 
 
 class ConfigError(ValueError):
@@ -142,7 +141,7 @@ class NetworkConfig(
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be a number (got {value!r})")
             # false for NaN, infinities and an int past the bound alike
-            if not 0 <= value <= MAX_ENTRY / 2:
+            if not 0 <= value <= _MAX_ENTRY / 2:
                 raise ConfigError(f"{name} must lie in [0, 2**1020] (got {value!r})")
         return self
 
@@ -197,7 +196,7 @@ class BimatrixGame(namedtuple("BimatrixGame", "a b c d e f g h")):
     (1,2) -> (b, f), (2,1) -> (c, g), (2,2) -> (d, h), with the first
     component paid to the secondary and the second to the jammer.
     Which strategy is a switch is :data:`FIRST_IS_SWITCH`'s to say.
-    Every entry must lie in [-MAX_ENTRY, MAX_ENTRY] (else ConfigError,
+    Every entry must lie in [-2**1021, 2**1021] (else ConfigError,
     naming the first that does not; nan and infinities never do). An
     immutable named tuple: a frozen dataclass would pay a guarded setattr
     per field on every build. :func:`build_game` skips this check, as a
@@ -211,7 +210,7 @@ class BimatrixGame(namedtuple("BimatrixGame", "a b c d e f g h")):
     ) -> BimatrixGame:
         entries = (a, b, c, d, e, f, g, h)
         for name, x in zip("abcdefgh", entries):
-            if not abs(x) <= MAX_ENTRY:
+            if not -_MAX_ENTRY <= x <= _MAX_ENTRY:
                 raise ConfigError(f"payoff entry {name} must lie in [-2**1021, 2**1021] (got {x!r})")
         return tuple.__new__(cls, entries)
 
@@ -243,8 +242,8 @@ def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
 
     No entry is checked: each is a field times a probability in [0, 1], the
     sum of two such terms, or ``a``, with ``|a| <= cost_secondary_switch +
-    max(gain_secondary, loss_secondary)``; so no field above ``MAX_ENTRY / 2``
-    means no entry above ``MAX_ENTRY`` in magnitude.
+    max(gain_secondary, loss_secondary)``; so no field above 2**1020 means
+    no entry above 2**1021 in magnitude.
     """
     n_bands, n_primary, c_s, c_m, g_s, g_m, l_s = config
     p_primary, p_just_secondary, p_secondary_and_malicious = _occupancy(n_bands, n_primary)

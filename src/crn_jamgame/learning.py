@@ -107,10 +107,9 @@ def running_share(moves: np.ndarray, first, recorded: np.ndarray | None, size: i
         hit_count = hits + np.cumsum(hit)
         seen_count = np.arange(seen + 1, seen + len(hit) + 1) if mask is None else seen + np.cumsum(mask)
         hits, seen = int(hit_count[-1]), int(seen_count[-1])
-        if seen_count[0]:
-            yield hit_count / seen_count
-        else:  # nan before the first record: the counts only grow, so only such a slice divides 0 by 0
-            yield np.divide(hit_count, seen_count, out=np.full(len(hit), math.nan), where=seen_count > 0)
+        with np.errstate(invalid="ignore"):  # 0/0 before the first record
+            share = hit_count / seen_count
+        yield share
 
 
 def final_share(moves: np.ndarray, first, recorded: np.ndarray | None) -> float:

@@ -77,7 +77,7 @@ def mixed_equilibrium(game: BimatrixGame) -> EquilibriumReport:
     so their sum cannot cancel and the result is interior; with opposite
     signs the result lies outside [0, 1] or is exactly 0 or 1, and rounding
     keeps those signs. So the flag does not depend on the payoff scale.
-    With entries in [-MAX_ENTRY, MAX_ENTRY] (:class:`games.BimatrixGame`),
+    With entries in [-2**1021, 2**1021] (:class:`games.BimatrixGame`),
     no difference or denominator overflows.
     """
     a, b, c, d, e, f, g, h = game

@@ -190,7 +190,7 @@ def outcome(build, *args, **kwargs):
     """What ``build`` returns, as its values and their types, or what it raises."""
     try:
         result = build(*args, **kwargs)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, TypeError) as exc:
         return type(exc), str(exc)
     return list(result), list(map(type, result))
 
@@ -248,6 +248,7 @@ class TestBimatrixGame:
     @example([float("inf"), float("-inf")] + [1.0] * 6, [True] * 8)  # a sum of nan
     @example([True, False, 3, -4, 10**308, 10**308, 0.5, 1.0], [True] * 8)
     @example([2.0**1021, -(2.0**1021), 2**1021, -(2**1021), OVER_ENTRY, 1.0, 1.0, 1.0], [True] * 8)
+    @example([1.0, 1 + 2j] + [1.0] * 6, [True] * 8)  # a complex entry has no order: TypeError
     @settings(max_examples=500, deadline=None)
     def test_construction_and_replace_follow_the_per_entry_rule(self, entries, replaced):
         # construction and _replace accept exactly what the per-entry test
