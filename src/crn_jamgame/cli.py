@@ -22,7 +22,7 @@ import numpy as np
 
 from .games import (
     FIRST_IS_SWITCH, Category, ConfigError, FictitiousPlayPolicy, FixedPolicy, NashPolicy, NetworkConfig, Policy,
-    build_game,
+    _integer, build_game,
 )
 from .nash import mixed_equilibrium, pure_equilibria, strategy_utilities
 from .output import Labels, reject_directory, write_csv
@@ -31,15 +31,6 @@ MAX_SEED = 2**64 - 1
 SEED_ENV_VAR = "CRN_JAMGAME_SEED"
 
 _DEFAULT_OUT = {"fp": "fp_trace.csv", "simulate": "sim_trace.csv", "sweep": "sweep.csv"}
-
-
-def _integer(minimum: int, maximum: int | None, value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer (got {value!r})")
-    if value < minimum or (maximum is not None and value > maximum):
-        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-        raise ConfigError(f"{key} must be {bound} (got {value!r})")
-    return value
 
 
 def _category(value, key: str) -> Category:
@@ -138,6 +129,19 @@ def _parse_sweep(spec: str) -> tuple[str, tuple[float, ...]]:
     return name, tuple(lo + i * step for i in range(count))
 
 
+def _check_grid(network: NetworkConfig, sweeps) -> None:
+    """Raise ConfigError unless every cell of the sweep grid is a valid config.
+
+    Checks each swept int value times only the ends of each ascending float
+    range: each float field's check is a range of its own. The error is
+    the failing cell's own, as ``NetworkConfig`` words it.
+    """
+    names = [name for name, _values in sweeps]
+    ends = [values if _NETWORK_TYPES[name] is int else values[:: len(values) - 1 or 1] for name, values in sweeps]
+    for combo in itertools.product(*ends):
+        network._replace(**dict(zip(names, combo)))
+
+
 def _read_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -168,8 +172,9 @@ def parse_config(args: argparse.Namespace) -> argparse.Namespace:
 
     Each value comes from its flag, else the ``--config`` JSON file, else
     ``CRN_JAMGAME_SEED`` (seed only), else the row's default. For ``sweep``
-    a swept field takes its range's first value (``_check_grid`` checks the
-    other cells). Raises ConfigError, naming the field, for any invalid value.
+    a swept field takes its range's first value, and ``_check_grid`` checks
+    every cell. Raises ConfigError, naming the field, for any invalid value,
+    in any cell alike, and for a ``sweep`` without a ``--sweep``.
     """
     file_values = {} if args.config is None else _read_config(args.config)
     values = {}
@@ -189,6 +194,10 @@ def parse_config(args: argparse.Namespace) -> argparse.Namespace:
     network_values = {name: values.pop(name) for name in _NETWORK_TYPES}
     network_values.update((name, swept[0]) for name, swept in sweeps)
     network = NetworkConfig(**network_values)
+    if args.cmd == "sweep":
+        if not sweeps:
+            raise ConfigError("sweep: at least one --sweep FIELD=LO..HI[:STEP] is required")
+        _check_grid(network, sweeps)
     for row in SETTINGS:
         if row.check is not None:
             values[row.key] = row.check(values[row.key], row.key)
@@ -349,21 +358,6 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _check_grid(network: NetworkConfig, sweeps) -> None:
-    """Raise ConfigError unless every cell of the sweep grid is a valid config.
-
-    Checks each swept int value times only the ends of each ascending float
-    range: each float field's check is a range of its own.
-    """
-    names = [name for name, _values in sweeps]
-    ends = [values if _NETWORK_TYPES[name] is int else values[:: len(values) - 1 or 1] for name, values in sweeps]
-    for combo in itertools.product(*ends):
-        try:
-            network._replace(**dict(zip(names, combo)))
-        except ConfigError as exc:
-            raise ConfigError(f"sweep: {exc}") from None
-
-
 def sweep_columns(sweeps, with_fp: bool) -> tuple[str, ...]:
     """Header of ``sweep``: each swept field, then the solved and, with
     ``with_fp``, the learned values."""
@@ -376,17 +370,14 @@ def sweep_columns(sweeps, with_fp: bool) -> tuple[str, ...]:
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
     """Equilibria (and optional learning errors) over a parameter grid."""
-    if not cfg.sweeps:
-        raise ConfigError("sweep: at least one --sweep FIELD=LO..HI[:STEP] is required")
     names = [name for name, _values in cfg.sweeps]
     value_lists = [values for _name, values in cfg.sweeps]
     with_fp = cfg.iterations_given
     if with_fp:
         from . import learning  # loaded before run_fp is called
-    _check_grid(cfg.network, cfg.sweeps)
 
     def rows():
-        # every cell is valid (_check_grid), so it is the plain tuple that build_game unpacks:
+        # every cell is valid (parse_config checked the grid), so it is the plain tuple that build_game unpacks:
         # one itemgetter puts its swept, then its unswept values in field order, as _replace would
         unswept = [name for name in NetworkConfig._fields if name not in names]
         in_field_order = operator.itemgetter(*map([*names, *unswept].index, NetworkConfig._fields))

@@ -80,6 +80,17 @@ class ConfigError(ValueError):
     entry, and is what the CLI reports."""
 
 
+def _integer(minimum: int, maximum: int | None, value, key: str) -> int:
+    """``value`` if it is an int, not a bool, in [minimum, maximum] (no
+    maximum: at least ``minimum``); else ConfigError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer (got {value!r})")
+    if value < minimum or (maximum is not None and value > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ConfigError(f"{key} must be {bound} (got {value!r})")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class FixedPolicy:
     """Play strategy 1 with a set probability, in every category. A
@@ -120,23 +131,19 @@ class NetworkConfig(
     """Static network parameters. Defaults are the reference scenario.
 
     A checked named tuple: the constructor, ``_make`` and ``_replace`` raise
-    ConfigError for an invalid field. A payoff field lies in [0, 2**1020].
+    ConfigError for an invalid field. ``n_bands`` is an int (not a bool) of
+    at least 2, ``n_primary`` one in [0, n_bands], and a payoff field lies
+    in [0, 2**1020].
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> NetworkConfig:
         self = super().__new__(cls, *args, **kwargs)
-        n_bands, n_primary = self[:2]
-        if not isinstance(n_bands, int) or n_bands < 2:
-            raise ConfigError(
-                f"n_bands must be an integer >= 2 (got {n_bands!r}); "
-                "switching needs at least one other band"
-            )
+        n_bands = _integer(2, None, self[0], "n_bands")  # switching needs another band
         if n_bands > _FLOAT_MAX:  # the games divide by n_bands - 1 as a float
             raise ConfigError(f"n_bands must be finite as a float (got {n_bands!r})")
-        if not isinstance(n_primary, int) or not 0 <= n_primary <= n_bands:
-            raise ConfigError(f"n_primary must be an integer in [0, n_bands] (got {n_primary!r})")
+        _integer(0, n_bands, self[1], "n_primary")
         for name, value in zip(self._fields[2:], self[2:]):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be a number (got {value!r})")
@@ -237,7 +244,7 @@ def build_game(config: NetworkConfig, category: Category) -> BimatrixGame:
     simulated slot averages reproduce these entries.
 
     ``config`` is a NetworkConfig, or its seven values in field order (a
-    sweep cell, which ``cli._check_grid`` checked); unpacking it and calling
+    sweep cell, which ``cli.parse_config`` checked); unpacking it and calling
     the cached ``_occupancy`` does the float arithmetic of attribute reads.
 
     No entry is checked: each is a field times a probability in [0, 1], the

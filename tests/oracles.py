@@ -471,3 +471,53 @@ def reference_run(config, policies, slots, seed):
             column.append(value)
         category, sec, mal = settled, new_sec, new_mal
     return columns, category, rng.getstate()
+
+
+#: ``simulate``'s CSV header, as the README lists it.
+SIMULATE_HEADER = (
+    "slot,category,secondary_band,malicious_band,n_primaries_on_secondary_band,"
+    "secondary_action,malicious_action,jam,payoff_s,payoff_m,pstar_A,qstar_A,pstar_B,qstar_B\n"
+)
+
+
+def reference_csv(config, policies, slots, seed):
+    """``simulate``'s CSV for :func:`reference_run`'s slots, written line by
+    line with :func:`csv_line` from the README's schema.
+
+    Each row holds the slot's state before the moves, whether it is C, the
+    two moves, whether the slot settles into A (a jam), the payoffs and
+    each category's running (p*, q*). The secondary loses the jam loss in a
+    slot that settles into A, earns its gain in B and 0 in C; the jammer
+    earns its gain in A. Each switch pays its cost, but for a secondary
+    switch in B that the jammer follows. The fields are taken as floats.
+    p* is the share of switches among the secondary's moves the jammer
+    recorded in that category so far, q* the share of the jammer's
+    strategy 1 among its moves the secondary recorded; nan before the
+    first record.
+    """
+    columns, last, _state = reference_run(config, policies, slots, seed)
+    cost_s, cost_m, gain_s, gain_m, loss_s = map(float, config[2:])
+    # by category: [strategy-1 moves, moves recorded] of the secondary, then of the jammer
+    counts = {category: ([0, 0], [0, 0]) for category in "AB"}
+    lines = [SIMULATE_HEADER]
+    for slot, (category, sec, mal, switch_s, switch_m, seen_by_jammer, seen_by_secondary) in enumerate(
+        zip(*columns)
+    ):
+        settled = columns[0][slot + 1] if slot + 1 < slots else last
+        payoff_s = {"A": -loss_s, "B": gain_s, "C": 0.0}[settled]
+        if switch_s and (category == "A" or not switch_m):
+            payoff_s -= cost_s
+        payoff_m = gain_m if settled == "A" else 0.0
+        if switch_m:
+            payoff_m -= cost_m
+        if seen_by_jammer:
+            counts[category][0][0] += switch_s
+            counts[category][0][1] += 1
+        if seen_by_secondary:
+            counts[category][1][0] += switch_m == FIRST_SWITCHES[category][1]
+            counts[category][1][1] += 1
+        shares = [hits / seen if seen else math.nan for pair in counts.values() for hits, seen in pair]
+        moves = ["switch" if switch else "stay" for switch in (switch_s, switch_m)]
+        lines.append(csv_line([slot, category, sec, mal, category == "C", *moves, settled == "A",
+                               payoff_s, payoff_m, *shares]))
+    return "".join(lines)

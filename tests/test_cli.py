@@ -208,10 +208,13 @@ class TestParseConfig:
                  f"config error: policy_malicious: fixed probability must lie in [0, 1] (got {value!r})\n")
                 for text, value in ((b"2", 2.0), (b"-0.1", -0.1), (b"1.5", 1.5), (b"nan", math.nan))
             ),
+            # a bool is no count, as it is no seed, iteration or slot count
+            *((b'{"n_primary": %s}' % text, f"config error: n_primary must be an integer (got {value!r})\n")
+              for text, value in ((b"true", True), (b"false", False))),
         ],
         ids=["int-over-float-range", "bands-over-float-range", "int-over-digit-limit",
              "deep-nesting", "not-utf8", "not-an-object", "fixed-not-a-number", "fixed-out-of-range",
-             "fixed-below-zero", "fixed-above-one", "fixed-nan"],
+             "fixed-below-zero", "fixed-above-one", "fixed-nan", "primary-true", "primary-false"],
     )
     def test_unusable_config_file_exits_two_and_writes_nothing(self, tmp_path, capsys, content, named):
         config = tmp_path / "config.json"
@@ -780,7 +783,7 @@ class TestCmdSweep:
             "--out", str(out),
         ]) == 2
         assert capsys.readouterr() == (
-            "", "config error: sweep: loss_secondary must lie in [0, 2**1020] (got 1.1235582092889477e+307)\n"
+            "", "config error: loss_secondary must lie in [0, 2**1020] (got 1.1235582092889477e+307)\n"
         )
         assert list(tmp_path.iterdir()) == []
 
@@ -797,7 +800,7 @@ class TestCmdSweep:
         # grid is rejected before the first of its 4,001 cells is written,
         # through a symlink or, in a fresh interpreter, through /dev/stdout
         grid = ["sweep", "--sweep", "cost_secondary_switch=0..1.6e307:4e303", "--n-primary", "0", "--n-bands", "2"]
-        error = "config error: sweep: cost_secondary_switch must lie in [0, 2**1020] (got 1.6e+307)\n"
+        error = "config error: cost_secondary_switch must lie in [0, 2**1020] (got 1.6e+307)\n"
         target = tmp_path / "target.csv"
         target.write_bytes(b"earlier results\n")
         link = tmp_path / "link.csv"
@@ -827,11 +830,11 @@ class TestCmdSweep:
             try:
                 network._replace(**dict(zip(names, combo)))
             except cli.ConfigError as exc:
-                failures.add(f"sweep: {exc}")
+                failures.add(str(exc))
         try:
             cli._check_grid(network, sweeps)
         except cli.ConfigError as exc:
-            assert str(exc) in failures  # the message of a cell that fails
+            assert str(exc) in failures  # a failing cell's own NetworkConfig message
         else:
             assert not failures
 
@@ -955,12 +958,11 @@ class TestCmdSweep:
     @settings(max_examples=200, deadline=None)
     def test_each_cell_is_the_config_that_a_checked_build_gives(self, specs):
         # cmd_sweep passes build_game each cell as the plain tuple of its values
-        # in field order, since _check_grid has checked the whole grid: each
+        # in field order, since parse_config has checked the whole grid: each
         # must be what NetworkConfig would have built
         argv = ["sweep", *(f"--sweep={spec}" for spec in specs), "--out", os.devnull]
         try:
             cfg = cli.parse_config(cli._build_parser().parse_args(argv))
-            cli._check_grid(cfg.network, cfg.sweeps)
         except cli.ConfigError:
             return
         names = [name for name, _values in cfg.sweeps]
@@ -976,7 +978,7 @@ class TestCmdSweep:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "build_game", recording_build_game)
-            cli.cmd_sweep(cfg)  # an invalid cell is a grid that _check_grid rejects
+            cli.cmd_sweep(cfg)  # an invalid cell is a grid that parse_config rejects
         assert len(built) == 2 * len(grid)
         for network, combo in zip(built[::2], grid):
             assert network == NetworkConfig(*network) == cfg.network._replace(**dict(zip(names, combo)))
@@ -1138,6 +1140,15 @@ SHORT_RUNS = {
     "sweep": ["sweep", "--sweep", "gain_malicious=75..78"],
 }
 
+#: An invalid config, by each command, and its error: one line, whichever
+#: sweep cell fails, and the same in the first cell as in the last.
+CONFIG_ERRORS = {
+    **{command: ([*args, "--n-bands", "1"], "n_bands must be >= 2 (got 1)") for command, args in SHORT_RUNS.items()},
+    "sweep-last-cell": (["sweep", "--sweep", "n_primary=9..11"], "n_primary must be in [0, 10] (got 11)"),
+    "sweep-first-cell": (["sweep", "--sweep", "n_primary=11..12"], "n_primary must be in [0, 10] (got 11)"),
+    "sweep-no-range": (["sweep"], "sweep: at least one --sweep FIELD=LO..HI[:STEP] is required"),
+}
+
 
 class TestFailurePaths:
     """Every command fails alike: its exit code, one line on stderr and no
@@ -1182,6 +1193,16 @@ class TestFailurePaths:
     def test_a_full_device_is_an_io_error(self, capsys, command):
         assert main([*SHORT_RUNS[command], "--out", "/dev/full"]) == 4
         assert self.error_line(capsys) == "i/o error: [Errno 28] No space left on device"
+
+    @pytest.mark.parametrize("case", list(CONFIG_ERRORS))
+    def test_a_config_error_is_reported_before_a_directory_out(self, tmp_path, capsys, case):
+        # parse_config checks every sweep cell, so no cell's error waits for the out check
+        args, error = CONFIG_ERRORS[case]
+        (tmp_path / "existing").mkdir()
+        assert main([*args, "--out", str(tmp_path / "existing")]) == 2
+        assert self.error_line(capsys) == f"config error: {error}"
+        assert [path.name for path in tmp_path.iterdir()] == ["existing"]
+        assert not any((tmp_path / "existing").iterdir())
 
     @pytest.mark.parametrize("command", list(SHORT_RUNS))
     def test_a_field_past_the_bound_is_a_config_error(self, tmp_path, capsys, command):
@@ -1396,6 +1417,7 @@ class TestOverflowingTotals:
 #: directory that holds ``earlier.csv`` and an empty directory ``empty``.
 FAILURES = {
     "config-error": (["--n-bands", "1", "--out", "earlier.csv"], 2),
+    "config-error-directory-out": (["--n-bands", "1", "--out", "empty"], 2),
     "field-past-the-bound": ([*PAST_THE_BOUND, "--out", "earlier.csv"], 2),
     "unwritable-out": (["--out", os.path.join("missing", "out.csv")], 4),
     "full-device": (["--out", "/dev/full"], 4),

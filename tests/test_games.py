@@ -96,6 +96,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="n_primary"):
             NetworkConfig(n_primary=-1)
 
+    @pytest.mark.parametrize("field", ["n_bands", "n_primary"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_a_bool_count(self, field, value):
+        # a bool is an int to isinstance, but no count, as for every integer setting
+        with pytest.raises(ConfigError) as error:
+            NetworkConfig(**{field: value})
+        assert str(error.value) == f"{field} must be an integer (got {value!r})"
+
     @pytest.mark.parametrize(
         "field",
         [
@@ -144,6 +152,7 @@ class TestNetworkConfigTuple:
             {"n_primary": 11},
             {"n_primary": -1},
             {"n_primary": 2.0},
+            {"n_primary": True},
             {"cost_secondary_switch": -1.0},
             {"cost_malicious_switch": True},
             {"gain_secondary": float("nan")},

@@ -47,6 +47,7 @@ from oracles import (
     game_entries,
     interior_equilibrium,
     long_run_share,
+    reference_csv,
     reference_run,
     row_payoff,
     slot_chain,
@@ -811,6 +812,30 @@ class TestReferenceRun:
             first = next((t for t, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
             assert first is None and len(got) == len(want) == slots, (name, first)
         assert Category(int(result.settled[-1])).name == last
+
+    @pytest.mark.parametrize(
+        "config, policies, seed",
+        [
+            (REF, ("fp", "fp"), 1),
+            (NetworkConfig(3, 0), ("nash", "nash"), 2),  # no licensed user: no C slot
+            (NetworkConfig(4, 4), ("fixed:0.3", "fp"), 3),  # every slot C: nothing recorded
+            (NetworkConfig(2, 1, 0.7, 1e-3, 0.1, 1 / 3, 2 / 3), ("fixed:0.3", "nash"), 4),
+            (NetworkConfig(32, 24), ("nash", "fp"), 5),
+        ],
+        ids=["fp-fp", "nash-no-primary", "fixed-fp-saturated", "fixed-nash-fractional", "nash-fp-crowded"],
+    )
+    def test_the_simulate_csv_is_the_reference_rows(self, tmp_path, capsys, config, policies, seed):
+        # 1,500 slots: the CSV's second block carries the first's counts
+        out = tmp_path / "trace.csv"
+        fields = (f"--{name.replace('_', '-')}={value!r}" for name, value in zip(NetworkConfig._fields, config))
+        argv = ["simulate", *fields, "--policy-secondary", policies[0], "--policy-malicious", policies[1],
+                "--slots", "1500", "--seed", str(seed), "--out", str(out)]
+        assert cli.main(argv) == 0
+        # the first line that differs, not a diff of two long texts
+        texts = out.read_bytes().decode(), reference_csv(config, policies, 1_500, seed)
+        lines = [text.splitlines(keepends=True) for text in texts]
+        first = next((i for i, pair in enumerate(itertools.zip_longest(*lines)) if pair[0] != pair[1]), None)
+        assert first is None, (first, *(text[first:first + 1] for text in lines))
 
     @given(reference_configs())
     @settings(max_examples=200, deadline=None)
