@@ -271,7 +271,7 @@ def run_fp(game: BimatrixGame, iterations: int, seed: int) -> FpTrace:
             hm1 += n
         else:
             hm2 += n
-        # a try that skips nothing (nan utilities, a lasting near-tie)
-        # makes the next try wait twice as long
+        # a try that skips nothing (a lasting near-tie) makes the next try
+        # wait twice as long
         patience = RUN_MIN if n else 2 * patience
     return FpTrace(np.frombuffer(act_s, np.uint8), np.frombuffer(act_m, np.uint8))

@@ -31,22 +31,23 @@ out of category C. Observed moves are counted in the bucket of the
 category they were chosen in.
 
 Randomness per run, in draw order: initial secondary band, initial jammer
-band, initial licensed-user draw; then per slot: secondary action draw,
-jammer action draw, licensed-user draw, secondary target band, jammer
-target band (a policy whose strategy is certain -- fixed play with
+band, then the initial state, settled as a slot in which both players
+stay (so only its licensed-user draw); then per slot: secondary action
+draw, jammer action draw, licensed-user draw, secondary target band,
+jammer target band (a policy whose strategy is certain -- fixed play with
 probability 0 or 1, or Nash play of a pure equilibrium -- draws no
 action, fictitious play draws only on ties, and no licensed-user draw is made
 when ``n_primary`` is 0 or ``n_bands``). Licensed users are placed afresh
 every slot, independent of the players; a slot needs of them only
 whether one sits on the secondary's settled band (silenced: category C,
 no jam), which has probability exactly ``n_primary / n_bands`` whatever
-that band, so one draw (:func:`draw_silenced`) gives the process the law
-of placing them all. The per-slot draws below ``n`` (licensed users,
-target bands) are ``randrange(n)``'s own rejection sampler over
-``getrandbits``, written out: ``n.bit_length()`` bits, drawn again while
-at least ``n``, so they consume the same words and give the same values
-as ``randrange(n)``. Identical (config, policies, slots, seed) inputs
-replay identical runs.
+that band, so one draw below ``n_bands`` gives the process the law of
+placing them all. Every draw below ``n`` (the initial bands, the licensed
+user, the target bands) goes through one kernel, ``_below``:
+``randrange(n)``'s own rejection sampler over ``getrandbits``, written
+out: ``n.bit_length()`` bits, drawn again while at least ``n``, so it
+consumes the same words and gives the same values as ``randrange(n)``.
+Identical (config, policies, slots, seed) inputs replay identical runs.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ __all__ = [
     "B",
     "C",
     "SimulationResult",
-    "draw_silenced",
     "classify_state",
     "plan_policies",
     "choose_actions",
@@ -85,19 +85,15 @@ __all__ = [
 A, B, C = map(int, Category)
 
 
-def draw_silenced(config: NetworkConfig, rng: random.Random) -> bool:
-    """Whether a licensed user sits on the secondary's band: one
-    ``randrange(n_bands) < n_primary`` draw, none when that is certain.
-    The draw is ``randrange``'s rejection sampler over ``getrandbits``,
-    written out: the same words and the same value."""
-    n_bands, n_primary = config.n_bands, config.n_primary
-    if 0 < n_primary < n_bands:
-        k = n_bands.bit_length()
+def _below(n: int, rng: random.Random) -> int:
+    """A uniform draw below ``n``: ``randrange(n)``'s rejection sampler over
+    ``getrandbits``, written out, so the same words and the same value. Each
+    try draws a word, even for ``n`` 1."""
+    k = n.bit_length()
+    pick = rng.getrandbits(k)
+    while pick >= n:
         pick = rng.getrandbits(k)
-        while pick >= n_bands:
-            pick = rng.getrandbits(k)
-        return pick < n_primary
-    return n_primary > 0
+    return pick
 
 
 def classify_state(secondary_band: int, malicious_band: int, silenced: bool) -> int:
@@ -183,18 +179,6 @@ def choose_actions(
     return draw_s(counts, rng), draw_m(counts, rng)
 
 
-def _other_band(current: int, n_bands: int, rng: random.Random) -> int:
-    """Uniform draw over all bands except ``current``: ``randrange(n_bands
-    - 1)`` written out as in :func:`draw_silenced`. With two bands each try
-    still draws a word, as ``randrange(1)`` does."""
-    n = n_bands - 1
-    k = n.bit_length()
-    pick = rng.getrandbits(k)
-    while pick >= n:
-        pick = rng.getrandbits(k)
-    return pick + 1 if pick >= current else pick
-
-
 def settle_slot(
     category: int,
     secondary_band: int,
@@ -207,22 +191,28 @@ def settle_slot(
 
     Returns ``(secondary_band, malicious_band, silenced)`` after the slot,
     where ``silenced`` says a licensed user sits on the secondary's settled
-    band; :func:`classify_state` decides a jam. Draw order: the
-    licensed-user draw first (:func:`draw_silenced`), then the secondary's
-    target band (if it switches), then the jammer's (category A only; in
-    category B a switching jammer goes straight to the secondary's prior
-    band). In category C both players stay, as :func:`choose_actions`
-    decides.
+    band; :func:`classify_state` decides a jam. Draw order, each draw
+    below ``n`` made by :func:`_below`: the licensed-user draw first (below
+    ``n_bands``, silenced if below ``n_primary``; none when ``n_primary``
+    is 0 or ``n_bands``), then the secondary's target band if it switches
+    (below ``n_bands - 1``, skipping its own band), then the jammer's
+    (category A only; in category B a switching jammer goes straight to
+    the secondary's prior band). In category C both players stay, as
+    :func:`choose_actions` decides; :func:`run_simulation` settles the
+    initial state as such a slot.
     """
     switch_s, switch_m = actions
-    silenced = draw_silenced(config, rng)
+    n_bands, n_primary = config.n_bands, config.n_primary
+    silenced = _below(n_bands, rng) < n_primary if 0 < n_primary < n_bands else n_primary > 0
     sec_band = secondary_band
     mal_band = malicious_band
     if switch_s:
-        sec_band = _other_band(secondary_band, config.n_bands, rng)
+        pick = _below(n_bands - 1, rng)
+        sec_band = pick + (pick >= secondary_band)
     if switch_m:
         if category == A:
-            mal_band = _other_band(malicious_band, config.n_bands, rng)
+            pick = _below(n_bands - 1, rng)
+            mal_band = pick + (pick >= malicious_band)
         else:
             mal_band = secondary_band
     return sec_band, mal_band, silenced
@@ -402,9 +392,9 @@ def run_simulation(
     secondary_switch, malicious_switch, seen_by_malicious, seen_by_secondary = (bytearray(slots) for _ in range(4))
     states = bytearray(slots + 1)  # each slot's category, then the one the last slot settles into
 
-    sec = rng.randrange(config.n_bands)
-    mal = rng.randrange(config.n_bands)
-    cat = classify_state(sec, mal, draw_silenced(config, rng))
+    sec = _below(config.n_bands, rng)
+    mal = _below(config.n_bands, rng)
+    cat = classify_state(*settle_slot(C, sec, mal, (False, False), config, rng))
     histories = ([0, 0, 0, 0], [0, 0, 0, 0])
     for t in range(slots):
         states[t] = cat

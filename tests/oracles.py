@@ -225,6 +225,44 @@ def slot_chain(n_bands, n_primary, switch_a, switch_b):
 CHAIN_CATEGORIES = {"A": (1, 0, 0, 0), "B": (0, 1, 0, 0), "C": (0, 0, 1, 1)}
 
 
+def state_payoffs(config, switch_a, switch_b):
+    """Each ``slot_chain`` state's expected (secondary, jammer) payoff in
+    one slot, under the same independent moves, from the hand formulas.
+
+    ``config`` is the seven network fields in order. With rho =
+    n_primary / n_bands and u = 1/(n_bands - 1), the players end a slot
+    together with probability t = (1-s)(1-m) + s·m·u from A and
+    t = (1-s)·m + s(1-m)·u from B. The secondary then gets (1-rho)(-L·t +
+    G(1-t)) and the jammer (1-rho)·t·G_m, less their switching costs; in B
+    the secondary pays only when the jammer stays. Nobody moves in C:
+    C-together pays (1-rho)(-L) and (1-rho)·G_m, C-apart (1-rho)·G and 0.
+    Exact when every field and probability is an int or a ``Fraction``.
+    """
+    n_bands, n_primary, c_s, c_m, g_s, g_m, l_s = config
+    clear = 1 - Fraction(n_primary, n_bands)
+    u = Fraction(1, n_bands - 1)
+    s, m = switch_a
+    together = (1 - s) * (1 - m) + s * m * u
+    in_a = (clear * (-l_s * together + g_s * (1 - together)) - s * c_s, clear * together * g_m - m * c_m)
+    s, m = switch_b
+    together = (1 - s) * m + s * (1 - m) * u
+    in_b = (clear * (-l_s * together + g_s * (1 - together)) - s * (1 - m) * c_s, clear * together * g_m - m * c_m)
+    return in_a, in_b, (clear * -l_s, clear * g_m), (clear * g_s, 0)
+
+
+def stationary(chain):
+    """The stationary distribution pi of ``chain``: pi P = pi, summing to 1."""
+    n = len(chain)
+    coefficients = np.vstack([(np.asarray(chain) - np.eye(n)).T, np.ones(n)])
+    return np.linalg.lstsq(coefficients, np.r_[np.zeros(n), 1.0], rcond=None)[0]
+
+
+def long_run_payoff(chain, rewards):
+    """pi · r: the long-run (secondary, jammer) payoff per slot of ``chain``,
+    whose states pay ``rewards`` (as :func:`state_payoffs` gives them)."""
+    return tuple(stationary(chain) @ np.asarray(rewards, float))
+
+
 def long_run_share(chain, indicator, slots, z):
     """Stationary share of the states in ``indicator`` and a CLT band for
     its average over ``slots`` slots from any start.
@@ -236,8 +274,7 @@ def long_run_share(chain, indicator, slots, z):
     2 max|g| / slots.
     """
     n = len(chain)
-    coefficients = np.vstack([(np.asarray(chain) - np.eye(n)).T, np.ones(n)])
-    pi = np.linalg.lstsq(coefficients, np.r_[np.zeros(n), 1.0], rcond=None)[0]
+    pi = stationary(chain)
     f = np.asarray(indicator, float)
     share = float(pi @ f)
     fbar = f - share

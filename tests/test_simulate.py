@@ -33,7 +33,6 @@ from crn_jamgame.simulate import (
     SimulationResult,
     choose_actions,
     classify_state,
-    draw_silenced,
     plan_policies,
     settle_slot,
     update_histories,
@@ -41,16 +40,19 @@ from crn_jamgame.simulate import (
 import test_cli
 from oracles import (
     CHAIN_CATEGORIES,
+    FIRST_SWITCHES,
     col_payoff,
     enumerate_draws,
     exact_equilibrium,
     game_entries,
     interior_equilibrium,
+    long_run_payoff,
     long_run_share,
     reference_csv,
     reference_run,
     row_payoff,
     slot_chain,
+    state_payoffs,
 )
 
 REF = NetworkConfig()
@@ -75,12 +77,32 @@ def plans(policies):
     return plan_policies(policies, GAMES, 10_000)
 
 
-class TestDrawSilenced:
-    @pytest.mark.parametrize("n_primary,silenced", [(0, False), (10, True)])
-    def test_certain_outcomes_draw_nothing(self, n_primary, silenced):
+class TestBelow:
+    @given(st.integers(0, 2**32))
+    def test_draws_as_randrange(self, seed):
+        # with n 1 each try still takes a word, as randrange(1)'s does
+        rng, twin = random.Random(seed), random.Random(seed)
+        for n in (*range(1, 71), *WRITTEN_OUT_BANDS):
+            for _ in range(3):
+                assert simulate._below(n, rng) == twin.randrange(n)
+            same_state = rng.getstate() == twin.getstate()  # a failing compare of states would print 625 words
+            assert same_state, n
+
+
+def silenced(config, rng):
+    """The licensed-user draw of ``config``: ``settle_slot``'s only draw in a
+    slot in which both players stay."""
+    sec, mal, quiet = settle_slot(C, 1, 0, (STAY, STAY), config, rng)
+    assert (sec, mal) == (1, 0)
+    return quiet
+
+
+class TestLicensedUserDraw:
+    @pytest.mark.parametrize("n_primary,quiet", [(0, False), (10, True)])
+    def test_certain_outcomes_draw_nothing(self, n_primary, quiet):
         rng = random.Random(0)
         for _ in range(20):
-            assert draw_silenced(NetworkConfig(n_primary=n_primary), rng) is silenced
+            assert silenced(NetworkConfig(n_primary=n_primary), rng) is quiet
         assert rng.getstate() == random.Random(0).getstate()
 
     @given(
@@ -92,8 +114,8 @@ class TestDrawSilenced:
     def test_one_band_draw_below_n_primary(self, bands, seed):
         n_bands, n_primary = bands
         rng, twin = random.Random(seed), random.Random(seed)
-        silenced = draw_silenced(NetworkConfig(n_bands=n_bands, n_primary=n_primary), rng)
-        assert silenced == (twin.randrange(n_bands) < n_primary)
+        quiet = silenced(NetworkConfig(n_bands=n_bands, n_primary=n_primary), rng)
+        assert quiet == (twin.randrange(n_bands) < n_primary)
         assert rng.getstate() == twin.getstate()
 
     @pytest.mark.parametrize("n_primary", [1, 5, 9])
@@ -101,19 +123,22 @@ class TestDrawSilenced:
         config = NetworkConfig(n_primary=n_primary)
         rng = random.Random(314)
         draws = 30_000
-        rate = sum(draw_silenced(config, rng) for _ in range(draws)) / draws
+        rate = sum(silenced(config, rng) for _ in range(draws)) / draws
         rho = n_primary / 10
         assert abs(rate - rho) < 3 * math.sqrt(rho * (1 - rho) / draws)
 
 
-class TestOtherBand:
+class TestTargetBandDraw:
     @pytest.mark.parametrize("n_bands", WRITTEN_OUT_BANDS)
     def test_draws_as_randrange_below_the_other_bands(self, n_bands):
+        # a switching secondary in B, no licensed users: the target is the only draw;
         # with two bands the draw is below 1, and each try still takes a word
+        config = NetworkConfig(n_bands=n_bands, n_primary=0)
         rng, twin = random.Random(n_bands), random.Random(n_bands)
         for current in (0, 1, n_bands // 2, n_bands - 1) * 10:
             pick = twin.randrange(n_bands - 1)
-            assert simulate._other_band(current, n_bands, rng) == (pick + 1 if pick >= current else pick)
+            settled = settle_slot(B, current, 0, (SWITCH, STAY), config, rng)
+            assert settled == (pick + 1 if pick >= current else pick, 0, False)
             assert rng.getstate() == twin.getstate()
 
 
@@ -394,6 +419,9 @@ class TestUpdateHistories:
             assert histories == expected, moves
 
 
+#: (secondary, jammer) switch probabilities that mix a state's moves.
+RATIONAL_SWITCHES = ((Fraction(0), Fraction(1)), (Fraction(1, 3), Fraction(3, 4)), (Fraction(5, 7), Fraction(2, 9)))
+
 #: The states of ``oracles.slot_chain`` (A, B, C together, C apart) as a
 #: slot's category and its (secondary, jammer) bands before the moves.
 CHAIN_STATES = ((A, 0, 0), (B, 0, 1), (C, 0, 0), (C, 0, 1))
@@ -454,16 +482,53 @@ class TestExactSlotLaw:
                 assert np.abs(np.array(law, float) - row).max() <= 1e-15, (n_primary, state, actions)
 
     @pytest.mark.parametrize("n_bands", range(2, 10))
+    def test_the_expected_payoff_of_every_chain_state(self, n_bands):
+        for n_primary, fields in itertools.product(range(n_bands + 1), (REF[2:], (3, 1, 7, 5, 11))):
+            config = NetworkConfig(n_bands, n_primary, *fields)
+            priced = []  # by state: each move pair's exact expected (secondary, jammer) payoffs
+            for state, (category, _sec, _mal) in enumerate(CHAIN_STATES):
+                priced.append([])
+                for actions in MOVES if category != C else [(STAY, STAY)]:  # in C both stay
+                    law = slot_law(n_bands, n_primary, state, actions)
+                    settled = np.array([classify_state(*outcome) for _weight, outcome in law], np.int8)
+                    payoffs = simulate.slot_payoffs(
+                        config, np.full(len(law), category, np.int8), settled, np.full(len(law), actions[0]),
+                        np.full(len(law), actions[1]),
+                    )
+                    means = [sum(weight * Fraction(x) for (weight, _), x in zip(law, paid.tolist()))
+                             for paid in payoffs]
+                    priced[state].append((actions, means))
+            exact = (n_bands, n_primary, *map(Fraction, fields))
+            for switch_a, switch_b in itertools.product(RATIONAL_SWITCHES, repeat=2):
+                expected = state_payoffs(exact, switch_a, switch_b)
+                for state, (s, m) in enumerate((switch_a, switch_b, (0, 0), (0, 0))):
+                    mixed = tuple(
+                        sum((s if switch_s else 1 - s) * (m if switch_m else 1 - m) * means[player]
+                            for (switch_s, switch_m), means in priced[state])
+                        for player in (0, 1)
+                    )
+                    assert mixed == expected[state], (n_primary, fields, state, switch_a, switch_b)
+
+    @pytest.mark.parametrize("n_bands", range(2, 10))
     def test_the_licensed_user_and_target_band_draws(self, n_bands):
         for n_primary in range(n_bands + 1):
             config = NetworkConfig(n_bands, n_primary)
-            law = enumerate_draws(lambda rng: draw_silenced(config, rng))
+            law = enumerate_draws(lambda rng: settle_slot(C, 0, 0, (STAY, STAY), config, rng))
             assert len(law) == (n_bands if 0 < n_primary < n_bands else 1)
-            assert sum(weight for weight, silenced in law if silenced) == Fraction(n_primary, n_bands)
+            assert {outcome[:2] for _weight, outcome in law} == {(0, 0)}
+            assert sum(weight for weight, (*_bands, quiet) in law if quiet) == Fraction(n_primary, n_bands)
+        config = NetworkConfig(n_bands, 0)
         for current in range(n_bands):
-            law = enumerate_draws(lambda rng: simulate._other_band(current, n_bands, rng))
-            assert sorted(band for _weight, band in law) == [band for band in range(n_bands) if band != current]
-            assert {weight for weight, _band in law} == {Fraction(1, n_bands - 1)}
+            apart = (current + 1) % n_bands
+            # the secondary's target in B, then the jammer's in A
+            for category, bands, actions, mover in ((B, (current, apart), (SWITCH, STAY), 0),
+                                                    (A, (current, current), (STAY, SWITCH), 1)):
+                law = enumerate_draws(lambda rng: settle_slot(category, *bands, actions, config, rng))
+                assert sorted(outcome[mover] for _weight, outcome in law) == [
+                    band for band in range(n_bands) if band != current
+                ]
+                assert {weight for weight, _outcome in law} == {Fraction(1, n_bands - 1)}
+                assert {outcome[1 - mover] for _weight, outcome in law} == {bands[1 - mover]}
 
 
 def running_frequencies(result, code):
@@ -1038,3 +1103,29 @@ class TestLongRunChain:
         policies = (NashPolicy(), NashPolicy())
         result = run_simulation(config, policies, CHAIN_SLOTS, seed)
         assert_long_run(result, config, (p_a, q_a), (p_b, 1 - q_b))
+
+    @pytest.mark.parametrize(
+        "config,exact,rounded",
+        [
+            (REF, (15.475713514000187, 3.6079244320398507), (15.4757, 3.6079)),
+            (
+                NetworkConfig(n_bands=32, n_primary=24, cost_malicious_switch=0.5),
+                (10.206379069955943, 0.6165458175885002),
+                (10.2064, 0.6165),
+            ),
+        ],
+        ids=["default", "sim-crowded"],
+    )
+    def test_the_long_run_payoff_of_nash_play(self, config, exact, rounded):
+        # pi . r with each category's equilibrium (p, q) as switch probabilities
+        switches = []
+        for category in "AB":
+            equilibrium = exact_equilibrium(game_entries(tuple(config), category))
+            assert all(0 < x < 1 for x in equilibrium)
+            switches.append(tuple(
+                float(x if first else 1 - x) for x, first in zip(equilibrium, FIRST_SWITCHES[category])
+            ))
+        chain = slot_chain(config.n_bands, config.n_primary, *switches)
+        payoffs = long_run_payoff(chain, state_payoffs(tuple(config), *switches))
+        assert payoffs == pytest.approx(exact, abs=1e-9)
+        assert payoffs == pytest.approx(rounded, abs=5e-5)
