@@ -77,6 +77,13 @@ def plans(policies):
     return plan_policies(policies, GAMES, 10_000)
 
 
+def same_state(rng, twin):
+    """Whether two generators are in one state. Asserting ``==`` of the
+    states themselves has pytest render their 625 words at each failing
+    hypothesis example, which makes shrinking take minutes."""
+    return rng.getstate() == twin.getstate()
+
+
 class TestBelow:
     @given(st.integers(0, 2**32))
     def test_draws_as_randrange(self, seed):
@@ -85,8 +92,7 @@ class TestBelow:
         for n in (*range(1, 71), *WRITTEN_OUT_BANDS):
             for _ in range(3):
                 assert simulate._below(n, rng) == twin.randrange(n)
-            same_state = rng.getstate() == twin.getstate()  # a failing compare of states would print 625 words
-            assert same_state, n
+            assert same_state(rng, twin), n
 
 
 def silenced(config, rng):
@@ -116,7 +122,7 @@ class TestLicensedUserDraw:
         rng, twin = random.Random(seed), random.Random(seed)
         quiet = silenced(NetworkConfig(n_bands=n_bands, n_primary=n_primary), rng)
         assert quiet == (twin.randrange(n_bands) < n_primary)
-        assert rng.getstate() == twin.getstate()
+        assert same_state(rng, twin)
 
     @pytest.mark.parametrize("n_primary", [1, 5, 9])
     def test_rate_is_the_licensed_share_of_bands(self, n_primary):
